@@ -9,7 +9,6 @@ from .evolution import (
     diagonalize,
     evolve,
     evolve_assembled,
-    lindblad_step,
     observable,
     step_count,
     superoperator_oracle,
@@ -56,14 +55,8 @@ from .modes import (
     ProjectedBasis,
     QuantaWindow,
     enumerate_basis,
-    identity_op,
     ladder_lower,
     ladder_raise,
-    number_op,
-    op_add,
     op_adjoint,
-    op_mul,
-    op_scale,
-    total_quanta_op,
     transfer_op,
 )

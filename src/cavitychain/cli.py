@@ -58,7 +58,8 @@ class ConfigError(ValueError):
     """Raised for malformed or contradictory configuration text."""
 
 
-_FLOAT_KEYS = (
+# ChainConfig float fields, in the order serialize_run writes them
+_CHAIN_FLOAT_KEYS = (
     "k",
     "mu",
     "g",
@@ -68,8 +69,8 @@ _FLOAT_KEYS = (
     "rate_in",
     "rate_out",
     "cavity_loss",
-    "objective_time",
 )
+_FLOAT_KEYS = _CHAIN_FLOAT_KEYS + ("objective_time",)
 _INT_KEYS = ("n_atoms", "max_quanta", "phonon_cap")
 _ENUM_KEYS = {
     "dephasing": DephasingModel,
@@ -83,7 +84,7 @@ _ENUM_ALIASES = {
 }
 _AXIS_KEYS = ("axis1_param", "axis1_values", "axis2_param", "axis2_values")
 # ChainConfig fields settable directly from config keys (window is assembled)
-_CHAIN_KEYS = ("n_atoms",) + _FLOAT_KEYS[:-1] + tuple(_ENUM_KEYS)
+_CHAIN_KEYS = ("n_atoms",) + _CHAIN_FLOAT_KEYS + tuple(_ENUM_KEYS)
 _OBJECTIVE_KINDS = ("time_to_reach", "sink_at_time")
 _ALL_KEYS = frozenset(
     _FLOAT_KEYS + _INT_KEYS + tuple(_ENUM_KEYS) + _AXIS_KEYS + ("objective",)
@@ -251,7 +252,7 @@ def serialize_run(setup: RunSetup) -> str:
     """Emit config text that parses back to an equal RunSetup."""
     chain = setup.chain
     lines = [f"n_atoms={chain.n_atoms}"]
-    for key in _FLOAT_KEYS[:-1]:
+    for key in _CHAIN_FLOAT_KEYS:
         lines.append(f"{key}={getattr(chain, key)!r}")
     for key in _ENUM_KEYS:
         lines.append(f"{key}={getattr(chain, key).value}")
@@ -342,15 +343,19 @@ def _load_setup(path: str) -> RunSetup:
 
 
 def _resolve_objective(setup: RunSetup, args) -> TimeToReach | SinkAtTime:
-    kind = setup.objective_kind or "time_to_reach"
-    if kind == "time_to_reach":
-        return TimeToReach(target=args.target, t_max=args.t_max)
-    return SinkAtTime(setup.objective_time)
+    if setup.objective_kind == "sink_at_time":
+        return SinkAtTime(setup.objective_time)
+    if setup.objective_time is not None:
+        raise ConfigError(
+            "objective: objective_time is set but the objective is time_to_reach; "
+            "add objective=sink_at_time or drop objective_time"
+        )
+    return TimeToReach(target=args.target, t_max=args.t_max)
 
 
 def _emit_sweep(command, args, setup, spec, runner) -> int:
     started = _time.perf_counter()
-    result = runner(spec, workers=args.workers)
+    result = runner(spec)
     duration = _time.perf_counter() - started
     write_sweep_csv(result, f"{args.out}.csv")
     _write_manifest(
@@ -387,6 +392,11 @@ def cmd_evolve(args) -> int:
 
 def cmd_bottleneck(args) -> int:
     setup = _load_setup(args.config)
+    if setup.objective_kind == "sink_at_time" or setup.objective_time is not None:
+        raise ConfigError(
+            "objective: bottleneck measures time_to_reach; "
+            "drop objective=sink_at_time and objective_time"
+        )
     axis1 = setup.axis1 or SweepAxis("rate_in", default_rate_grid())
     axis2 = setup.axis2 or SweepAxis("rate_out", default_rate_grid())
     spec = SweepSpec(
@@ -401,6 +411,8 @@ def cmd_bottleneck(args) -> int:
 
 def cmd_dat(args) -> int:
     setup = _load_setup(args.config)
+    if setup.objective_kind == "time_to_reach":
+        raise ConfigError("objective: dat measures sink_at_time, not time_to_reach")
     if setup.objective_time is None:
         raise ConfigError("objective_time is required for the dat command")
     axis1 = setup.axis1 or SweepAxis("rate_out", default_rate_grid())
@@ -426,11 +438,7 @@ def cmd_sweep(args) -> int:
         objective=_resolve_objective(setup, args),
         dt=args.dt,
     )
-
-    def runner(spec, workers):
-        return run_sweep(spec, workers=workers)
-
-    return _emit_sweep("sweep", args, setup, spec, runner)
+    return _emit_sweep("sweep", args, setup, spec, run_sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", type=float, default=DEFAULT_T_MAX)
         p.add_argument("--target", type=float, default=DEFAULT_TARGET)
         if sweepy:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument(
+                "--workers", type=int, default=1, help="no effect: sweeps run serially"
+            )
 
     p_evolve = sub.add_parser("evolve", help="integrate one trajectory")
     common(p_evolve, sweepy=False)
@@ -479,6 +489,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dt <= 0:
         parser.error("--dt must be > 0")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be >= 1")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ provides an independent second route for convergence testing.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .modes import (
     Operator,
     ProjectedBasis,
     hermiticity_defect,
+    min_eigenvalue,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -33,7 +35,7 @@ ORACLE_MAX_DIM = 16
 
 
 class Propagator:
-    """Eigendecomposition of a Hamiltonian with cached unitary steps."""
+    """Eigendecomposition of a Hamiltonian, the source of unitary steps."""
 
     def __init__(
         self, basis: ProjectedBasis, eigenvalues: np.ndarray, eigenvectors: np.ndarray
@@ -45,21 +47,16 @@ class Propagator:
         defect = np.abs(gram - np.eye(basis.dim)).max()
         if defect > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvector columns not orthonormal: defect {defect:.3e}")
-        self._unitaries: dict[float, np.ndarray] = {}
 
     def unitary(self, dt: float) -> np.ndarray:
-        """U = V diag(exp(-i*lambda*dt)) V^dag, cached per dt."""
-        key = float(dt)
-        cached = self._unitaries.get(key)
-        if cached is None:
-            phases = np.exp(-1j * self.eigenvalues * key)
-            cached = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
-            check = cached @ cached.conj().T
-            defect = np.abs(check - np.eye(self.basis.dim)).max()
-            if defect > UNITARITY_TOL:
-                raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
-            self._unitaries[key] = cached
-        return cached
+        """U = V diag(exp(-i*lambda*dt)) V^dag, checked for unitarity."""
+        phases = np.exp(-1j * self.eigenvalues * float(dt))
+        unitary = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        check = unitary @ unitary.conj().T
+        defect = np.abs(check - np.eye(self.basis.dim)).max()
+        if defect > UNITARITY_TOL:
+            raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
+        return unitary
 
 
 def diagonalize(hamiltonian: Operator) -> Propagator:
@@ -106,16 +103,6 @@ class StepEngine:
                 gained - (self.half_rate @ rho + rho @ self.half_rate)
             )
         return out
-
-
-def lindblad_step(
-    rho: DensityMatrix, propagator: Propagator, terms: list[LindbladTerm], dt: float
-) -> DensityMatrix:
-    """One discrete evolution step of the density matrix."""
-    if rho.basis is not propagator.basis:
-        raise ValueError("state and propagator live on different bases")
-    engine = StepEngine(propagator, list(terms), dt)
-    return DensityMatrix(rho.basis, engine.step(rho.elements))
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -170,6 +157,29 @@ class TrajectoryRecord:
         return (self.min_eigenvalue < floor).astype(np.int64)
 
 
+def iter_steps(
+    chain: AssembledChain, propagator: Propagator, dt: float, n_steps: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (step index, state) for steps 0..n_steps from the chain's initial state.
+
+    The one place that steps a density matrix: trajectories and sweep cells
+    all consume this loop.  Each yielded state is a fresh array that later
+    steps never write to.
+    """
+    engine = StepEngine(propagator, list(chain.lindblad_terms), dt)
+    rho = chain.initial.elements.copy()
+    yield 0, rho
+    for i in range(1, n_steps + 1):
+        rho = engine.step(rho)
+        yield i, rho
+
+
+def sink_column(basis: ProjectedBasis) -> np.ndarray:
+    """Sink occupation of every basis state, as weights over the populations."""
+    layout = basis.layout
+    return basis.occupations[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
+
+
 def evolve_assembled(
     chain: AssembledChain,
     propagator: Propagator,
@@ -181,18 +191,16 @@ def evolve_assembled(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_steps = step_count(t_end, dt)
-    engine = StepEngine(propagator, list(chain.lindblad_terms), dt)
     basis = chain.basis
     layout = basis.layout
     occ = basis.occupations
-    sink_col = occ[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
+    sink_col = sink_column(basis)
     photon_cols = occ[:, list(layout.indices(ModeKind.PHOTON))].astype(float)
     exciton_cols = occ[:, list(layout.indices(ModeKind.EXCITON))].astype(float)
 
     times, sink, photon, exciton = [], [], [], []
     trace, min_eig, herm = [], [], []
-    rho = chain.initial.elements.copy()
-    for i in range(n_steps + 1):
+    for i, rho in iter_steps(chain, propagator, dt, n_steps):
         if i % sample_every == 0 or i == n_steps:
             populations = np.diag(rho).real
             times.append(i * dt)
@@ -200,10 +208,8 @@ def evolve_assembled(
             photon.append(populations @ photon_cols)
             exciton.append(populations @ exciton_cols)
             trace.append(float(populations.sum()))
-            min_eig.append(float(np.linalg.eigvalsh(rho)[0]))
+            min_eig.append(min_eigenvalue(rho))
             herm.append(hermiticity_defect(rho))
-        if i < n_steps:
-            rho = engine.step(rho)
 
     return TrajectoryRecord(
         times=np.array(times),

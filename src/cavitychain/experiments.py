@@ -4,20 +4,19 @@ The two reproduced effects are the quantum bottleneck (time to fill the sink
 is non-monotone in the output rate: past an optimum, faster runoff slows the
 transfer) and dephasing-assisted transport (at a non-optimal output rate,
 nonzero dephasing strength can raise the sink population reached by a fixed
-time).  Sweep cells are independent pure computations, so any level of
-parallelism yields the same grid, cell by cell.
+time).  Sweep cells are independent pure computations, evaluated one after
+another in grid order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import StepEngine, diagonalize, step_count
+from .evolution import diagonalize, iter_steps, sink_column, step_count
 from .model import ChainConfig, DephasingModel, InitialState, assemble
-from .modes import ModeKind
+from .modes import min_eigenvalue
 
 SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 
@@ -140,49 +139,31 @@ def _reach_outcome(
 ) -> _CellOutcome:
     """Step until the sink crosses target, interpolating the crossing time."""
     chain = assemble(config)
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
-    layout = chain.basis.layout
-    sink_col = chain.basis.occupations[
-        :, layout.index(ModeKind.SINK, layout.n_sites)
-    ].astype(float)
-    rho = chain.initial.elements.copy()
-    populations = np.diag(rho).real
-    prev = float(populations @ sink_col)
-    drift = abs(float(populations.sum()) - 1.0)
-    if prev >= target:
-        return _CellOutcome(0.0, False, drift, _min_eig(rho))
-    n_steps = step_count(t_max, dt)
-    for i in range(1, n_steps + 1):
-        rho = engine.step(rho)
+    sink_col = sink_column(chain.basis)
+    states = iter_steps(chain, diagonalize(chain.hamiltonian), dt, step_count(t_max, dt))
+    drift = 0.0
+    for i, rho in states:
         populations = np.diag(rho).real
         drift = max(drift, abs(float(populations.sum()) - 1.0))
         current = float(populations @ sink_col)
         if current >= target:
-            crossing = (i - 1) * dt + dt * (target - prev) / (current - prev)
-            return _CellOutcome(crossing, False, drift, _min_eig(rho))
+            crossing = (
+                0.0 if i == 0 else (i - 1) * dt + dt * (target - prev) / (current - prev)
+            )
+            return _CellOutcome(crossing, False, drift, min_eigenvalue(rho))
         prev = current
-    return _CellOutcome(t_max, True, drift, _min_eig(rho))
+    return _CellOutcome(t_max, True, drift, min_eigenvalue(rho))
 
 
 def _sink_outcome(config: ChainConfig, t: float, dt: float) -> _CellOutcome:
     """Sink population after evolving to the fixed observation time."""
     chain = assemble(config)
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
-    layout = chain.basis.layout
-    sink_col = chain.basis.occupations[
-        :, layout.index(ModeKind.SINK, layout.n_sites)
-    ].astype(float)
-    rho = chain.initial.elements.copy()
+    states = iter_steps(chain, diagonalize(chain.hamiltonian), dt, step_count(t, dt))
     drift = 0.0
-    for _ in range(step_count(t, dt)):
-        rho = engine.step(rho)
+    for _, rho in states:
         drift = max(drift, abs(float(np.diag(rho).real.sum()) - 1.0))
-    sink = float(np.diag(rho).real @ sink_col)
-    return _CellOutcome(sink, False, drift, _min_eig(rho))
-
-
-def _min_eig(rho: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(rho)[0])
+    sink = float(np.diag(rho).real @ sink_column(chain.basis))
+    return _CellOutcome(sink, False, drift, min_eigenvalue(rho))
 
 
 def time_to_reach(
@@ -202,28 +183,16 @@ def _evaluate_cell(spec: SweepSpec, config: ChainConfig) -> _CellOutcome:
     return _sink_outcome(config, spec.objective.t, spec.dt)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the objective over the full axis grid.
-
-    Cells are pure functions of their SweepSpec, so the grid is identical for
-    any worker count; parallel scheduling only changes the execution order.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the objective over the full axis grid, cell by cell."""
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
-    cells = []
+    outcomes = []
     for v1 in spec.axis1.values:
         for v2 in axis2_values:
             overrides = {spec.axis1.param: v1}
             if spec.axis2 is not None:
                 overrides[spec.axis2.param] = v2
-            cells.append(replace(spec.base, **overrides))
-
-    if workers == 1:
-        outcomes = [_evaluate_cell(spec, c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: _evaluate_cell(spec, c), cells))
+            outcomes.append(_evaluate_cell(spec, replace(spec.base, **overrides)))
 
     shape = (len(spec.axis1.values), len(axis2_values))
     grid = np.array([o.value for o in outcomes]).reshape(shape)
@@ -243,7 +212,6 @@ def optimal_rate(
     candidates,
     objective: TimeToReach | None = None,
     dt: float = DEFAULT_DT,
-    workers: int = 1,
 ) -> OptimalRate:
     """Grid-search the rate minimizing time-to-target; ties go to the smaller rate."""
     if which not in ("rate_in", "rate_out"):
@@ -252,7 +220,7 @@ def optimal_rate(
     spec = SweepSpec(
         base=base, axis1=SweepAxis(which, tuple(candidates)), objective=objective, dt=dt
     )
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec)
     times = result.grid[:, 0]
     best = int(np.argmin(times))  # first minimum = smallest rate on the sorted axis
     return OptimalRate(
@@ -262,16 +230,16 @@ def optimal_rate(
     )
 
 
-def bottleneck_scan(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def bottleneck_scan(spec: SweepSpec) -> SweepResult:
     """Time-to-target over an input-rate times output-rate grid."""
     if spec.axis1.param != "rate_in" or spec.axis2 is None or spec.axis2.param != "rate_out":
         raise ValueError("bottleneck scan sweeps axis1=rate_in, axis2=rate_out")
     if not isinstance(spec.objective, TimeToReach):
         raise ValueError("bottleneck scan needs a TimeToReach objective")
-    return run_sweep(spec, workers=workers)
+    return run_sweep(spec)
 
 
-def dat_scan(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def dat_scan(spec: SweepSpec) -> SweepResult:
     """Sink-at-fixed-time over an output-rate times dephasing-strength grid.
 
     The base must be an undriven chain started with the photon in the first
@@ -288,4 +256,4 @@ def dat_scan(spec: SweepSpec, workers: int = 1) -> SweepResult:
         raise ValueError("dephasing scan starts with the photon in the first cavity")
     if spec.base.dephasing is DephasingModel.NONE:
         raise ValueError("dephasing scan needs a dephasing model")
-    return run_sweep(spec, workers=workers)
+    return run_sweep(spec)

@@ -5,7 +5,7 @@ phonon per site, one sink at the end).  The basis keeps only those occupation
 vectors whose excitation count -- photons + excitons + sink, the number
 conserved by the chain Hamiltonian -- lies inside a configurable window;
 phonon occupations are capped separately because phonon number is not
-conserved.  Ladder and number operators are built directly in the projected
+conserved.  Ladder and transfer operators are built directly in the projected
 basis: raising out of the kept set projects to zero rather than erroring.
 """
 
@@ -25,7 +25,7 @@ class EmptyBasisError(ValueError):
 
 
 class BasisMismatchError(ValueError):
-    """Operators or states over different bases were combined."""
+    """A basis was used with a config it was not built from."""
 
 
 class ModeKind(Enum):
@@ -179,11 +179,6 @@ class ProjectedBasis:
         """Dense index of an occupation vector; KeyError if projected out."""
         return self.index_of[tuple(occupation)]
 
-    def quanta(self, occupation) -> int:
-        """Excitation count of one occupation vector (phonons excluded)."""
-        weights = self.layout.quanta_weights()
-        return int(sum(w * n for w, n in zip(weights, occupation)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProjectedBasis(dim={self.dim}, sites={self.layout.n_sites}, "
@@ -294,7 +289,7 @@ class DensityMatrix:
         return hermiticity_defect(self.elements)
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements)[0])
+        return min_eigenvalue(self.elements)
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.basis, self.elements.copy())
@@ -316,11 +311,6 @@ class DensityMatrix:
             raise ValueError(
                 f"min eigenvalue {self.min_eigenvalue():.3e} below {eig_floor}"
             )
-
-
-def _require_same_basis(a, b) -> None:
-    if a.basis is not b.basis:
-        raise BasisMismatchError("operands live on different bases")
 
 
 def ladder_raise(basis: ProjectedBasis, mode: int) -> Operator:
@@ -378,42 +368,6 @@ def transfer_op(basis: ProjectedBasis, from_mode: int, to_mode: int) -> Operator
     return Operator(basis, mat)
 
 
-def number_op(basis: ProjectedBasis, mode: int) -> Operator:
-    """Diagonal occupation-number operator of one mode."""
-    if not 0 <= mode < len(basis.layout.modes):
-        raise IndexError(f"mode index {mode} out of range")
-    return Operator(
-        basis,
-        np.diag(basis.occupations[:, mode].astype(complex)),
-        hermitian=True,
-    )
-
-
-def total_quanta_op(basis: ProjectedBasis) -> Operator:
-    """Summed number operator over photon, exciton and sink modes."""
-    counts = basis.occupations @ basis.layout.quanta_weights()
-    return Operator(basis, np.diag(counts.astype(complex)), hermitian=True)
-
-
-def identity_op(basis: ProjectedBasis) -> Operator:
-    return Operator(basis, np.eye(basis.dim, dtype=complex), hermitian=True)
-
-
-def op_add(a: Operator, b: Operator) -> Operator:
-    _require_same_basis(a, b)
-    return Operator(a.basis, a.elements + b.elements, hermitian=a.hermitian and b.hermitian)
-
-
-def op_scale(a: Operator, factor: complex) -> Operator:
-    herm = a.hermitian and complex(factor).imag == 0.0
-    return Operator(a.basis, factor * a.elements, hermitian=herm)
-
-
-def op_mul(a: Operator, b: Operator) -> Operator:
-    _require_same_basis(a, b)
-    return Operator(a.basis, a.elements @ b.elements)
-
-
 def op_adjoint(a: Operator) -> Operator:
     return Operator(a.basis, a.elements.conj().T.copy(), hermitian=a.hermitian)
 
@@ -421,3 +375,8 @@ def op_adjoint(a: Operator) -> Operator:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max element of |A - A^dag|."""
     return float(np.abs(matrix - matrix.conj().T).max())
+
+
+def min_eigenvalue(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return float(np.linalg.eigvalsh(matrix)[0])

@@ -43,7 +43,7 @@ def criterion(tag):
     print(f"[criterion {tag}] PASS{suffix}", flush=True)
 
 
-def sink_grid(base, outs, gs, t, workers=2):
+def sink_grid(base, outs, gs, t):
     spec = SweepSpec(
         base=base,
         axis1=SweepAxis("rate_out", tuple(outs)),
@@ -51,7 +51,7 @@ def sink_grid(base, outs, gs, t, workers=2):
         objective=SinkAtTime(t),
         dt=0.01,
     )
-    return dat_scan(spec, workers=workers).grid
+    return dat_scan(spec).grid
 
 
 def test_criterion_01_tunnelling_oracle():
@@ -123,7 +123,7 @@ def test_criterion_05_throughput_optimum():
             dt=0.01,
         )
         started = time.perf_counter()
-        times = bottleneck_scan(spec, workers=2).grid[0]
+        times = bottleneck_scan(spec).grid[0]
         elapsed = time.perf_counter() - started
         best = int(np.argmin(times))
         assert abs(outs[best] - 1.5) <= 0.1 + 1e-9, f"argmin at out={outs[best]}"
@@ -147,10 +147,8 @@ def test_criterion_06_asymmetric_optimum():
             sink_coupling=SinkCoupling.LAST_EXCITON,
         )
         grid = default_rate_grid()
-        opt_in = optimal_rate(base, "rate_in", grid, workers=2)
-        opt_out = optimal_rate(
-            replace(base, rate_in=1.9), "rate_out", grid, workers=2
-        )
+        opt_in = optimal_rate(base, "rate_in", grid)
+        opt_out = optimal_rate(replace(base, rate_in=1.9), "rate_out", grid)
         assert not opt_in.capped and not opt_out.capped
         assert abs(opt_in.rate - 1.9) <= 0.2 + 1e-9, f"optimal input {opt_in.rate}"
         assert abs(opt_out.rate - 1.0) <= 0.2 + 1e-9, f"optimal output {opt_out.rate}"

@@ -290,3 +290,59 @@ def test_exit_codes_on_bad_input(tmp_path):
         name="pumped.cfg",
     )
     assert run_cli("dat", "--config", pumped, "--out", str(tmp_path / "x")) == 2
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (
+            "bottleneck",
+            "n_atoms=1 mu=0.8 rate_in=1.0 objective=sink_at_time objective_time=3\n"
+            "axis1_param=rate_in axis1_values=1.0 axis2_param=rate_out axis2_values=0.5\n",
+        ),
+        (
+            "bottleneck",
+            "n_atoms=1 mu=0.8 rate_in=1.0 objective_time=3\n"
+            "axis1_param=rate_in axis1_values=1.0 axis2_param=rate_out axis2_values=0.5\n",
+        ),
+        (
+            "dat",
+            "n_atoms=1 mu=0.8 objective=time_to_reach objective_time=3\n"
+            "axis1_param=rate_out axis1_values=0.5 axis2_param=g axis2_values=0.0\n",
+        ),
+        (
+            "sweep",
+            "n_atoms=1 mu=0.8 rate_out=0.5 objective_time=3\n"
+            "axis1_param=rate_out axis1_values=0.5\n",
+        ),
+        (
+            "sweep",
+            "n_atoms=1 mu=0.8 rate_out=0.5 objective=time_to_reach objective_time=3\n"
+            "axis1_param=rate_out axis1_values=0.5\n",
+        ),
+    ],
+    ids=[
+        "bottleneck-sink_at_time",
+        "bottleneck-objective_time",
+        "dat-time_to_reach",
+        "sweep-objective_time",
+        "sweep-time_to_reach-objective_time",
+    ],
+)
+def test_objective_the_command_does_not_run_is_rejected(tmp_path, capsys, command, text):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", config, "--out", str(out), "--t-max", "5") == 2
+    assert "objective" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_workers_flag_must_be_positive(tmp_path):
+    config = write_config(
+        tmp_path,
+        "n_atoms=1 mu=0.8 rate_out=0.5 objective=sink_at_time objective_time=1\n"
+        "axis1_param=rate_out axis1_values=0.5\n",
+    )
+    with pytest.raises(SystemExit) as exited:
+        run_cli("sweep", "--config", config, "--out", str(tmp_path / "x"), "--workers", "0")
+    assert exited.value.code == 2

@@ -154,19 +154,17 @@ def test_run_sweep_grid_layout_and_cell_values():
     assert result.grid[1, 1] == direct
 
 
-def test_run_sweep_worker_count_invariance():
+def test_run_sweep_rerun_is_identical():
     spec = SweepSpec(
         base=ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5),
         axis1=SweepAxis("rate_out", (0.3, 0.6, 0.9)),
         axis2=SweepAxis("g", (0.0, 0.5)),
         objective=SinkAtTime(2.0),
     )
-    serial = run_sweep(spec, workers=1)
-    threaded = run_sweep(spec, workers=3)
-    np.testing.assert_array_equal(serial.grid, threaded.grid)
-    np.testing.assert_array_equal(serial.cap_mask, threaded.cap_mask)
-    with pytest.raises(ValueError):
-        run_sweep(spec, workers=0)
+    first = run_sweep(spec)
+    again = run_sweep(spec)
+    np.testing.assert_array_equal(first.grid, again.grid)
+    np.testing.assert_array_equal(first.cap_mask, again.cap_mask)
 
 
 def test_bottleneck_scan_validates_axes():

@@ -21,8 +21,8 @@ from cavitychain.modes import (
     BasisMismatchError,
     ModeKind,
     QuantaWindow,
-    total_quanta_op,
 )
+from operator_oracles import total_quanta_op
 
 
 def test_layout_mode_counts():
