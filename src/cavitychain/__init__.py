@@ -39,13 +39,9 @@ from .model import (
     SinkCoupling,
     assemble,
     build_basis,
-    build_hamiltonian,
     build_layout,
-    build_lindblad_terms,
-    initial_density_matrix,
 )
 from .modes import (
-    BasisMismatchError,
     DensityMatrix,
     EmptyBasisError,
     ModeKind,
@@ -55,8 +51,5 @@ from .modes import (
     ProjectedBasis,
     QuantaWindow,
     enumerate_basis,
-    ladder_lower,
-    ladder_raise,
-    op_adjoint,
     transfer_op,
 )

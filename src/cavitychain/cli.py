@@ -50,6 +50,7 @@ from .model import (
     DephasingTarget,
     InitialState,
     SinkCoupling,
+    default_max_quanta,
 )
 from .modes import QuantaWindow
 
@@ -187,9 +188,7 @@ def parse_config(text: str) -> RunSetup:
 
     chain_kwargs = {key: values[key] for key in _CHAIN_KEYS if key in values}
     if "max_quanta" in values or "phonon_cap" in values:
-        rate_in = values.get("rate_in", 0.0)
-        n_atoms = values["n_atoms"]
-        default_max = 2 * n_atoms + 1 if rate_in > 0 else 1
+        default_max = default_max_quanta(values["n_atoms"], values.get("rate_in", 0.0))
         try:
             chain_kwargs["window"] = QuantaWindow(
                 0,
@@ -342,15 +341,29 @@ def _load_setup(path: str) -> RunSetup:
         return parse_config(handle.read())
 
 
+def _reject_unread(reader: str, given: dict[str, object]) -> None:
+    """Raise a ConfigError naming the first config key or flag ``reader`` ignores."""
+    for name, value in given.items():
+        if value is not None:
+            raise ConfigError(f"{name}: {reader} does not read it")
+
+
 def _resolve_objective(setup: RunSetup, args) -> TimeToReach | SinkAtTime:
     if setup.objective_kind == "sink_at_time":
+        _reject_unread(
+            "sweep with objective=sink_at_time",
+            {"--t-max": args.t_max, "--target": args.target},
+        )
         return SinkAtTime(setup.objective_time)
     if setup.objective_time is not None:
         raise ConfigError(
             "objective: objective_time is set but the objective is time_to_reach; "
             "add objective=sink_at_time or drop objective_time"
         )
-    return TimeToReach(target=args.target, t_max=args.t_max)
+    return TimeToReach(
+        target=DEFAULT_TARGET if args.target is None else args.target,
+        t_max=DEFAULT_T_MAX if args.t_max is None else args.t_max,
+    )
 
 
 def _emit_sweep(command, args, setup, spec, runner) -> int:
@@ -372,10 +385,16 @@ def _emit_sweep(command, args, setup, spec, runner) -> int:
 
 def cmd_evolve(args) -> int:
     setup = _load_setup(args.config)
+    # axis2 needs axis1, so naming axis1 covers both
+    _reject_unread("evolve", {
+        "axis1_param": setup.axis1,
+        "objective": setup.objective_kind,
+        "objective_time": setup.objective_time,
+        "--target": args.target,
+    })
+    t_end = DEFAULT_T_MAX if args.t_max is None else args.t_max
     started = _time.perf_counter()
-    record = evolve(
-        setup.chain, t_end=args.t_max, dt=args.dt, sample_every=args.sample_every
-    )
+    record = evolve(setup.chain, t_end=t_end, dt=args.dt, sample_every=args.sample_every)
     duration = _time.perf_counter() - started
     write_trajectory_csv(record, f"{args.out}.csv")
     _write_manifest(
@@ -403,7 +422,7 @@ def cmd_bottleneck(args) -> int:
         base=setup.chain,
         axis1=axis1,
         axis2=axis2,
-        objective=TimeToReach(target=args.target, t_max=args.t_max),
+        objective=_resolve_objective(setup, args),
         dt=args.dt,
     )
     return _emit_sweep("bottleneck", args, setup, spec, bottleneck_scan)
@@ -415,6 +434,7 @@ def cmd_dat(args) -> int:
         raise ConfigError("objective: dat measures sink_at_time, not time_to_reach")
     if setup.objective_time is None:
         raise ConfigError("objective_time is required for the dat command")
+    _reject_unread("dat", {"--t-max": args.t_max, "--target": args.target})
     axis1 = setup.axis1 or SweepAxis("rate_out", default_rate_grid())
     axis2 = setup.axis2 or SweepAxis("g", default_g_grid())
     spec = SweepSpec(
@@ -453,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", required=True, help="output path prefix")
         p.add_argument("--dt", type=float, default=DEFAULT_DT)
-        p.add_argument("--t-max", type=float, default=DEFAULT_T_MAX)
-        p.add_argument("--target", type=float, default=DEFAULT_TARGET)
+        p.add_argument("--t-max", type=float, help=f"default {DEFAULT_T_MAX:g}")
+        p.add_argument("--target", type=float, help=f"default {DEFAULT_TARGET:g}")
         if sweepy:
             p.add_argument(
                 "--workers", type=int, default=1, help="no effect: sweeps run serially"

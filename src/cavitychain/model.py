@@ -25,7 +25,6 @@ from enum import Enum
 import numpy as np
 
 from .modes import (
-    BasisMismatchError,
     DensityMatrix,
     ModeKind,
     ModeLayout,
@@ -34,8 +33,6 @@ from .modes import (
     QuantaWindow,
     enumerate_basis,
     hermiticity_defect,
-    ladder_lower,
-    ladder_raise,
     transfer_op,
 )
 
@@ -63,6 +60,11 @@ class DephasingTarget(Enum):
 class InitialState(Enum):
     VACUUM = "vacuum"
     PHOTON_IN_FIRST_CAVITY = "photon1"
+
+
+def default_max_quanta(n_atoms: int, rate_in: float) -> int:
+    """Default window cap: all two-level quanta if pumped, one photon if undriven."""
+    return 2 * n_atoms + 1 if rate_in > 0 else 1
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class ChainConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.window is None:
-            cap = 2 * self.n_atoms + 1 if self.rate_in > 0 else 1
+            cap = default_max_quanta(self.n_atoms, self.rate_in)
             object.__setattr__(self, "window", QuantaWindow(0, cap))
         if self.initial_state is None:
             default = (
@@ -141,15 +143,9 @@ def build_basis(config: ChainConfig) -> ProjectedBasis:
     return enumerate_basis(build_layout(config), config.window)
 
 
-def _check_basis(config: ChainConfig, basis: ProjectedBasis) -> None:
-    if basis.layout != build_layout(config) or basis.window != config.window:
-        raise BasisMismatchError("basis was not built from this config")
-
-
-def build_hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
+def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     """Chain Hamiltonian: mode energies, photon tunnelling, photon-atom
     exchange, and (unitary dephasing only) phonon-excitation coupling."""
-    _check_basis(config, basis)
     layout = basis.layout
     n = config.n_atoms
     dim = basis.dim
@@ -163,21 +159,13 @@ def build_hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     for i in layout.indices(ModeKind.PHONON):
         h[np.diag_indices(dim)] += config.omega_g * occ[:, i]
 
-    for site in range(1, n):
-        hop = transfer_op(
-            basis,
-            layout.index(ModeKind.PHOTON, site),
-            layout.index(ModeKind.PHOTON, site + 1),
-        ).elements
-        h += config.k * hop + np.conj(config.k) * hop.conj().T
-
-    for site in range(1, n + 1):
-        exch = transfer_op(
-            basis,
-            layout.index(ModeKind.PHOTON, site),
-            layout.index(ModeKind.EXCITON, site),
-        ).elements
-        h += config.mu * exch + np.conj(config.mu) * exch.conj().T
+    # photon tunnelling between neighbours, then photon-atom exchange per site
+    photon, exciton = layout.indices(ModeKind.PHOTON), layout.indices(ModeKind.EXCITON)
+    couplings = [(config.k, p, q) for p, q in zip(photon, photon[1:])]
+    couplings += [(config.mu, p, x) for p, x in zip(photon, exciton)]
+    for strength, src, dst in couplings:
+        move = transfer_op(basis, src, dst).elements
+        h += strength * move + np.conj(strength) * move.conj().T
 
     if config.dephasing is DephasingModel.UNITARY_PHONON:
         # (g + g*) doubles real coupling strengths; kept literal.
@@ -185,7 +173,7 @@ def build_hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
         for site in range(1, n + 1):
             b = layout.index(ModeKind.PHONON, site)
             displacement = (
-                ladder_lower(basis, b).elements + ladder_raise(basis, b).elements
+                transfer_op(basis, b, None).elements + transfer_op(basis, None, b).elements
             )
             n_exc = np.diag(occ[:, layout.index(ModeKind.EXCITON, site)].astype(complex))
             h += strength * (displacement @ n_exc)
@@ -196,13 +184,12 @@ def build_hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     return Operator(basis, h, hermitian=True)
 
 
-def build_lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[LindbladTerm]:
+def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[LindbladTerm]:
     """Jump operators in deterministic order: input, output, dephasing, loss.
 
     Terms with zero rate are omitted.  Rates are folded into the operators
     (L = rate * A), so the effective jump rate is rate**2.
     """
-    _check_basis(config, basis)
     layout = basis.layout
     n = config.n_atoms
     terms: list[LindbladTerm] = []
@@ -215,10 +202,10 @@ def build_lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lin
             warnings.warn(
                 "window.max_quanta is saturated by the initial state; "
                 "the pump acts as a projected-out zero on saturated states",
-                stacklevel=2,
+                stacklevel=3,
             )
-        pump = ladder_raise(basis, layout.index(ModeKind.PHOTON, 1))
-        terms.append(LindbladTerm("input", _scaled(pump, config.rate_in)))
+        pump = transfer_op(basis, None, layout.index(ModeKind.PHOTON, 1)).elements
+        terms.append(LindbladTerm("input", Operator(basis, config.rate_in * pump)))
 
     if config.rate_out > 0:
         source_kind = (
@@ -228,8 +215,8 @@ def build_lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lin
         )
         drain = transfer_op(
             basis, layout.index(source_kind, n), layout.index(ModeKind.SINK, n)
-        )
-        terms.append(LindbladTerm("output", _scaled(drain, config.rate_out)))
+        ).elements
+        terms.append(LindbladTerm("output", Operator(basis, config.rate_out * drain)))
 
     if config.dephasing is DephasingModel.LINDBLAD_LIKE and config.g > 0:
         target_kind = (
@@ -247,21 +234,16 @@ def build_lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lin
 
     if config.cavity_loss > 0:
         for site in range(1, n + 1):
-            leak = ladder_lower(basis, layout.index(ModeKind.PHOTON, site))
+            leak = transfer_op(basis, layout.index(ModeKind.PHOTON, site), None).elements
             terms.append(
-                LindbladTerm(f"loss_{site}", _scaled(leak, config.cavity_loss))
+                LindbladTerm(f"loss_{site}", Operator(basis, config.cavity_loss * leak))
             )
 
     return terms
 
 
-def _scaled(op: Operator, rate: float) -> Operator:
-    return Operator(op.basis, rate * op.elements)
-
-
-def initial_density_matrix(config: ChainConfig, basis: ProjectedBasis) -> DensityMatrix:
+def _initial_state(config: ChainConfig, basis: ProjectedBasis) -> DensityMatrix:
     """Pure-state projector onto the configured starting occupation vector."""
-    _check_basis(config, basis)
     occupation = [0] * len(basis.layout.modes)
     if config.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY:
         occupation[basis.layout.index(ModeKind.PHOTON, 1)] = 1
@@ -280,8 +262,6 @@ def initial_density_matrix(config: ChainConfig, basis: ProjectedBasis) -> Densit
 class AssembledChain:
     """Everything the evolution engine needs, built once from a config."""
 
-    config: ChainConfig
-    layout: ModeLayout
     basis: ProjectedBasis
     hamiltonian: Operator
     lindblad_terms: tuple[LindbladTerm, ...]
@@ -289,12 +269,11 @@ class AssembledChain:
 
 
 def assemble(config: ChainConfig) -> AssembledChain:
+    """Build the basis, Hamiltonian, jump terms and initial state of a config."""
     basis = build_basis(config)
     return AssembledChain(
-        config=config,
-        layout=basis.layout,
         basis=basis,
-        hamiltonian=build_hamiltonian(config, basis),
-        lindblad_terms=tuple(build_lindblad_terms(config, basis)),
-        initial=initial_density_matrix(config, basis),
+        hamiltonian=_hamiltonian(config, basis),
+        lindblad_terms=tuple(_lindblad_terms(config, basis)),
+        initial=_initial_state(config, basis),
     )

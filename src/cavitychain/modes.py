@@ -5,8 +5,9 @@ phonon per site, one sink at the end).  The basis keeps only those occupation
 vectors whose excitation count -- photons + excitons + sink, the number
 conserved by the chain Hamiltonian -- lies inside a configurable window;
 phonon occupations are capped separately because phonon number is not
-conserved.  Ladder and transfer operators are built directly in the projected
-basis: raising out of the kept set projects to zero rather than erroring.
+conserved.  Every coupling and jump of the chain moves one excitation, so one
+builder, ``transfer_op``, makes them all directly in the projected basis:
+moving out of the kept set projects to zero rather than erroring.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ HERMITIAN_TOL = 1e-12
 
 class EmptyBasisError(ValueError):
     """The quanta window excludes every occupation vector."""
-
-
-class BasisMismatchError(ValueError):
-    """A basis was used with a config it was not built from."""
 
 
 class ModeKind(Enum):
@@ -313,63 +310,40 @@ class DensityMatrix:
             )
 
 
-def ladder_raise(basis: ProjectedBasis, mode: int) -> Operator:
-    """Raising operator on one mode: <n+1|op|n> = sqrt(n+1), projected to the basis.
+def transfer_op(
+    basis: ProjectedBasis, from_mode: int | None, to_mode: int | None
+) -> Operator:
+    """Move one excitation from ``from_mode`` to ``to_mode``, projected to the basis.
 
-    Transitions whose target fell outside the basis (level cap, phonon cap or
-    quanta window) contribute nothing.
-    """
-    if not 0 <= mode < len(basis.layout.modes):
-        raise IndexError(f"mode index {mode} out of range")
-    dim = basis.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i, state in enumerate(basis.states):
-        n = state[mode]
-        target = state[:mode] + (n + 1,) + state[mode + 1 :]
-        j = basis.index_of.get(target)
-        if j is not None:
-            mat[j, i] = math.sqrt(n + 1)
-    return Operator(basis, mat)
-
-
-def ladder_lower(basis: ProjectedBasis, mode: int) -> Operator:
-    """Lowering operator: exact adjoint of ladder_raise on the same basis."""
-    return op_adjoint(ladder_raise(basis, mode))
-
-
-def transfer_op(basis: ProjectedBasis, from_mode: int, to_mode: int) -> Operator:
-    """Composite raise(to)·lower(from) built without the intermediate state.
-
-    Multiplying two projected ladder operators drops transitions whose
-    intermediate state falls outside the window even when source and target
-    are both kept (window [1,1] kills every raise-then-lower pair, for one).
-    This constructor writes the matrix element sqrt(n_from)·sqrt(n_to+1)
-    directly between kept states, which is the restriction of the full-space
-    product to the basis.
+    ``None`` stands for the outside of the chain: ``transfer_op(b, None, m)``
+    raises mode m (a pump), ``transfer_op(b, m, None)`` lowers it (a loss).
+    The element sqrt(n_from)·sqrt(n_to+1), each factor present only with its
+    mode, is written directly between kept states.  That is the restriction of
+    the full-space operator: targets outside the basis contribute nothing, and
+    no intermediate state can be projected out on the way, as it would be in a
+    product of a projected lowering and raising.
     """
     n_modes = len(basis.layout.modes)
-    if not 0 <= from_mode < n_modes or not 0 <= to_mode < n_modes:
-        raise IndexError(f"mode index out of range: {from_mode}, {to_mode}")
+    for mode in (from_mode, to_mode):
+        if mode is not None and not 0 <= mode < n_modes:
+            raise IndexError(f"mode index out of range: {from_mode}, {to_mode}")
     if from_mode == to_mode:
-        raise ValueError("transfer needs two distinct modes")
-    dim = basis.dim
-    mat = np.zeros((dim, dim), dtype=complex)
+        raise ValueError("transfer needs two distinct ends, at most one of them None")
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for i, state in enumerate(basis.states):
-        n_src = state[from_mode]
-        if n_src == 0:
-            continue
-        n_dst = state[to_mode]
         target = list(state)
-        target[from_mode] = n_src - 1
-        target[to_mode] = n_dst + 1
+        amplitude = 1.0
+        if from_mode is not None:
+            # an empty from-mode gives occupation -1, which no basis state has
+            target[from_mode] -= 1
+            amplitude *= math.sqrt(state[from_mode])
+        if to_mode is not None:
+            target[to_mode] += 1
+            amplitude *= math.sqrt(state[to_mode] + 1)
         j = basis.index_of.get(tuple(target))
         if j is not None:
-            mat[j, i] = math.sqrt(n_src) * math.sqrt(n_dst + 1)
+            mat[j, i] = amplitude
     return Operator(basis, mat)
-
-
-def op_adjoint(a: Operator) -> Operator:
-    return Operator(a.basis, a.elements.conj().T.copy(), hermitian=a.hermitian)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Operators that tests use as independent oracles; the package itself needs none.
 
-Each is built straight from the basis occupation table, not from the ladder
-operators under test.
+Each is built straight from the basis occupation table, not from
+``transfer_op``, the operator builder under test.
 """
 
 import numpy as np

@@ -346,3 +346,59 @@ def test_workers_flag_must_be_positive(tmp_path):
     with pytest.raises(SystemExit) as exited:
         run_cli("sweep", "--config", config, "--out", str(tmp_path / "x"), "--workers", "0")
     assert exited.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra,args,needle",
+    [
+        (
+            "objective=sink_at_time objective_time=3\n"
+            "axis1_param=rate_out axis1_values=0.5,1.0\n",
+            ("--target", "0.3"),
+            "axis1_param",
+        ),
+        ("axis1_param=rate_out axis1_values=0.5,1.0\n", (), "axis1_param"),
+        ("objective=time_to_reach\n", (), "objective"),
+        ("objective_time=3\n", (), "objective_time"),
+        ("", ("--target", "0.3"), "--target"),
+    ],
+    ids=["sweep-keys-and-target", "axis1", "objective", "objective_time", "target-flag"],
+)
+def test_evolve_rejects_what_it_does_not_read(tmp_path, capsys, extra, args, needle):
+    config = write_config(tmp_path, "n_atoms=1 mu=0.8 rate_out=0.5\n" + extra)
+    out = tmp_path / "x"
+    argv = ("evolve", "--config", config, "--out", str(out), "--t-max", "1", *args)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {needle}:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+DAT_TEXT = (
+    "n_atoms=1 mu=0.8 objective_time=3\n"
+    "axis1_param=rate_out axis1_values=0.5 axis2_param=g axis2_values=0.0,0.5\n"
+)
+SINK_SWEEP_TEXT = (
+    "n_atoms=1 mu=0.8 rate_out=0.5 objective=sink_at_time objective_time=3\n"
+    "axis1_param=rate_out axis1_values=0.5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command,text,flag,value",
+    [
+        ("dat", DAT_TEXT, "--t-max", "1"),
+        ("dat", DAT_TEXT, "--target", "0.2"),
+        ("sweep", SINK_SWEEP_TEXT, "--t-max", "1"),
+        ("sweep", SINK_SWEEP_TEXT, "--target", "0.2"),
+    ],
+    ids=["dat-t-max", "dat-target", "sweep-sink_at_time-t-max", "sweep-sink_at_time-target"],
+)
+def test_flag_the_command_does_not_read_is_rejected(
+    tmp_path, capsys, command, text, flag, value
+):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", config, "--out", str(out), flag, value) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}:")
+    assert not (tmp_path / "x.csv").exists()
+    assert run_cli(command, "--config", config, "--out", str(out)) == 0

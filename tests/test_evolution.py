@@ -20,7 +20,6 @@ from cavitychain.model import (
     SinkCoupling,
     assemble,
     build_basis,
-    build_hamiltonian,
 )
 from cavitychain.modes import (
     DensityMatrix,
@@ -39,15 +38,13 @@ def two_site_basis():
 
 def test_diagonalize_diagonal_hamiltonian():
     config = ChainConfig(n_atoms=1)
-    basis = build_basis(config)
-    prop = diagonalize(build_hamiltonian(config, basis))
+    prop = diagonalize(assemble(config).hamiltonian)
     np.testing.assert_allclose(sorted(prop.eigenvalues), [0.0, 0.0, 0.1, 0.1])
 
 
 def test_diagonalize_coupling_block_spectrum():
     config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, window=QuantaWindow(1, 1))
-    basis = build_basis(config)
-    prop = diagonalize(build_hamiltonian(config, basis))
+    prop = diagonalize(assemble(config).hamiltonian)
     # photon hopping block contributes a +-k pair
     assert prop.eigenvalues.min() == pytest.approx(-0.7, abs=1e-12)
     assert prop.eigenvalues.max() == pytest.approx(0.7, abs=1e-12)
@@ -80,7 +77,7 @@ def test_propagator_rejects_bad_eigenvectors():
 def test_propagator_unitary_cached_and_unitary():
     config = ChainConfig(n_atoms=2, k=1.0, mu=0.5)
     basis = build_basis(config)
-    prop = diagonalize(build_hamiltonian(config, basis))
+    prop = diagonalize(assemble(config).hamiltonian)
     u1 = prop.unitary(0.01)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(basis.dim), atol=1e-10)
 

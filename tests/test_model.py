@@ -12,13 +12,9 @@ from cavitychain.model import (
     SinkCoupling,
     assemble,
     build_basis,
-    build_hamiltonian,
     build_layout,
-    build_lindblad_terms,
-    initial_density_matrix,
 )
 from cavitychain.modes import (
-    BasisMismatchError,
     ModeKind,
     QuantaWindow,
 )
@@ -66,7 +62,7 @@ def test_hamiltonian_diagonal_when_uncoupled():
         n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, window=QuantaWindow(0, 1)
     )
     basis = build_basis(config)
-    h = build_hamiltonian(config, basis).elements
+    h = assemble(config).hamiltonian.elements
     layout = basis.layout
     occ = basis.occupations
     expected = np.zeros(basis.dim)
@@ -82,7 +78,7 @@ def test_hamiltonian_diagonal_when_uncoupled():
 def test_tunnelling_block_two_by_two():
     config = ChainConfig(n_atoms=2, k=0.7, window=QuantaWindow(1, 1))
     basis = build_basis(config)
-    h = build_hamiltonian(config, basis).elements
+    h = assemble(config).hamiltonian.elements
     p1 = basis.state_index((1, 0, 0, 0, 0))
     p2 = basis.state_index((0, 0, 1, 0, 0))
     block = h[np.ix_([p1, p2], [p1, p2])]
@@ -93,8 +89,7 @@ def test_tunnelling_block_two_by_two():
 
 def test_single_site_matrix_exact():
     config = ChainConfig(n_atoms=1, mu=0.4)
-    basis = build_basis(config)
-    h = build_hamiltonian(config, basis).elements
+    h = assemble(config).hamiltonian.elements
     # lexicographic states: vacuum, sink, exciton, photon
     expected = np.array(
         [
@@ -113,7 +108,7 @@ def test_phonon_coupling_doubles_real_g():
         n_atoms=1, g=0.3, dephasing=DephasingModel.UNITARY_PHONON
     )
     basis = build_basis(config)
-    h = build_hamiltonian(config, basis).elements
+    h = assemble(config).hamiltonian.elements
     # modes: photon, exciton, phonon, sink
     src = basis.state_index((0, 1, 0, 0))
     dst = basis.state_index((0, 1, 1, 0))
@@ -136,28 +131,17 @@ def test_hamiltonian_hermitian_and_conserves_quanta(seed):
         dephasing=rng.choice(list(DephasingModel)),
     )
     basis = build_basis(config)
-    op = build_hamiltonian(config, basis)
+    op = assemble(config).hamiltonian
     assert op.hermitian
     n_quanta = total_quanta_op(basis).elements
     comm = op.elements @ n_quanta - n_quanta @ op.elements
     assert np.abs(comm).max() <= 1e-12
 
 
-def test_basis_from_other_config_rejected():
-    config = ChainConfig(n_atoms=2)
-    other = build_basis(ChainConfig(n_atoms=3))
-    with pytest.raises(BasisMismatchError):
-        build_hamiltonian(config, other)
-    with pytest.raises(BasisMismatchError):
-        build_lindblad_terms(config, other)
-    with pytest.raises(BasisMismatchError):
-        initial_density_matrix(config, other)
-
-
 def test_single_output_term():
     config = ChainConfig(n_atoms=2, rate_out=1.5)
     basis = build_basis(config)
-    terms = build_lindblad_terms(config, basis)
+    terms = assemble(config).lindblad_terms
     assert [t.label for t in terms] == ["output"]
     op = terms[0].operator.elements
     # moves the last-cavity photon onto the sink with the rate folded in
@@ -169,12 +153,12 @@ def test_single_output_term():
 
 def test_no_terms_when_everything_off():
     config = ChainConfig(n_atoms=2, dephasing=DephasingModel.NONE)
-    assert build_lindblad_terms(config, build_basis(config)) == []
+    assert assemble(config).lindblad_terms == ()
 
 
 def test_dephasing_term_count():
     config = ChainConfig(n_atoms=2, g=0.3, rate_out=0.6)
-    terms = build_lindblad_terms(config, build_basis(config))
+    terms = assemble(config).lindblad_terms
     assert [t.label for t in terms] == ["output", "dephasing_1", "dephasing_2"]
 
 
@@ -183,7 +167,7 @@ def test_full_term_order_and_rate_folding():
         n_atoms=2, g=0.3, rate_in=1.0, rate_out=0.6, cavity_loss=0.2
     )
     basis = build_basis(config)
-    terms = build_lindblad_terms(config, basis)
+    terms = assemble(config).lindblad_terms
     assert [t.label for t in terms] == [
         "input",
         "output",
@@ -206,7 +190,7 @@ def test_unitary_model_has_no_dephasing_jumps():
     config = ChainConfig(
         n_atoms=2, g=0.5, rate_out=1.0, dephasing=DephasingModel.UNITARY_PHONON
     )
-    terms = build_lindblad_terms(config, build_basis(config))
+    terms = assemble(config).lindblad_terms
     assert [t.label for t in terms] == ["output"]
 
 
@@ -215,7 +199,7 @@ def test_exciton_sink_coupling():
         n_atoms=2, rate_out=2.0, sink_coupling=SinkCoupling.LAST_EXCITON
     )
     basis = build_basis(config)
-    op = build_lindblad_terms(config, basis)[0].operator.elements
+    op = assemble(config).lindblad_terms[0].operator.elements
     src = basis.state_index((0, 0, 0, 1, 0))
     dst = basis.state_index((0, 0, 0, 0, 1))
     assert op[dst, src] == pytest.approx(2.0)
@@ -226,7 +210,7 @@ def test_exciton_dephasing_target():
         n_atoms=1, g=0.4, dephasing_target=DephasingTarget.EXCITON_NUMBER
     )
     basis = build_basis(config)
-    op = build_lindblad_terms(config, basis)[0].operator.elements
+    op = assemble(config).lindblad_terms[0].operator.elements
     np.testing.assert_allclose(
         np.diag(op).real, 0.4 * basis.occupations[:, 1], atol=1e-12
     )
@@ -240,7 +224,7 @@ def test_term_quanta_bookkeeping():
     basis = build_basis(config)
     n_quanta = total_quanta_op(basis).elements
     shifts = {"input": 1, "output": 0, "dephasing_1": 0, "dephasing_2": 0, "loss_1": -1, "loss_2": -1}
-    for term in build_lindblad_terms(config, basis):
+    for term in assemble(config).lindblad_terms:
         l = term.operator.elements
         comm = n_quanta @ l - l @ n_quanta
         np.testing.assert_allclose(
@@ -256,13 +240,13 @@ def test_saturated_window_pump_warns():
         initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
     )
     with pytest.warns(UserWarning, match="saturated"):
-        build_lindblad_terms(config, build_basis(config))
+        assemble(config)
 
 
 def test_initial_density_matrix_photon_first():
     config = ChainConfig(n_atoms=2)
     basis = build_basis(config)
-    rho = initial_density_matrix(config, basis)
+    rho = assemble(config).initial
     idx = basis.state_index((1, 0, 0, 0, 0))
     assert rho.trace() == pytest.approx(1.0)
     assert rho.elements[idx, idx] == 1.0
@@ -271,8 +255,7 @@ def test_initial_density_matrix_photon_first():
 
 def test_initial_density_matrix_vacuum():
     config = ChainConfig(n_atoms=2, rate_in=1.5)
-    basis = build_basis(config)
-    rho = initial_density_matrix(config, basis)
+    rho = assemble(config).initial
     assert rho.elements[0, 0] == 1.0
     assert rho.trace() == pytest.approx(1.0)
 
@@ -283,9 +266,8 @@ def test_initial_state_outside_window_rejected():
         window=QuantaWindow(2, 3),
         initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
     )
-    basis = build_basis(config)
     with pytest.raises(ValueError, match="outside"):
-        initial_density_matrix(config, basis)
+        assemble(config)
 
 
 def test_assemble_bundle():

@@ -14,9 +14,6 @@ from cavitychain.modes import (
     Operator,
     QuantaWindow,
     enumerate_basis,
-    ladder_lower,
-    ladder_raise,
-    op_adjoint,
     transfer_op,
 )
 from operator_oracles import number_op, op_mul, total_quanta_op
@@ -136,7 +133,7 @@ def test_ladder_matches_kron_construction():
         expected = factors[0]
         for f in factors[1:]:
             expected = np.kron(expected, f)
-        got = ladder_raise(basis, mode).elements
+        got = transfer_op(basis, None, mode).elements
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -146,8 +143,8 @@ def test_projected_ladder_agrees_with_full_space_restriction():
     small = enumerate_basis(layout, window)
     full = enumerate_basis(layout, full_window(layout))
     for mode in range(len(layout.modes)):
-        op_small = ladder_raise(small, mode).elements
-        op_full = ladder_raise(full, mode).elements
+        op_small = transfer_op(small, None, mode).elements
+        op_full = transfer_op(full, None, mode).elements
         for i, src in enumerate(small.states):
             for j, dst in enumerate(small.states):
                 fi = full.state_index(src)
@@ -161,8 +158,8 @@ def test_transfer_equals_product_on_full_window():
     pairs = [(0, 2), (2, 0), (0, 1), (3, 4), (1, 3)]
     for src, dst in pairs:
         direct = transfer_op(basis, src, dst).elements
-        product = op_mul(ladder_raise(basis, dst), ladder_lower(basis, src)).elements
-        np.testing.assert_allclose(direct, product, atol=1e-12)
+        lower_then_raise = op_mul(transfer_op(basis, None, dst), transfer_op(basis, src, None))
+        np.testing.assert_allclose(direct, lower_then_raise.elements, atol=1e-12)
 
 
 def test_transfer_survives_tight_window():
@@ -180,7 +177,7 @@ def test_transfer_survives_tight_window():
     p2 = basis.state_index((0, 0, 1, 0, 0))
     assert hop_small[p2, p1] == 1.0
     # the naive product is zero here: lowering first leaves the window
-    product = op_mul(ladder_raise(basis, 2), ladder_lower(basis, 0)).elements
+    product = op_mul(transfer_op(basis, None, 2), transfer_op(basis, 0, None)).elements
     assert np.abs(product).max() == 0.0
 
 
@@ -189,6 +186,8 @@ def test_transfer_validation():
     basis = enumerate_basis(layout, QuantaWindow(0, 1))
     with pytest.raises(ValueError):
         transfer_op(basis, 1, 1)
+    with pytest.raises(ValueError):
+        transfer_op(basis, None, None)
     with pytest.raises(IndexError):
         transfer_op(basis, 0, 9)
 
@@ -196,33 +195,36 @@ def test_transfer_validation():
 def test_raise_out_of_window_projects_to_zero():
     layout = ModeLayout.chain(1)
     basis = enumerate_basis(layout, QuantaWindow(0, 0))
-    op = ladder_raise(basis, 0)
+    op = transfer_op(basis, None, 0)
     np.testing.assert_array_equal(op.elements, np.zeros((1, 1)))
 
 
 def test_three_level_matrix_element():
     layout = ModeLayout.chain(1, photon_levels=3)
     basis = enumerate_basis(layout, full_window(layout))
-    op = ladder_raise(basis, 0)
+    op = transfer_op(basis, None, 0)
     one = basis.state_index((1, 0, 0))
     two = basis.state_index((2, 0, 0))
     assert op.elements[two, one] == pytest.approx(np.sqrt(2))
 
 
 def test_lower_is_adjoint_of_raise():
-    layout = ModeLayout.chain(2, phonons=True)
-    basis = enumerate_basis(layout, QuantaWindow(0, 2, phonon_cap=1))
-    for mode in range(len(layout.modes)):
-        lo = ladder_lower(basis, mode).elements
-        ra = ladder_raise(basis, mode).elements
-        np.testing.assert_allclose(lo, ra.conj().T, atol=1e-12)
+    bases = [
+        enumerate_basis(ModeLayout.chain(2, phonons=True), QuantaWindow(0, 2, phonon_cap=1)),
+        enumerate_basis(ModeLayout.chain(2, photon_levels=3), QuantaWindow(0, 3)),
+    ]
+    for basis in bases:
+        for mode in range(len(basis.layout.modes)):
+            lo = transfer_op(basis, mode, None).elements
+            ra = transfer_op(basis, None, mode).elements
+            np.testing.assert_allclose(lo, ra.conj().T, atol=1e-12)
 
 
 def test_raise_lower_product_is_number_op():
     layout = ModeLayout.chain(2, photon_levels=3)
     basis = enumerate_basis(layout, QuantaWindow(0, 3))
     for mode in range(len(layout.modes)):
-        prod = op_mul(ladder_raise(basis, mode), ladder_lower(basis, mode))
+        prod = op_mul(transfer_op(basis, None, mode), transfer_op(basis, mode, None))
         np.testing.assert_allclose(
             prod.elements, number_op(basis, mode).elements, atol=1e-12
         )
@@ -252,7 +254,7 @@ def test_two_level_anticommutator_is_identity():
     layout = ModeLayout.chain(1)
     basis = enumerate_basis(layout, full_window(layout))
     mode = layout.index(ModeKind.EXCITON, 1)
-    ra, lo = ladder_raise(basis, mode), ladder_lower(basis, mode)
+    ra, lo = transfer_op(basis, None, mode), transfer_op(basis, mode, None)
     anti = op_mul(lo, ra).elements + op_mul(ra, lo).elements
     np.testing.assert_allclose(anti, np.eye(basis.dim), atol=1e-12)
 
@@ -260,8 +262,8 @@ def test_two_level_anticommutator_is_identity():
 def test_operator_algebra_flags():
     layout = ModeLayout.chain(1)
     basis = enumerate_basis(layout, QuantaWindow(0, 1))
-    n = number_op(basis, 0)
-    assert op_adjoint(n).hermitian
+    assert number_op(basis, 0).hermitian
+    assert not transfer_op(basis, 0, 1).hermitian
 
 
 def test_hermitian_tag_verified():
@@ -292,7 +294,9 @@ def test_ladder_mode_index_range():
     layout = ModeLayout.chain(1)
     basis = enumerate_basis(layout, QuantaWindow(0, 1))
     with pytest.raises(IndexError):
-        ladder_raise(basis, 99)
+        transfer_op(basis, None, 99)
+    with pytest.raises(IndexError):
+        transfer_op(basis, 99, None)
 
 
 def test_layout_validation():

@@ -1,8 +1,9 @@
 """Properties of the one stepping core, over random small chains.
 
 Trajectories and sweep cells consume the same step loop, so what a sweep cell
-reports must agree with what ``evolve`` samples on the same chain.  Chains
-stay at dimension <= 32 and runs at <= 300 steps.
+reports must agree with what ``evolve`` samples on the same chain, and every
+sampled state must stay a trace-one Hermitian matrix.  Chains stay at
+dimension <= 32 and runs at <= 300 steps.
 """
 
 import numpy as np
@@ -77,3 +78,18 @@ def test_undriven_excitation_count_is_conserved(config, dt, t):
     record = evolve(config, t, dt)
     count = record.sink + record.photon.sum(axis=1) + record.exciton.sum(axis=1)
     np.testing.assert_allclose(count, 1.0, rtol=0, atol=1e-8)
+
+
+# Both are exact properties of the step map, so only roundoff may show.
+TRACE_DRIFT_MAX = 1e-10
+HERMITICITY_DEFECT_MAX = 1e-10
+
+
+@given(chains(), time_steps, run_times)
+def test_evolve_preserves_trace(config, dt, t):
+    assert evolve(config, t, dt).max_trace_drift <= TRACE_DRIFT_MAX
+
+
+@given(chains(), time_steps, run_times)
+def test_evolve_preserves_hermiticity(config, dt, t):
+    assert evolve(config, t, dt).max_hermiticity_defect <= HERMITICITY_DEFECT_MAX
