@@ -9,7 +9,6 @@ from .evolution import (
     diagonalize,
     evolve,
     evolve_assembled,
-    observable,
     step_count,
     superoperator_oracle,
 )

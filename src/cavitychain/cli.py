@@ -11,7 +11,8 @@ Four commands share one config schema:
     grid-scan output rate against dephasing strength for the sink population
     at a fixed time
 ``sweep``
-    the general two-axis scan the other two commands specialize
+    the general two-axis scan the other two commands preset; all three run
+    through ``cmd_sweep``
 
 Every CSV is written alongside exactly one ``<prefix>.manifest.json`` whose
 ``config`` field parses back to the same resolved run, so a finished run can
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time as _time
 import warnings
@@ -313,25 +315,18 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
                 handle.write(",".join(cells) + "\n")
 
 
-def _write_manifest(
-    path: str,
-    command: str,
-    setup: RunSetup,
-    dt: float,
-    duration: float,
-    max_trace_drift: float,
-    min_eigenvalue: float,
-) -> None:
+def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
+    """Write ``<out>.manifest.json``; result is a TrajectoryRecord or SweepResult."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": serialize_run(setup),
-        "dt": dt,
+        "dt": args.dt,
         "version": __version__,
         "duration_seconds": duration,
-        "max_trace_drift": max_trace_drift,
-        "min_eigenvalue_seen": min_eigenvalue,
+        "max_trace_drift": result.max_trace_drift,
+        "min_eigenvalue_seen": result.min_eigenvalue_seen,
     }
-    with open(path, "w", newline="\n") as handle:
+    with open(f"{args.out}.manifest.json", "w", newline="\n") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
 
@@ -348,41 +343,6 @@ def _reject_unread(reader: str, given: dict[str, object]) -> None:
             raise ConfigError(f"{name}: {reader} does not read it")
 
 
-def _resolve_objective(setup: RunSetup, args) -> TimeToReach | SinkAtTime:
-    if setup.objective_kind == "sink_at_time":
-        _reject_unread(
-            "sweep with objective=sink_at_time",
-            {"--t-max": args.t_max, "--target": args.target},
-        )
-        return SinkAtTime(setup.objective_time)
-    if setup.objective_time is not None:
-        raise ConfigError(
-            "objective: objective_time is set but the objective is time_to_reach; "
-            "add objective=sink_at_time or drop objective_time"
-        )
-    return TimeToReach(
-        target=DEFAULT_TARGET if args.target is None else args.target,
-        t_max=DEFAULT_T_MAX if args.t_max is None else args.t_max,
-    )
-
-
-def _emit_sweep(command, args, setup, spec, runner) -> int:
-    started = _time.perf_counter()
-    result = runner(spec)
-    duration = _time.perf_counter() - started
-    write_sweep_csv(result, f"{args.out}.csv")
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        command,
-        setup,
-        spec.dt,
-        duration,
-        result.max_trace_drift,
-        result.min_eigenvalue_seen,
-    )
-    return 0
-
-
 def cmd_evolve(args) -> int:
     setup = _load_setup(args.config)
     # axis2 needs axis1, so naming axis1 covers both
@@ -397,68 +357,66 @@ def cmd_evolve(args) -> int:
     record = evolve(setup.chain, t_end=t_end, dt=args.dt, sample_every=args.sample_every)
     duration = _time.perf_counter() - started
     write_trajectory_csv(record, f"{args.out}.csv")
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        "evolve",
-        setup,
-        args.dt,
-        duration,
-        record.max_trace_drift,
-        record.min_eigenvalue_seen,
-    )
+    _write_manifest(args, setup, duration, record)
     return 0
 
 
-def cmd_bottleneck(args) -> int:
-    setup = _load_setup(args.config)
-    if setup.objective_kind == "sink_at_time" or setup.objective_time is not None:
-        raise ConfigError(
-            "objective: bottleneck measures time_to_reach; "
-            "drop objective=sink_at_time and objective_time"
-        )
-    axis1 = setup.axis1 or SweepAxis("rate_in", default_rate_grid())
-    axis2 = setup.axis2 or SweepAxis("rate_out", default_rate_grid())
-    spec = SweepSpec(
-        base=setup.chain,
-        axis1=axis1,
-        axis2=axis2,
-        objective=_resolve_objective(setup, args),
-        dt=args.dt,
-    )
-    return _emit_sweep("bottleneck", args, setup, spec, bottleneck_scan)
+# sweep command -> (the objective it measures, or None where the config
+# chooses; its default axis params, or None where the config must give
+# axis1; the name of its runner, looked up when the command runs so that a
+# runner patched on this module is the one called)
+_SWEEPS = {
+    "bottleneck": ("time_to_reach", ("rate_in", "rate_out"), "bottleneck_scan"),
+    "dat": ("sink_at_time", ("rate_out", "g"), "dat_scan"),
+    "sweep": (None, None, "run_sweep"),
+}
 
 
-def cmd_dat(args) -> int:
-    setup = _load_setup(args.config)
-    if setup.objective_kind == "time_to_reach":
-        raise ConfigError("objective: dat measures sink_at_time, not time_to_reach")
-    if setup.objective_time is None:
-        raise ConfigError("objective_time is required for the dat command")
-    _reject_unread("dat", {"--t-max": args.t_max, "--target": args.target})
-    axis1 = setup.axis1 or SweepAxis("rate_out", default_rate_grid())
-    axis2 = setup.axis2 or SweepAxis("g", default_g_grid())
-    spec = SweepSpec(
-        base=setup.chain,
-        axis1=axis1,
-        axis2=axis2,
-        objective=SinkAtTime(setup.objective_time),
-        dt=args.dt,
-    )
-    return _emit_sweep("dat", args, setup, spec, dat_scan)
+def _default_axis(param: str) -> SweepAxis:
+    return SweepAxis(param, default_g_grid() if param == "g" else default_rate_grid())
 
 
 def cmd_sweep(args) -> int:
+    """Run ``bottleneck``, ``dat`` or ``sweep``: one scan, three presets."""
+    fixed_kind, default_params, runner = _SWEEPS[args.command]
     setup = _load_setup(args.config)
-    if setup.axis1 is None:
-        raise ConfigError("axis1_param/axis1_values are required for the sweep command")
+    kind = fixed_kind or setup.objective_kind or "time_to_reach"
+    if setup.objective_kind not in (None, kind):
+        raise ConfigError(
+            f"objective: {args.command} measures {kind}, not {setup.objective_kind}"
+        )
+    if kind == "time_to_reach":
+        if setup.objective_time is not None:
+            raise ConfigError(
+                "objective: objective_time is set but the objective is time_to_reach"
+            )
+        objective = TimeToReach(
+            target=DEFAULT_TARGET if args.target is None else args.target,
+            t_max=DEFAULT_T_MAX if args.t_max is None else args.t_max,
+        )
+    else:
+        if setup.objective_time is None:
+            raise ConfigError(f"objective_time is required for {args.command}")
+        _reject_unread(
+            f"{args.command} measuring sink_at_time",
+            {"--t-max": args.t_max, "--target": args.target},
+        )
+        objective = SinkAtTime(setup.objective_time)
+    axis1, axis2 = setup.axis1, setup.axis2
+    if default_params is not None:
+        axis1 = axis1 or _default_axis(default_params[0])
+        axis2 = axis2 or _default_axis(default_params[1])
+    elif axis1 is None:
+        raise ConfigError(f"axis1_param/axis1_values are required for {args.command}")
     spec = SweepSpec(
-        base=setup.chain,
-        axis1=setup.axis1,
-        axis2=setup.axis2,
-        objective=_resolve_objective(setup, args),
-        dt=args.dt,
+        base=setup.chain, axis1=axis1, axis2=axis2, objective=objective, dt=args.dt
     )
-    return _emit_sweep("sweep", args, setup, spec, run_sweep)
+    started = _time.perf_counter()
+    result = globals()[runner](spec)
+    duration = _time.perf_counter() - started
+    write_sweep_csv(result, f"{args.out}.csv")
+    _write_manifest(args, setup, duration, result)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,37 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, sweepy: bool) -> None:
+    def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", required=True, help="output path prefix")
         p.add_argument("--dt", type=float, default=DEFAULT_DT)
         p.add_argument("--t-max", type=float, help=f"default {DEFAULT_T_MAX:g}")
         p.add_argument("--target", type=float, help=f"default {DEFAULT_TARGET:g}")
-        if sweepy:
-            p.add_argument(
-                "--workers", type=int, default=1, help="no effect: sweeps run serially"
-            )
+        p.set_defaults(func=func)
+        return p
 
-    p_evolve = sub.add_parser("evolve", help="integrate one trajectory")
-    common(p_evolve, sweepy=False)
+    p_evolve = command("evolve", "integrate one trajectory", cmd_evolve)
     p_evolve.add_argument("--sample-every", type=int, default=1)
-    p_evolve.set_defaults(func=cmd_evolve)
-
-    p_bottleneck = sub.add_parser(
-        "bottleneck", help="scan input rate x output rate for time-to-target"
-    )
-    common(p_bottleneck, sweepy=True)
-    p_bottleneck.set_defaults(func=cmd_bottleneck)
-
-    p_dat = sub.add_parser(
-        "dat", help="scan output rate x dephasing strength for sink population"
-    )
-    common(p_dat, sweepy=True)
-    p_dat.set_defaults(func=cmd_dat)
-
-    p_sweep = sub.add_parser("sweep", help="general two-axis scan")
-    common(p_sweep, sweepy=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, help_text in (
+        ("bottleneck", "scan input rate x output rate for time-to-target"),
+        ("dat", "scan output rate x dephasing strength for sink population"),
+        ("sweep", "general two-axis scan"),
+    ):
+        p_sweep = command(name, help_text, cmd_sweep)
+        p_sweep.add_argument(
+            "--workers", type=int, default=1, help="no effect: sweeps run serially"
+        )
 
     return parser
 
@@ -507,8 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.dt <= 0:
-        parser.error("--dt must be > 0")
+    for flag, value, high in (
+        ("--dt", args.dt, math.inf),
+        ("--t-max", args.t_max, math.inf),
+        ("--target", args.target, 1.0),
+    ):
+        # an open interval also keeps out nan and inf
+        if value is not None and not 0.0 < value < high:
+            parser.error(f"{flag} must lie in (0, {high:g}), got {value}")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
     try:

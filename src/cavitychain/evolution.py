@@ -29,7 +29,6 @@ from .modes import (
 ORTHONORMALITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
-OBSERVABLE_IMAG_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-6
 ORACLE_MAX_DIM = 16
 
@@ -230,18 +229,6 @@ def evolve(
     chain = assemble(config)
     propagator = diagonalize(chain.hamiltonian)
     return evolve_assembled(chain, propagator, t_end, dt, sample_every)
-
-
-def observable(rho: DensityMatrix, op: Operator) -> float:
-    """Re tr(op * rho); complains if a Hermitian observable turns complex."""
-    if rho.basis is not op.basis:
-        raise ValueError("state and operator live on different bases")
-    value = complex(np.einsum("ij,ji->", op.elements, rho.elements))
-    if op.hermitian and abs(value.imag) > OBSERVABLE_IMAG_TOL:
-        raise ArithmeticError(
-            f"Hermitian observable returned imaginary part {value.imag:.3e}"
-        )
-    return value.real
 
 
 def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:

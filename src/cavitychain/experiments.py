@@ -134,36 +134,35 @@ class _CellOutcome:
     final_min_eig: float
 
 
-def _reach_outcome(
-    config: ChainConfig, target: float, t_max: float, dt: float
+def _cell_outcome(
+    config: ChainConfig, objective: TimeToReach | SinkAtTime, dt: float
 ) -> _CellOutcome:
-    """Step until the sink crosses target, interpolating the crossing time."""
+    """Step one cell to its objective, tracking trace drift on every step.
+
+    A TimeToReach cell stops at the first step whose sink population meets the
+    target and interpolates the crossing time; a SinkAtTime cell reads the
+    sink from its last state only.
+    """
     chain = assemble(config)
     sink_col = sink_column(chain.basis)
-    states = iter_steps(chain, diagonalize(chain.hamiltonian), dt, step_count(t_max, dt))
+    reach = isinstance(objective, TimeToReach)
+    t_end = objective.t_max if reach else objective.t
+    states = iter_steps(chain, diagonalize(chain.hamiltonian), dt, step_count(t_end, dt))
     drift = 0.0
     for i, rho in states:
         populations = np.diag(rho).real
         drift = max(drift, abs(float(populations.sum()) - 1.0))
-        current = float(populations @ sink_col)
-        if current >= target:
-            crossing = (
-                0.0 if i == 0 else (i - 1) * dt + dt * (target - prev) / (current - prev)
-            )
-            return _CellOutcome(crossing, False, drift, min_eigenvalue(rho))
-        prev = current
-    return _CellOutcome(t_max, True, drift, min_eigenvalue(rho))
-
-
-def _sink_outcome(config: ChainConfig, t: float, dt: float) -> _CellOutcome:
-    """Sink population after evolving to the fixed observation time."""
-    chain = assemble(config)
-    states = iter_steps(chain, diagonalize(chain.hamiltonian), dt, step_count(t, dt))
-    drift = 0.0
-    for _, rho in states:
-        drift = max(drift, abs(float(np.diag(rho).real.sum()) - 1.0))
-    sink = float(np.diag(rho).real @ sink_column(chain.basis))
-    return _CellOutcome(sink, False, drift, min_eigenvalue(rho))
+        if reach:
+            current = float(populations @ sink_col)
+            if current >= objective.target:
+                crossing = 0.0 if i == 0 else (
+                    (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
+                )
+                return _CellOutcome(crossing, False, drift, min_eigenvalue(rho))
+            prev = current
+    if reach:  # never crossed: the cell carries its cap
+        return _CellOutcome(objective.t_max, True, drift, min_eigenvalue(rho))
+    return _CellOutcome(float(populations @ sink_col), False, drift, min_eigenvalue(rho))
 
 
 def time_to_reach(
@@ -173,14 +172,8 @@ def time_to_reach(
     dt: float = DEFAULT_DT,
 ) -> ReachTime:
     """First time the sink population reaches target, capped at t_max."""
-    outcome = _reach_outcome(config, TimeToReach(target, t_max).target, t_max, dt)
+    outcome = _cell_outcome(config, TimeToReach(target, t_max), dt)
     return ReachTime(outcome.value, outcome.capped)
-
-
-def _evaluate_cell(spec: SweepSpec, config: ChainConfig) -> _CellOutcome:
-    if isinstance(spec.objective, TimeToReach):
-        return _reach_outcome(config, spec.objective.target, spec.objective.t_max, spec.dt)
-    return _sink_outcome(config, spec.objective.t, spec.dt)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -192,7 +185,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             overrides = {spec.axis1.param: v1}
             if spec.axis2 is not None:
                 overrides[spec.axis2.param] = v2
-            outcomes.append(_evaluate_cell(spec, replace(spec.base, **overrides)))
+            config = replace(spec.base, **overrides)
+            outcomes.append(_cell_outcome(config, spec.objective, spec.dt))
 
     shape = (len(spec.axis1.values), len(axis2_values))
     grid = np.array([o.value for o in outcomes]).reshape(shape)

@@ -107,10 +107,6 @@ class ModeLayout:
     def n_sites(self) -> int:
         return self.modes[-1].site
 
-    @property
-    def has_phonons(self) -> bool:
-        return any(m.kind is ModeKind.PHONON for m in self.modes)
-
     def index(self, kind: ModeKind, site: int) -> int:
         """Dense position of the (kind, site) mode."""
         for i, m in enumerate(self.modes):
@@ -121,12 +117,6 @@ class ModeLayout:
     def indices(self, kind: ModeKind) -> tuple[int, ...]:
         """All mode positions of the given kind, in site order."""
         return tuple(i for i, m in enumerate(self.modes) if m.kind is kind)
-
-    def quanta_weights(self) -> np.ndarray:
-        """1 for modes counted by the quanta window, 0 for phonons."""
-        return np.array(
-            [1 if m.kind in COUNTED_KINDS else 0 for m in self.modes], dtype=np.int64
-        )
 
 
 @dataclass(frozen=True)
@@ -277,36 +267,6 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {self.elements.shape} does not match "
                 f"basis dim {dim}"
-            )
-
-    def trace(self) -> float:
-        return float(np.trace(self.elements).real)
-
-    def hermiticity_defect(self) -> float:
-        return hermiticity_defect(self.elements)
-
-    def min_eigenvalue(self) -> float:
-        return min_eigenvalue(self.elements)
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.basis, self.elements.copy())
-
-    def validate(
-        self,
-        trace_tol: float = 1e-8,
-        herm_tol: float = 1e-10,
-        eig_floor: float = -1e-6,
-    ) -> None:
-        """Raise ValueError if the state drifted outside physical tolerances."""
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"trace drifted to {self.trace()!r}")
-        if self.hermiticity_defect() > herm_tol:
-            raise ValueError(
-                f"hermiticity defect {self.hermiticity_defect():.3e} > {herm_tol}"
-            )
-        if self.min_eigenvalue() < eig_floor:
-            raise ValueError(
-                f"min eigenvalue {self.min_eigenvalue():.3e} below {eig_floor}"
             )
 
 

@@ -1,12 +1,29 @@
-"""Operators that tests use as independent oracles; the package itself needs none.
+"""Operators and state checks that tests use as oracles; the package needs none.
 
-Each is built straight from the basis occupation table, not from
+Each operator is built straight from the basis occupation table, not from
 ``transfer_op``, the operator builder under test.
 """
 
 import numpy as np
 
-from cavitychain.modes import Operator, ProjectedBasis
+from cavitychain.modes import (
+    COUNTED_KINDS,
+    DensityMatrix,
+    ModeLayout,
+    Operator,
+    ProjectedBasis,
+    hermiticity_defect,
+    min_eigenvalue,
+)
+
+OBSERVABLE_IMAG_TOL = 1e-9
+
+
+def quanta_weights(layout: ModeLayout) -> np.ndarray:
+    """1 for modes counted by the quanta window, 0 for phonons."""
+    return np.array(
+        [1 if m.kind in COUNTED_KINDS else 0 for m in layout.modes], dtype=np.int64
+    )
 
 
 def number_op(basis: ProjectedBasis, mode: int) -> Operator:
@@ -20,7 +37,7 @@ def number_op(basis: ProjectedBasis, mode: int) -> Operator:
 
 def total_quanta_op(basis: ProjectedBasis) -> Operator:
     """Summed number operator over photon, exciton and sink modes."""
-    counts = basis.occupations @ basis.layout.quanta_weights()
+    counts = basis.occupations @ quanta_weights(basis.layout)
     return Operator(basis, np.diag(counts.astype(complex)), hermitian=True)
 
 
@@ -31,3 +48,35 @@ def identity_op(basis: ProjectedBasis) -> Operator:
 def op_mul(a: Operator, b: Operator) -> Operator:
     assert a.basis is b.basis, "operands live on different bases"
     return Operator(a.basis, a.elements @ b.elements)
+
+
+def observable(rho: DensityMatrix, op: Operator) -> float:
+    """Re tr(op * rho); complains if a Hermitian observable turns complex."""
+    assert rho.basis is op.basis, "state and operator live on different bases"
+    value = complex(np.einsum("ij,ji->", op.elements, rho.elements))
+    if op.hermitian and abs(value.imag) > OBSERVABLE_IMAG_TOL:
+        raise ArithmeticError(
+            f"Hermitian observable returned imaginary part {value.imag:.3e}"
+        )
+    return value.real
+
+
+def trace(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.elements).real)
+
+
+def validate_state(
+    rho: DensityMatrix,
+    trace_tol: float = 1e-8,
+    herm_tol: float = 1e-10,
+    eig_floor: float = -1e-6,
+) -> None:
+    """Raise ValueError if the state drifted outside physical tolerances."""
+    if abs(trace(rho) - 1.0) > trace_tol:
+        raise ValueError(f"trace drifted to {trace(rho)!r}")
+    defect = hermiticity_defect(rho.elements)
+    if defect > herm_tol:
+        raise ValueError(f"hermiticity defect {defect:.3e} > {herm_tol}")
+    lowest = min_eigenvalue(rho.elements)
+    if lowest < eig_floor:
+        raise ValueError(f"min eigenvalue {lowest:.3e} below {eig_floor}")

@@ -275,6 +275,22 @@ def test_dat_with_zero_g_axis_matches_plain_sweep(tmp_path):
     assert [r[2] for r in dat_rows] == [r[1] for r in sweep_rows]
 
 
+def test_sweep_with_bottleneck_axes_matches_bottleneck(tmp_path):
+    config = write_config(
+        tmp_path,
+        "n_atoms=1 mu=0.8 rate_in=1.0\n"
+        "axis1_param=rate_in axis1_values=1.0\n"
+        "axis2_param=rate_out axis2_values=0.5,1.0\n",
+    )
+    for command in ("bottleneck", "sweep"):
+        out = str(tmp_path / command)
+        argv = (command, "--config", config, "--out", out, "--t-max", "5", "--target", "0.3")
+        assert run_cli(*argv) == 0
+    _, rows = read_rows(tmp_path / "sweep.csv")
+    assert [r[3] for r in rows] == ["0", "0"]  # both cells cross the target
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "bottleneck.csv").read_bytes()
+
+
 def test_exit_codes_on_bad_input(tmp_path):
     bad_key = write_config(tmp_path, "n_atoms=2 bogus=1\n", name="bad.cfg")
     assert run_cli("evolve", "--config", bad_key, "--out", str(tmp_path / "x")) == 2
@@ -402,3 +418,34 @@ def test_flag_the_command_does_not_read_is_rejected(
     assert capsys.readouterr().err.startswith(f"error: {flag}:")
     assert not (tmp_path / "x.csv").exists()
     assert run_cli(command, "--config", config, "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("sweep", "--dt", "inf"),
+        ("evolve", "--dt", "inf"),
+        ("sweep", "--dt", "nan"),
+        ("evolve", "--dt", "nan"),
+        ("sweep", "--t-max", "inf"),
+        ("evolve", "--t-max", "inf"),
+        ("sweep", "--t-max", "nan"),
+        ("evolve", "--t-max", "nan"),
+        ("evolve", "--t-max", "-1"),
+        ("sweep", "--target", "1.5"),
+        ("sweep", "--target", "nan"),
+    ],
+)
+def test_flag_outside_its_range_exits_2_and_names_it(
+    tmp_path, capsys, command, flag, value
+):
+    text = "n_atoms=1 mu=0.8 rate_out=0.5\n"
+    if command == "sweep":
+        text += "axis1_param=rate_out axis1_values=0.5\n"
+    config = write_config(tmp_path, text)
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command, "--config", config, "--out", str(tmp_path / "x"), flag, value)
+    assert exited.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.manifest.json").exists()

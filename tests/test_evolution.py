@@ -10,7 +10,6 @@ from cavitychain.evolution import (
     _expm_taylor,
     diagonalize,
     evolve,
-    observable,
     step_count,
     superoperator_oracle,
 )
@@ -29,7 +28,7 @@ from cavitychain.modes import (
     QuantaWindow,
     enumerate_basis,
 )
-from operator_oracles import identity_op, number_op, total_quanta_op
+from operator_oracles import identity_op, number_op, observable, total_quanta_op, trace
 
 
 def two_site_basis():
@@ -92,7 +91,7 @@ def test_unitary_step_preserves_spectrum():
         rho = DensityMatrix(rho.basis, engine.step(rho.elements))
     after = np.linalg.eigvalsh(rho.elements)
     np.testing.assert_allclose(after, before, atol=1e-10)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    assert trace(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_jump_hand_computed_step():
@@ -117,7 +116,7 @@ def test_single_jump_hand_computed_step():
     assert stepped.elements[exciton_idx, exciton_idx].real == pytest.approx(
         1 - 0.0064, abs=1e-15
     )
-    assert stepped.trace() == pytest.approx(1.0, abs=1e-14)
+    assert trace(stepped) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_step_convergence_under_dt_halving():

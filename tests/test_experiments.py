@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cavitychain.evolution import evolve
 from cavitychain.experiments import (
     OptimalRate,
     ReachTime,
@@ -146,11 +147,7 @@ def test_run_sweep_grid_layout_and_cell_values():
     result = run_sweep(spec)
     assert result.grid.shape == (2, 2)
     assert not result.cap_mask.any()
-    from cavitychain.experiments import _sink_outcome
-
-    direct = _sink_outcome(
-        ChainConfig(n_atoms=1, mu=0.8, rate_out=1.0), 3.0, spec.dt
-    ).value
+    direct = evolve(ChainConfig(n_atoms=1, mu=0.8, rate_out=1.0), 3.0, spec.dt).sink[-1]
     assert result.grid[1, 1] == direct
 
 

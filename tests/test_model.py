@@ -18,7 +18,7 @@ from cavitychain.modes import (
     ModeKind,
     QuantaWindow,
 )
-from operator_oracles import total_quanta_op
+from operator_oracles import total_quanta_op, trace
 
 
 def test_layout_mode_counts():
@@ -248,7 +248,7 @@ def test_initial_density_matrix_photon_first():
     basis = build_basis(config)
     rho = assemble(config).initial
     idx = basis.state_index((1, 0, 0, 0, 0))
-    assert rho.trace() == pytest.approx(1.0)
+    assert trace(rho) == pytest.approx(1.0)
     assert rho.elements[idx, idx] == 1.0
     assert np.count_nonzero(rho.elements) == 1
 
@@ -257,7 +257,7 @@ def test_initial_density_matrix_vacuum():
     config = ChainConfig(n_atoms=2, rate_in=1.5)
     rho = assemble(config).initial
     assert rho.elements[0, 0] == 1.0
-    assert rho.trace() == pytest.approx(1.0)
+    assert trace(rho) == pytest.approx(1.0)
 
 
 def test_initial_state_outside_window_rejected():
@@ -276,4 +276,4 @@ def test_assemble_bundle():
     assert chain.basis.dim == 6
     assert chain.hamiltonian.hermitian
     assert [t.label for t in chain.lindblad_terms] == ["output"]
-    assert chain.initial.trace() == pytest.approx(1.0)
+    assert trace(chain.initial) == pytest.approx(1.0)

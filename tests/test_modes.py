@@ -16,7 +16,13 @@ from cavitychain.modes import (
     enumerate_basis,
     transfer_op,
 )
-from operator_oracles import number_op, op_mul, total_quanta_op
+from operator_oracles import (
+    number_op,
+    op_mul,
+    quanta_weights,
+    total_quanta_op,
+    validate_state,
+)
 
 
 def brute_force_states(layout, window):
@@ -27,7 +33,7 @@ def brute_force_states(layout, window):
         if m.kind is ModeKind.PHONON:
             cap = min(cap, window.phonon_cap)
         ranges.append(range(cap + 1))
-    weights = layout.quanta_weights()
+    weights = quanta_weights(layout)
     kept = []
     for occ in itertools.product(*ranges):
         q = sum(int(w) * n for w, n in zip(weights, occ))
@@ -63,7 +69,7 @@ def test_two_site_with_phonons():
     basis = enumerate_basis(layout, QuantaWindow(0, 1, phonon_cap=1))
     # 6 excitation states times 2^2 phonon configurations
     assert basis.dim == 24
-    weights = layout.quanta_weights()
+    weights = quanta_weights(layout)
     for state in basis.states:
         assert sum(int(w) * n for w, n in zip(weights, state)) <= 1
 
@@ -321,7 +327,7 @@ def test_layout_validation():
 def test_layout_helpers():
     layout = ModeLayout.chain(3, phonons=True)
     assert layout.n_sites == 3
-    assert layout.has_phonons
+    assert layout.indices(ModeKind.PHONON) == (2, 5, 8)
     assert layout.index(ModeKind.SINK, 3) == len(layout.modes) - 1
     assert layout.indices(ModeKind.PHOTON) == (0, 3, 6)
     with pytest.raises(KeyError):
@@ -342,19 +348,19 @@ def test_density_matrix_validate():
     basis = enumerate_basis(layout, QuantaWindow(0, 1))
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho[0, 0] = 1.0
-    DensityMatrix(basis, rho).validate()
+    validate_state(DensityMatrix(basis, rho))
 
     bad_trace = DensityMatrix(basis, 2 * rho)
     with pytest.raises(ValueError):
-        bad_trace.validate()
+        validate_state(bad_trace)
 
     skewed = rho.copy()
     skewed[0, 1] = 1e-3
     with pytest.raises(ValueError):
-        DensityMatrix(basis, skewed).validate()
+        validate_state(DensityMatrix(basis, skewed))
 
     negative = rho.copy()
     negative[1, 1] = -1e-3
     negative[0, 0] = 1.0 + 1e-3
     with pytest.raises(ValueError):
-        DensityMatrix(basis, negative).validate()
+        validate_state(DensityMatrix(basis, negative))
