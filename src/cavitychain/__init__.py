@@ -42,7 +42,6 @@ from .model import (
 )
 from .modes import (
     DensityMatrix,
-    EmptyBasisError,
     ModeKind,
     ModeLayout,
     ModeSpec,

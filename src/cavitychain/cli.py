@@ -47,6 +47,7 @@ from .experiments import (
     run_sweep,
 )
 from .model import (
+    FLOAT_FIELDS,
     ChainConfig,
     DephasingModel,
     DephasingTarget,
@@ -61,19 +62,7 @@ class ConfigError(ValueError):
     """Raised for malformed or contradictory configuration text."""
 
 
-# ChainConfig float fields, in the order serialize_run writes them
-_CHAIN_FLOAT_KEYS = (
-    "k",
-    "mu",
-    "g",
-    "omega_a",
-    "omega_p",
-    "omega_g",
-    "rate_in",
-    "rate_out",
-    "cavity_loss",
-)
-_FLOAT_KEYS = _CHAIN_FLOAT_KEYS + ("objective_time",)
+_FLOAT_KEYS = FLOAT_FIELDS + ("objective_time",)
 _INT_KEYS = ("n_atoms", "max_quanta", "phonon_cap")
 _ENUM_KEYS = {
     "dephasing": DephasingModel,
@@ -87,7 +76,7 @@ _ENUM_ALIASES = {
 }
 _AXIS_KEYS = ("axis1_param", "axis1_values", "axis2_param", "axis2_values")
 # ChainConfig fields settable directly from config keys (window is assembled)
-_CHAIN_KEYS = ("n_atoms",) + _CHAIN_FLOAT_KEYS + tuple(_ENUM_KEYS)
+_CHAIN_KEYS = ("n_atoms",) + FLOAT_FIELDS + tuple(_ENUM_KEYS)
 _OBJECTIVE_KINDS = ("time_to_reach", "sink_at_time")
 _ALL_KEYS = frozenset(
     _FLOAT_KEYS + _INT_KEYS + tuple(_ENUM_KEYS) + _AXIS_KEYS + ("objective",)
@@ -189,18 +178,12 @@ def parse_config(text: str) -> RunSetup:
         raise ConfigError("n_atoms is required")
 
     chain_kwargs = {key: values[key] for key in _CHAIN_KEYS if key in values}
-    if "max_quanta" in values or "phonon_cap" in values:
-        default_max = default_max_quanta(values["n_atoms"], values.get("rate_in", 0.0))
-        try:
-            chain_kwargs["window"] = QuantaWindow(
-                0,
-                values.get("max_quanta", default_max),
-                values.get("phonon_cap", 1),
-            )
-        except ValueError as exc:
-            key = "max_quanta" if "max_quanta" in values else "phonon_cap"
-            raise ConfigError(f"{key}: {exc}") from None
     try:
+        if "max_quanta" in values or "phonon_cap" in values:
+            default_max = default_max_quanta(values["n_atoms"], values.get("rate_in", 0.0))
+            chain_kwargs["window"] = QuantaWindow(
+                values.get("max_quanta", default_max), values.get("phonon_cap", 1)
+            )
         chain = ChainConfig(**chain_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -253,7 +236,7 @@ def serialize_run(setup: RunSetup) -> str:
     """Emit config text that parses back to an equal RunSetup."""
     chain = setup.chain
     lines = [f"n_atoms={chain.n_atoms}"]
-    for key in _CHAIN_FLOAT_KEYS:
+    for key in FLOAT_FIELDS:
         lines.append(f"{key}={getattr(chain, key)!r}")
     for key in _ENUM_KEYS:
         lines.append(f"{key}={getattr(chain, key).value}")

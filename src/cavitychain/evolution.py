@@ -44,7 +44,7 @@ class Propagator:
         self.eigenvectors = np.ascontiguousarray(eigenvectors, dtype=complex)
         gram = self.eigenvectors.conj().T @ self.eigenvectors
         defect = np.abs(gram - np.eye(basis.dim)).max()
-        if defect > ORTHONORMALITY_TOL:
+        if not defect <= ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvector columns not orthonormal: defect {defect:.3e}")
 
     def unitary(self, dt: float) -> np.ndarray:
@@ -53,7 +53,7 @@ class Propagator:
         unitary = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
         check = unitary @ unitary.conj().T
         defect = np.abs(check - np.eye(self.basis.dim)).max()
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
         return unitary
 
@@ -67,7 +67,7 @@ def diagonalize(hamiltonian: Operator) -> Propagator:
     rebuilt = (v * w) @ v.conj().T
     scale = max(1.0, float(np.abs(hamiltonian.elements).max()))
     err = np.abs(rebuilt - hamiltonian.elements).max() / scale
-    if err > RECONSTRUCTION_TOL:
+    if not err <= RECONSTRUCTION_TOL:
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:.3e}")
     return Propagator(hamiltonian.basis, w, v)
 
@@ -76,8 +76,8 @@ class StepEngine:
     """Precomputed arrays for repeated steps at one fixed dt."""
 
     def __init__(self, propagator: Propagator, terms: list[LindbladTerm], dt: float) -> None:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.dt = float(dt)
         self.unitary = propagator.unitary(dt)
         self.unitary_dag = self.unitary.conj().T.copy()
@@ -106,10 +106,10 @@ class StepEngine:
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps covering [0, t_end]; tolerant of t_end/dt roundoff."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be >= 0 and finite, got {t_end}")
     return max(0, math.ceil(t_end / dt - 1e-9))
 
 

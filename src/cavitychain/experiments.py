@@ -10,6 +10,7 @@ another in grid order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +46,8 @@ class TimeToReach:
     def __post_init__(self) -> None:
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must lie in (0, 1), got {self.target}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,10 @@ class SinkAtTime:
     t: float
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise ValueError(f"observation time must be positive, got {self.t}")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(
+                f"observation time must be positive and finite, got {self.t}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class SweepSpec:
             raise TypeError(f"unsupported objective {self.objective!r}")
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
             raise ValueError(f"both axes sweep {self.axis1.param!r}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)

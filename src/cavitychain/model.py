@@ -18,6 +18,7 @@ Two conventions worth knowing before reading numbers off the output:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -67,6 +68,12 @@ def default_max_quanta(n_atoms: int, rate_in: float) -> int:
     return 2 * n_atoms + 1 if rate_in > 0 else 1
 
 
+# ChainConfig float fields, in declaration order
+FLOAT_FIELDS = (
+    "k", "mu", "g", "omega_a", "omega_p", "omega_g", "rate_in", "rate_out", "cavity_loss"
+)
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Full parameter set of one chain model.
@@ -95,13 +102,16 @@ class ChainConfig:
 
     def __post_init__(self) -> None:
         if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
+            raise ValueError(f"n_atoms: must be >= 1, got {self.n_atoms}")
+        for name in FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         for name in ("g", "rate_in", "rate_out", "cavity_loss"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
         if self.window is None:
             cap = default_max_quanta(self.n_atoms, self.rate_in)
-            object.__setattr__(self, "window", QuantaWindow(0, cap))
+            object.__setattr__(self, "window", QuantaWindow(cap))
         if self.initial_state is None:
             default = (
                 InitialState.VACUUM
@@ -113,7 +123,7 @@ class ChainConfig:
             self.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY
             and self.window.max_quanta < 1
         ):
-            raise ValueError("window.max_quanta must be >= 1 to hold the initial photon")
+            raise ValueError("max_quanta: must be >= 1 to hold the initial photon")
 
 
 @dataclass(frozen=True)
@@ -127,15 +137,12 @@ class LindbladTerm:
 def build_layout(config: ChainConfig) -> ModeLayout:
     """Mode layout implied by the config: phonons present iff unitary dephasing.
 
-    Photon modes are two-level: each cavity holds at most one photon, which is
-    the natural cap of the chain being modelled.  Phonon levels follow the
-    window's phonon_cap.
+    Every mode but the phonons is two-level (each cavity holds at most one
+    photon, the natural cap of the chain being modelled); ``enumerate_basis``
+    caps each phonon at the window's ``phonon_cap``.
     """
-    return ModeLayout.chain(
-        config.n_atoms,
-        phonons=config.dephasing is DephasingModel.UNITARY_PHONON,
-        photon_levels=2,
-        phonon_levels=max(2, config.window.phonon_cap + 1),
+    return ModeLayout(
+        config.n_atoms, phonons=config.dephasing is DephasingModel.UNITARY_PHONON
     )
 
 
@@ -247,12 +254,7 @@ def _initial_state(config: ChainConfig, basis: ProjectedBasis) -> DensityMatrix:
     occupation = [0] * len(basis.layout.modes)
     if config.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY:
         occupation[basis.layout.index(ModeKind.PHOTON, 1)] = 1
-    try:
-        idx = basis.state_index(occupation)
-    except KeyError:
-        raise ValueError(
-            f"initial state {tuple(occupation)} lies outside the quanta window"
-        ) from None
+    idx = basis.state_index(occupation)
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho[idx, idx] = 1.0
     return DensityMatrix(basis, rho)

@@ -1,28 +1,25 @@
 """Occupation-number bases for chains of quantum modes, truncated by a quanta window.
 
 A chain is an ordered list of modes (photon and exciton per site, optionally a
-phonon per site, one sink at the end).  The basis keeps only those occupation
-vectors whose excitation count -- photons + excitons + sink, the number
-conserved by the chain Hamiltonian -- lies inside a configurable window;
-phonon occupations are capped separately because phonon number is not
-conserved.  Every coupling and jump of the chain moves one excitation, so one
-builder, ``transfer_op``, makes them all directly in the projected basis:
-moving out of the kept set projects to zero rather than erroring.
+phonon per site, one sink at the end).  Photon, exciton and sink modes are
+two-level.  The basis keeps only those occupation vectors whose excitation
+count -- photons + excitons + sink, the number conserved by the chain
+Hamiltonian -- is at most ``max_quanta``; phonon occupations are capped
+separately, at ``phonon_cap``, because phonon number is not conserved.
+Every coupling and jump of the chain moves one excitation, so one builder,
+``transfer_op``, makes them all directly in the projected basis: moving out
+of the kept set projects to zero rather than erroring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-
-
-class EmptyBasisError(ValueError):
-    """The quanta window excludes every occupation vector."""
 
 
 class ModeKind(Enum):
@@ -34,78 +31,33 @@ class ModeKind(Enum):
 
 # Modes whose occupation counts toward the conserved excitation number.
 COUNTED_KINDS = (ModeKind.PHOTON, ModeKind.EXCITON, ModeKind.SINK)
-# Strictly two-level modes.
-TWO_LEVEL_KINDS = (ModeKind.EXCITON, ModeKind.SINK)
 
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One mode of the chain: what it is, which site it sits on, how many levels."""
+    """One mode of the chain: what it is and which site it sits on."""
 
     kind: ModeKind
     site: int
-    levels: int = 2
-
-    def __post_init__(self) -> None:
-        if self.site < 1:
-            raise ValueError(f"mode site must be >= 1, got {self.site}")
-        if self.levels < 2:
-            raise ValueError(f"mode must have >= 2 levels, got {self.levels}")
-        if self.kind in TWO_LEVEL_KINDS and self.levels != 2:
-            raise ValueError(f"{self.kind.value} modes are strictly two-level")
 
 
 @dataclass(frozen=True)
 class ModeLayout:
     """Ordered mode list: (photon_i, exciton_i[, phonon_i]) per site, sink last."""
 
-    modes: tuple[ModeSpec, ...]
+    n_sites: int
+    phonons: bool = False
+    modes: tuple[ModeSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modes", tuple(self.modes))
-        sinks = [m for m in self.modes if m.kind is ModeKind.SINK]
-        if len(sinks) != 1 or self.modes[-1].kind is not ModeKind.SINK:
-            raise ValueError("layout needs exactly one sink mode, ordered last")
-        has_phonons = any(m.kind is ModeKind.PHONON for m in self.modes)
-        n_sites = sinks[0].site
-        expected: list[tuple[ModeKind, int]] = []
-        for site in range(1, n_sites + 1):
-            expected.append((ModeKind.PHOTON, site))
-            expected.append((ModeKind.EXCITON, site))
-            if has_phonons:
-                expected.append((ModeKind.PHONON, site))
-        expected.append((ModeKind.SINK, n_sites))
-        actual = [(m.kind, m.site) for m in self.modes]
-        if actual != expected:
-            raise ValueError(
-                "layout must list (photon, exciton[, phonon]) per site in order, "
-                "then the sink"
-            )
-
-    @classmethod
-    def chain(
-        cls,
-        n_sites: int,
-        *,
-        phonons: bool = False,
-        photon_levels: int = 2,
-        phonon_levels: int = 2,
-    ) -> "ModeLayout":
-        """Canonical layout for a chain of ``n_sites`` cavities plus one sink."""
-        if n_sites < 1:
-            raise ValueError(f"need at least one site, got {n_sites}")
-        modes: list[ModeSpec] = []
-        for site in range(1, n_sites + 1):
-            modes.append(ModeSpec(ModeKind.PHOTON, site, photon_levels))
-            modes.append(ModeSpec(ModeKind.EXCITON, site))
-            if phonons:
-                modes.append(ModeSpec(ModeKind.PHONON, site, phonon_levels))
-        modes.append(ModeSpec(ModeKind.SINK, n_sites))
-        return cls(tuple(modes))
-
-    @property
-    def n_sites(self) -> int:
-        return self.modes[-1].site
+        if self.n_sites < 1:
+            raise ValueError(f"need at least one site, got {self.n_sites}")
+        kinds = (ModeKind.PHOTON, ModeKind.EXCITON)
+        if self.phonons:
+            kinds += (ModeKind.PHONON,)
+        modes = [ModeSpec(k, site) for site in range(1, self.n_sites + 1) for k in kinds]
+        modes.append(ModeSpec(ModeKind.SINK, self.n_sites))
+        object.__setattr__(self, "modes", tuple(modes))
 
     def index(self, kind: ModeKind, site: int) -> int:
         """Dense position of the (kind, site) mode."""
@@ -121,19 +73,15 @@ class ModeLayout:
 
 @dataclass(frozen=True)
 class QuantaWindow:
-    """Bounds on the conserved excitation count, plus a per-site phonon cap."""
+    """Cap on the conserved excitation count, plus a per-site phonon cap."""
 
-    min_quanta: int
     max_quanta: int
     phonon_cap: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_quanta < 0:
-            raise ValueError(f"min_quanta must be >= 0, got {self.min_quanta}")
-        if self.max_quanta < self.min_quanta:
-            raise ValueError("max_quanta must be >= min_quanta")
-        if self.phonon_cap < 0:
-            raise ValueError(f"phonon_cap must be >= 0, got {self.phonon_cap}")
+        for name in ("max_quanta", "phonon_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
 
 
 class ProjectedBasis:
@@ -169,60 +117,38 @@ class ProjectedBasis:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProjectedBasis(dim={self.dim}, sites={self.layout.n_sites}, "
-            f"window=[{self.window.min_quanta},{self.window.max_quanta}])"
+            f"max_quanta={self.window.max_quanta}, phonon_cap={self.window.phonon_cap})"
         )
 
 
 def enumerate_basis(layout: ModeLayout, window: QuantaWindow) -> ProjectedBasis:
     """Enumerate all occupation vectors allowed by the window, in canonical order.
 
-    Phonon occupations are bounded by ``min(levels - 1, phonon_cap)``; the
-    window bounds apply to the summed occupation of photon, exciton and sink
-    modes only.  Raises EmptyBasisError when nothing survives.
+    Photon, exciton and sink modes are two-level and each phonon holds 0 to
+    ``phonon_cap`` quanta; the summed occupation of photon, exciton and sink
+    modes is at most ``max_quanta``.  The vacuum always fits.
     """
-    caps: list[int] = []
-    weights: list[int] = []
-    for spec in layout.modes:
-        cap = spec.levels - 1
-        if spec.kind is ModeKind.PHONON:
-            if window.phonon_cap > cap:
-                raise ValueError(
-                    f"phonon_cap {window.phonon_cap} exceeds phonon levels-1 ({cap})"
-                )
-            cap = window.phonon_cap
-        caps.append(cap)
-        weights.append(1 if spec.kind in COUNTED_KINDS else 0)
-
+    caps = [
+        window.phonon_cap if m.kind is ModeKind.PHONON else 1 for m in layout.modes
+    ]
+    weights = [1 if m.kind in COUNTED_KINDS else 0 for m in layout.modes]
     n_modes = len(caps)
-    # Max countable quanta still reachable from mode m onward, for pruning.
-    tail = [0] * (n_modes + 1)
-    for m in reversed(range(n_modes)):
-        tail[m] = tail[m + 1] + caps[m] * weights[m]
-
     states: list[tuple[int, ...]] = []
     occ = [0] * n_modes
 
     def fill(m: int, quanta: int) -> None:
         if m == n_modes:
-            if quanta >= window.min_quanta:
-                states.append(tuple(occ))
+            states.append(tuple(occ))
             return
         for n in range(caps[m] + 1):
             q = quanta + n * weights[m]
             if q > window.max_quanta:
                 break
-            if q + tail[m + 1] < window.min_quanta:
-                continue
             occ[m] = n
             fill(m + 1, q)
         occ[m] = 0
 
     fill(0, 0)
-    if not states:
-        raise EmptyBasisError(
-            f"window [{window.min_quanta},{window.max_quanta}] keeps no state "
-            f"of the {len(layout.modes)}-mode layout"
-        )
     return ProjectedBasis(layout, window, states)
 
 

@@ -60,6 +60,8 @@ def test_parse_comments_and_blank_lines():
         ("n_atoms=2 objective_time=0", "objective_time"),
         ("n_atoms=2 max_quanta=0 initial_state=photon1", "max_quanta"),
         ("n_atoms=2 k=inf", "k"),
+        ("n_atoms=2 max_quanta=2 phonon_cap=-1", "^phonon_cap:"),
+        ("n_atoms=2 max_quanta=-1", "^max_quanta: must be >= 0"),
     ],
 )
 def test_parse_errors_name_the_key(text, needle):
@@ -81,10 +83,10 @@ def test_parse_unitary_without_g_warns_decoupled():
 
 def test_parse_window_keys():
     setup = parse_config("n_atoms=3 rate_in=0.5 max_quanta=2 phonon_cap=0")
-    assert setup.chain.window == QuantaWindow(0, 2, 0)
+    assert setup.chain.window == QuantaWindow(2, 0)
     # defaults fill the missing half of the pair
     setup = parse_config("n_atoms=3 rate_in=0.5 phonon_cap=2")
-    assert setup.chain.window == QuantaWindow(0, 7, 2)
+    assert setup.chain.window == QuantaWindow(7, 2)
 
 
 def test_serialize_round_trip_simple():
@@ -105,9 +107,7 @@ def test_serialize_round_trip_randomized():
             rate_out=float(rng.uniform(0, 2)),
             cavity_loss=float(rng.choice([0.0, 0.3])),
             dephasing=DephasingModel(str(rng.choice(["none", "lindblad", "unitary"]))),
-            window=QuantaWindow(
-                0, int(rng.integers(1, 5)), int(rng.integers(0, 3))
-            ),
+            window=QuantaWindow(int(rng.integers(1, 5)), int(rng.integers(0, 3))),
         )
         axis1 = None
         axis2 = None

@@ -13,6 +13,7 @@ from cavitychain.evolution import (
     step_count,
     superoperator_oracle,
 )
+from cavitychain.experiments import SinkAtTime, SweepAxis, SweepSpec, time_to_reach
 from cavitychain.model import (
     ChainConfig,
     DephasingModel,
@@ -32,7 +33,7 @@ from operator_oracles import identity_op, number_op, observable, total_quanta_op
 
 
 def two_site_basis():
-    return enumerate_basis(ModeLayout.chain(2), QuantaWindow(0, 1))
+    return enumerate_basis(ModeLayout(2), QuantaWindow(1))
 
 
 def test_diagonalize_diagonal_hamiltonian():
@@ -42,7 +43,7 @@ def test_diagonalize_diagonal_hamiltonian():
 
 
 def test_diagonalize_coupling_block_spectrum():
-    config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, window=QuantaWindow(1, 1))
+    config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, window=QuantaWindow(1))
     prop = diagonalize(assemble(config).hamiltonian)
     # photon hopping block contributes a +-k pair
     assert prop.eigenvalues.min() == pytest.approx(-0.7, abs=1e-12)
@@ -145,6 +146,78 @@ def test_step_count():
     assert step_count(0.0, 0.01) == 0
     with pytest.raises(ValueError):
         step_count(1.0, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _propagator():
+    return diagonalize(assemble(ChainConfig(n_atoms=1, mu=0.8)).hamiltonian)
+
+
+def _nan_eigenvectors():
+    basis = two_site_basis()
+    return Propagator(basis, np.zeros(6), np.full((6, 6), NAN))
+
+
+def _nan_diagonal():
+    basis = two_site_basis()
+    h = np.eye(6, dtype=complex)
+    h[1, 1] = NAN
+    return diagonalize(Operator(basis, h))
+
+
+def _sweep_with_dt(dt):
+    return SweepSpec(
+        base=ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5),
+        axis1=SweepAxis("rate_out", (0.5,)),
+        objective=SinkAtTime(3.0),
+        dt=dt,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(
+            lambda: _sweep_with_dt(INF), ValueError, "^dt must", id="SweepSpec-dt-inf"
+        ),
+        pytest.param(
+            lambda: StepEngine(_propagator(), [], INF),
+            ValueError,
+            "^dt must",
+            id="StepEngine-dt-inf",
+        ),
+        pytest.param(
+            lambda: step_count(INF, 0.01), ValueError, "^t_end must", id="step_count-t-inf"
+        ),
+        pytest.param(
+            lambda: step_count(1.0, NAN), ValueError, "^dt must", id="step_count-dt-nan"
+        ),
+        pytest.param(
+            lambda: time_to_reach(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5), t_max=INF),
+            ValueError,
+            "^t_max must",
+            id="TimeToReach-t_max-inf",
+        ),
+        pytest.param(
+            lambda: SinkAtTime(NAN), ValueError, "^observation time", id="SinkAtTime-nan"
+        ),
+        pytest.param(
+            lambda: _propagator().unitary(NAN),
+            ArithmeticError,
+            "not unitary",
+            id="unitarity-nan",
+        ),
+        pytest.param(
+            _nan_eigenvectors, ValueError, "not orthonormal", id="orthonormality-nan"
+        ),
+        pytest.param(_nan_diagonal, ArithmeticError, "reconstruction", id="reconstruction-nan"),
+    ],
+)
+def test_non_finite_time_or_defect_is_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_evolve_constant_without_couplings():

@@ -32,11 +32,11 @@ def test_layout_mode_counts():
 
 def test_window_and_initial_defaults():
     undriven = ChainConfig(n_atoms=2)
-    assert undriven.window == QuantaWindow(0, 1)
+    assert undriven.window == QuantaWindow(1)
     assert undriven.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY
 
     pumped = ChainConfig(n_atoms=2, rate_in=1.5)
-    assert pumped.window == QuantaWindow(0, 5)
+    assert pumped.window == QuantaWindow(5)
     assert pumped.initial_state is InitialState.VACUUM
     # widest window: every two-level occupation vector survives
     assert build_basis(pumped).dim == 2 ** 5
@@ -49,17 +49,24 @@ def test_config_validation():
         ChainConfig(n_atoms=1, rate_in=-0.5)
     with pytest.raises(ValueError):
         ChainConfig(n_atoms=1, g=-1.0)
+    floats = (
+        "k", "mu", "g", "omega_a", "omega_p", "omega_g", "rate_in", "rate_out", "cavity_loss"
+    )
+    for name in floats:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+                ChainConfig(n_atoms=1, **{name: value})
     with pytest.raises(ValueError):
         ChainConfig(
             n_atoms=1,
-            window=QuantaWindow(0, 0),
+            window=QuantaWindow(0),
             initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
         )
 
 
 def test_hamiltonian_diagonal_when_uncoupled():
     config = ChainConfig(
-        n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, window=QuantaWindow(0, 1)
+        n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, window=QuantaWindow(1)
     )
     basis = build_basis(config)
     h = assemble(config).hamiltonian.elements
@@ -76,7 +83,7 @@ def test_hamiltonian_diagonal_when_uncoupled():
 
 
 def test_tunnelling_block_two_by_two():
-    config = ChainConfig(n_atoms=2, k=0.7, window=QuantaWindow(1, 1))
+    config = ChainConfig(n_atoms=2, k=0.7, window=QuantaWindow(1))
     basis = build_basis(config)
     h = assemble(config).hamiltonian.elements
     p1 = basis.state_index((1, 0, 0, 0, 0))
@@ -236,7 +243,7 @@ def test_saturated_window_pump_warns():
     config = ChainConfig(
         n_atoms=1,
         rate_in=1.0,
-        window=QuantaWindow(0, 1),
+        window=QuantaWindow(1),
         initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
     )
     with pytest.warns(UserWarning, match="saturated"):
@@ -258,16 +265,6 @@ def test_initial_density_matrix_vacuum():
     rho = assemble(config).initial
     assert rho.elements[0, 0] == 1.0
     assert trace(rho) == pytest.approx(1.0)
-
-
-def test_initial_state_outside_window_rejected():
-    config = ChainConfig(
-        n_atoms=2,
-        window=QuantaWindow(2, 3),
-        initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
-    )
-    with pytest.raises(ValueError, match="outside"):
-        assemble(config)
 
 
 def test_assemble_bundle():
