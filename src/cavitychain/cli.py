@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import __version__
-from .evolution import POSITIVITY_FLOOR, TrajectoryRecord, evolve
+from .evolution import TrajectoryRecord, evolve
 from .experiments import (
     DEFAULT_DT,
     DEFAULT_T_MAX,
@@ -266,7 +266,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
         + [f"exciton_{i}" for i in range(1, n + 1)]
         + ["trace", "min_eig_flag"]
     )
-    flags = record.positivity_flags(POSITIVITY_FLOOR)
+    flags = record.positivity_flags()
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in range(record.times.shape[0]):
@@ -448,6 +448,8 @@ def main(argv=None) -> int:
             parser.error(f"{flag} must lie in (0, {high:g}), got {value}")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
+    if getattr(args, "sample_every", 1) < 1:
+        parser.error("--sample-every must be >= 1")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

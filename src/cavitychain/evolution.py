@@ -59,10 +59,7 @@ class Propagator:
 
 
 def diagonalize(hamiltonian: Operator) -> Propagator:
-    """Eigendecompose a Hermitian operator into a step propagator."""
-    defect = hermiticity_defect(hamiltonian.elements)
-    if not hamiltonian.hermitian and defect > 1e-12:
-        raise ValueError(f"cannot diagonalize non-Hermitian operator (defect {defect:.3e})")
+    """Eigendecompose a Hamiltonian into a step propagator."""
     w, v = np.linalg.eigh(hamiltonian.elements)
     rebuilt = (v * w) @ v.conj().T
     scale = max(1.0, float(np.abs(hamiltonian.elements).max()))
@@ -83,7 +80,7 @@ class StepEngine:
         self.unitary_dag = self.unitary.conj().T.copy()
         dim = propagator.basis.dim
         if terms:
-            self.jumps = np.stack([t.operator.elements for t in terms])
+            self.jumps = np.stack([t.operator for t in terms])
             self.jumps_dag = self.jumps.conj().transpose(0, 2, 1).copy()
             # 0.5 * sum of L^dag L, shared by both anticommutator halves
             self.half_rate = 0.5 * np.einsum(
@@ -151,21 +148,22 @@ class TrajectoryRecord:
     def max_hermiticity_defect(self) -> float:
         return float(self.hermiticity.max())
 
-    def positivity_flags(self, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
-        """1 where the sampled state dipped below the positivity floor."""
-        return (self.min_eigenvalue < floor).astype(np.int64)
+    def positivity_flags(self) -> np.ndarray:
+        """1 where the sampled state dipped below POSITIVITY_FLOOR."""
+        return (self.min_eigenvalue < POSITIVITY_FLOOR).astype(np.int64)
 
 
 def iter_steps(
-    chain: AssembledChain, propagator: Propagator, dt: float, n_steps: int
+    chain: AssembledChain, dt: float, n_steps: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (step index, state) for steps 0..n_steps from the chain's initial state.
 
     The one place that steps a density matrix: trajectories and sweep cells
-    all consume this loop.  Each yielded state is a fresh array that later
-    steps never write to.
+    all consume this loop, which diagonalizes the Hamiltonian of the chain it
+    steps.  Each yielded state is a fresh array that later steps never write
+    to.
     """
-    engine = StepEngine(propagator, list(chain.lindblad_terms), dt)
+    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
     rho = chain.initial.elements.copy()
     yield 0, rho
     for i in range(1, n_steps + 1):
@@ -180,11 +178,7 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
 
 
 def evolve_assembled(
-    chain: AssembledChain,
-    propagator: Propagator,
-    t_end: float,
-    dt: float,
-    sample_every: int = 1,
+    chain: AssembledChain, t_end: float, dt: float, sample_every: int = 1
 ) -> TrajectoryRecord:
     """Run the step loop on a prebuilt chain, sampling every few steps."""
     if sample_every < 1:
@@ -199,7 +193,7 @@ def evolve_assembled(
 
     times, sink, photon, exciton = [], [], [], []
     trace, min_eig, herm = [], [], []
-    for i, rho in iter_steps(chain, propagator, dt, n_steps):
+    for i, rho in iter_steps(chain, dt, n_steps):
         if i % sample_every == 0 or i == n_steps:
             populations = np.diag(rho).real
             times.append(i * dt)
@@ -226,9 +220,7 @@ def evolve(
     config: ChainConfig, t_end: float, dt: float = 0.01, sample_every: int = 1
 ) -> TrajectoryRecord:
     """Assemble the chain from its config and evolve to t_end."""
-    chain = assemble(config)
-    propagator = diagonalize(chain.hamiltonian)
-    return evolve_assembled(chain, propagator, t_end, dt, sample_every)
+    return evolve_assembled(assemble(config), t_end, dt, sample_every)
 
 
 def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
@@ -238,6 +230,8 @@ def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
     eigendecomposition path.  Cost scales as dim**4, hence the small-dimension
     guard.  Vectorization is row-major: vec(A X B) = (A kron B^T) vec(X).
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     chain = assemble(config)
     dim = chain.basis.dim
     if dim > ORACLE_MAX_DIM:
@@ -246,7 +240,7 @@ def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
     h = chain.hamiltonian.elements
     liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for term in chain.lindblad_terms:
-        jump = term.operator.elements
+        jump = term.operator
         absorbed = jump.conj().T @ jump
         liouvillian += np.kron(jump, jump.conj()) - 0.5 * (
             np.kron(absorbed, eye) + np.kron(eye, absorbed.T)

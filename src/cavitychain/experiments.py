@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import diagonalize, iter_steps, sink_column, step_count
+from .evolution import iter_steps, sink_column, step_count
 from .model import ChainConfig, DephasingModel, InitialState, assemble
 from .modes import min_eigenvalue
 
@@ -76,6 +76,8 @@ class SweepAxis:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError(f"axis {self.param} needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"axis {self.param} values must be finite, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"axis {self.param} values must be strictly increasing")
 
@@ -150,7 +152,7 @@ def _cell_outcome(
     sink_col = sink_column(chain.basis)
     reach = isinstance(objective, TimeToReach)
     t_end = objective.t_max if reach else objective.t
-    states = iter_steps(chain, diagonalize(chain.hamiltonian), dt, step_count(t_end, dt))
+    states = iter_steps(chain, dt, step_count(t_end, dt))
     drift = 0.0
     for i, rho in states:
         populations = np.diag(rho).real

@@ -33,7 +33,6 @@ from .modes import (
     ProjectedBasis,
     QuantaWindow,
     enumerate_basis,
-    hermiticity_defect,
     transfer_op,
 )
 
@@ -131,7 +130,7 @@ class LindbladTerm:
     """One jump operator, rate already folded in (L = rate * A)."""
 
     label: str
-    operator: Operator
+    operator: np.ndarray
 
 
 def build_layout(config: ChainConfig) -> ModeLayout:
@@ -171,7 +170,7 @@ def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     couplings = [(config.k, p, q) for p, q in zip(photon, photon[1:])]
     couplings += [(config.mu, p, x) for p, x in zip(photon, exciton)]
     for strength, src, dst in couplings:
-        move = transfer_op(basis, src, dst).elements
+        move = transfer_op(basis, src, dst)
         h += strength * move + np.conj(strength) * move.conj().T
 
     if config.dephasing is DephasingModel.UNITARY_PHONON:
@@ -179,16 +178,11 @@ def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
         strength = config.g + np.conj(config.g)
         for site in range(1, n + 1):
             b = layout.index(ModeKind.PHONON, site)
-            displacement = (
-                transfer_op(basis, b, None).elements + transfer_op(basis, None, b).elements
-            )
+            displacement = transfer_op(basis, b, None) + transfer_op(basis, None, b)
             n_exc = np.diag(occ[:, layout.index(ModeKind.EXCITON, site)].astype(complex))
             h += strength * (displacement @ n_exc)
 
-    defect = hermiticity_defect(h)
-    if defect > 1e-12:
-        raise ArithmeticError(f"assembled Hamiltonian not Hermitian: defect {defect:.3e}")
-    return Operator(basis, h, hermitian=True)
+    return Operator(basis, h)
 
 
 def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[LindbladTerm]:
@@ -211,8 +205,8 @@ def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lindblad
                 "the pump acts as a projected-out zero on saturated states",
                 stacklevel=3,
             )
-        pump = transfer_op(basis, None, layout.index(ModeKind.PHOTON, 1)).elements
-        terms.append(LindbladTerm("input", Operator(basis, config.rate_in * pump)))
+        pump = transfer_op(basis, None, layout.index(ModeKind.PHOTON, 1))
+        terms.append(LindbladTerm("input", config.rate_in * pump))
 
     if config.rate_out > 0:
         source_kind = (
@@ -222,8 +216,8 @@ def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lindblad
         )
         drain = transfer_op(
             basis, layout.index(source_kind, n), layout.index(ModeKind.SINK, n)
-        ).elements
-        terms.append(LindbladTerm("output", Operator(basis, config.rate_out * drain)))
+        )
+        terms.append(LindbladTerm("output", config.rate_out * drain))
 
     if config.dephasing is DephasingModel.LINDBLAD_LIKE and config.g > 0:
         target_kind = (
@@ -235,16 +229,12 @@ def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lindblad
             num = np.diag(
                 basis.occupations[:, layout.index(target_kind, site)].astype(complex)
             )
-            terms.append(
-                LindbladTerm(f"dephasing_{site}", Operator(basis, config.g * num))
-            )
+            terms.append(LindbladTerm(f"dephasing_{site}", config.g * num))
 
     if config.cavity_loss > 0:
         for site in range(1, n + 1):
-            leak = transfer_op(basis, layout.index(ModeKind.PHOTON, site), None).elements
-            terms.append(
-                LindbladTerm(f"loss_{site}", Operator(basis, config.cavity_loss * leak))
-            )
+            leak = transfer_op(basis, layout.index(ModeKind.PHOTON, site), None)
+            terms.append(LindbladTerm(f"loss_{site}", config.cavity_loss * leak))
 
     return terms
 

@@ -154,11 +154,14 @@ def enumerate_basis(layout: ModeLayout, window: QuantaWindow) -> ProjectedBasis:
 
 @dataclass
 class Operator:
-    """Dense complex matrix over a ProjectedBasis, with a Hermitian tag."""
+    """Hermitian matrix over a ProjectedBasis: the chain Hamiltonian.
+
+    Construction is the one Hermiticity check; jump operators, which need not
+    be Hermitian, are plain complex arrays.
+    """
 
     basis: ProjectedBasis
     elements: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
         self.elements = np.ascontiguousarray(self.elements, dtype=complex)
@@ -167,16 +170,9 @@ class Operator:
             raise ValueError(
                 f"operator shape {self.elements.shape} does not match basis dim {dim}"
             )
-        if self.hermitian:
-            defect = hermiticity_defect(self.elements)
-            if defect > HERMITIAN_TOL:
-                raise ValueError(
-                    f"operator tagged hermitian but max|A - A^dag| = {defect:.3e}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+        defect = hermiticity_defect(self.elements)
+        if not defect <= HERMITIAN_TOL:
+            raise ValueError(f"operator not Hermitian: max|A - A^dag| = {defect:.3e}")
 
 
 @dataclass
@@ -198,7 +194,7 @@ class DensityMatrix:
 
 def transfer_op(
     basis: ProjectedBasis, from_mode: int | None, to_mode: int | None
-) -> Operator:
+) -> np.ndarray:
     """Move one excitation from ``from_mode`` to ``to_mode``, projected to the basis.
 
     ``None`` stands for the outside of the chain: ``transfer_op(b, None, m)``
@@ -229,7 +225,7 @@ def transfer_op(
         j = basis.index_of.get(tuple(target))
         if j is not None:
             mat[j, i] = amplitude
-    return Operator(basis, mat)
+    return mat
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

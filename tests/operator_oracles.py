@@ -28,33 +28,24 @@ def quanta_weights(layout: ModeLayout) -> np.ndarray:
 
 def number_op(basis: ProjectedBasis, mode: int) -> Operator:
     """Diagonal occupation-number operator of one mode."""
-    return Operator(
-        basis,
-        np.diag(basis.occupations[:, mode].astype(complex)),
-        hermitian=True,
-    )
+    return Operator(basis, np.diag(basis.occupations[:, mode].astype(complex)))
 
 
 def total_quanta_op(basis: ProjectedBasis) -> Operator:
     """Summed number operator over photon, exciton and sink modes."""
     counts = basis.occupations @ quanta_weights(basis.layout)
-    return Operator(basis, np.diag(counts.astype(complex)), hermitian=True)
+    return Operator(basis, np.diag(counts.astype(complex)))
 
 
 def identity_op(basis: ProjectedBasis) -> Operator:
-    return Operator(basis, np.eye(basis.dim, dtype=complex), hermitian=True)
-
-
-def op_mul(a: Operator, b: Operator) -> Operator:
-    assert a.basis is b.basis, "operands live on different bases"
-    return Operator(a.basis, a.elements @ b.elements)
+    return Operator(basis, np.eye(basis.dim, dtype=complex))
 
 
 def observable(rho: DensityMatrix, op: Operator) -> float:
     """Re tr(op * rho); complains if a Hermitian observable turns complex."""
     assert rho.basis is op.basis, "state and operator live on different bases"
     value = complex(np.einsum("ij,ji->", op.elements, rho.elements))
-    if op.hermitian and abs(value.imag) > OBSERVABLE_IMAG_TOL:
+    if abs(value.imag) > OBSERVABLE_IMAG_TOL:
         raise ArithmeticError(
             f"Hermitian observable returned imaginary part {value.imag:.3e}"
         )

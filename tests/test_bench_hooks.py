@@ -4,7 +4,8 @@
 that no longer exists, reporting its metrics as absent.  A rename in the
 program would therefore drop per-layer metrics without failing the benchmark;
 this test runs one small sweep and one short trajectory under the tracer and
-requires every hook to be live.
+requires every hook to be live.  The benchmark's ``setup_s`` path (parse,
+assemble, diagonalize) is run on every workload's reference config as well.
 """
 
 import sys
@@ -14,6 +15,8 @@ from cavitychain.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import hooks  # noqa: E402
+import run  # noqa: E402
+from workloads import REFERENCE_SEED, WORKLOADS  # noqa: E402
 
 
 def test_every_hook_is_live_and_every_metric_reported(tmp_path):
@@ -34,3 +37,10 @@ def test_every_hook_is_live_and_every_metric_reported(tmp_path):
     expected = {name for name in hooks.METRICS if not name.startswith("trace.")}
     assert expected - set(metrics) == set()
     assert metrics["evolution.step_flops"] > 0
+
+
+def test_setup_path_runs_on_every_workload():
+    for workload in WORKLOADS.values():
+        samples: list[float] = []
+        run.sample_setup(workload.invocation(REFERENCE_SEED).config, samples)
+        assert len(samples) >= 3, workload.name

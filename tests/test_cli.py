@@ -434,6 +434,7 @@ def test_flag_the_command_does_not_read_is_rejected(
         ("evolve", "--t-max", "-1"),
         ("sweep", "--target", "1.5"),
         ("sweep", "--target", "nan"),
+        ("evolve", "--sample-every", "0"),
     ],
 )
 def test_flag_outside_its_range_exits_2_and_names_it(

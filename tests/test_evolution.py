@@ -54,7 +54,7 @@ def test_diagonalize_reconstructs_random_hermitian():
     rng = np.random.default_rng(3)
     basis = two_site_basis()
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = Operator(basis, a + a.conj().T, hermitian=True)
+    h = Operator(basis, a + a.conj().T)
     prop = diagonalize(h)
     rebuilt = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
     np.testing.assert_allclose(rebuilt, h.elements, atol=1e-9)
@@ -161,10 +161,20 @@ def _nan_eigenvectors():
 
 
 def _nan_diagonal():
-    basis = two_site_basis()
+    # past the Hermiticity check of construction, so diagonalize meets the NaN
+    h = Operator(two_site_basis(), np.eye(6, dtype=complex))
+    h.elements[1, 1] = NAN
+    return diagonalize(h)
+
+
+def _nan_off_diagonal():
     h = np.eye(6, dtype=complex)
-    h[1, 1] = NAN
-    return diagonalize(Operator(basis, h))
+    h[0, 1] = NAN
+    return Operator(two_site_basis(), h)
+
+
+def _oracle_at(t):
+    return superoperator_oracle(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5), t)
 
 
 def _sweep_with_dt(dt):
@@ -213,6 +223,10 @@ def _sweep_with_dt(dt):
             _nan_eigenvectors, ValueError, "not orthonormal", id="orthonormality-nan"
         ),
         pytest.param(_nan_diagonal, ArithmeticError, "reconstruction", id="reconstruction-nan"),
+        pytest.param(_nan_off_diagonal, ValueError, "not Hermitian", id="hermiticity-nan"),
+        pytest.param(lambda: _oracle_at(-1.0), ValueError, "^t must", id="oracle-t-negative"),
+        pytest.param(lambda: _oracle_at(INF), ValueError, "^t must", id="oracle-t-inf"),
+        pytest.param(lambda: _oracle_at(NAN), ValueError, "^t must", id="oracle-t-nan"),
     ],
 )
 def test_non_finite_time_or_defect_is_rejected(build, error, match):
@@ -307,7 +321,7 @@ def test_observable_flags_imaginary_expectation():
     op[0, 1] = 1.0
     op[1, 0] = 1.0
     with pytest.raises(ArithmeticError):
-        observable(DensityMatrix(basis, rho), Operator(basis, op, hermitian=True))
+        observable(DensityMatrix(basis, rho), Operator(basis, op))
 
 
 def test_oracle_identity_map_when_everything_off():

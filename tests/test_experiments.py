@@ -48,6 +48,9 @@ def test_axis_validation():
         SweepAxis("rate_out", (0.5, 0.5))
     with pytest.raises(ValueError):
         SweepAxis("rate_out", (1.0, 0.5))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^axis rate_out values must be finite"):
+            SweepAxis("rate_out", (0.5, bad))
 
 
 def test_spec_validation():
