@@ -27,12 +27,12 @@ import math
 import sys
 import time as _time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 
 from . import __version__
-from .evolution import TrajectoryRecord, evolve
+from .evolution import DEFAULT_DT, TrajectoryRecord, evolve
 from .experiments import (
-    DEFAULT_DT,
     DEFAULT_T_MAX,
     DEFAULT_TARGET,
     SinkAtTime,
@@ -53,9 +53,7 @@ from .model import (
     DephasingTarget,
     InitialState,
     SinkCoupling,
-    default_max_quanta,
 )
-from .modes import QuantaWindow
 
 
 class ConfigError(ValueError):
@@ -75,12 +73,10 @@ _ENUM_ALIASES = {
     "dephasing": {"unitaryphonon": "unitary", "lindbladlike": "lindblad"},
 }
 _AXIS_KEYS = ("axis1_param", "axis1_values", "axis2_param", "axis2_values")
-# ChainConfig fields settable directly from config keys (window is assembled)
-_CHAIN_KEYS = ("n_atoms",) + FLOAT_FIELDS + tuple(_ENUM_KEYS)
+# every ChainConfig field is a config key, written in declaration order
+_CHAIN_KEYS = tuple(field.name for field in fields(ChainConfig))
 _OBJECTIVE_KINDS = ("time_to_reach", "sink_at_time")
-_ALL_KEYS = frozenset(
-    _FLOAT_KEYS + _INT_KEYS + tuple(_ENUM_KEYS) + _AXIS_KEYS + ("objective",)
-)
+_ALL_KEYS = frozenset(_CHAIN_KEYS + _AXIS_KEYS + ("objective", "objective_time"))
 
 
 @dataclass(frozen=True)
@@ -177,14 +173,8 @@ def parse_config(text: str) -> RunSetup:
     if "n_atoms" not in values:
         raise ConfigError("n_atoms is required")
 
-    chain_kwargs = {key: values[key] for key in _CHAIN_KEYS if key in values}
     try:
-        if "max_quanta" in values or "phonon_cap" in values:
-            default_max = default_max_quanta(values["n_atoms"], values.get("rate_in", 0.0))
-            chain_kwargs["window"] = QuantaWindow(
-                values.get("max_quanta", default_max), values.get("phonon_cap", 1)
-            )
-        chain = ChainConfig(**chain_kwargs)
+        chain = ChainConfig(**{key: values[key] for key in _CHAIN_KEYS if key in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -234,14 +224,11 @@ def parse_config(text: str) -> RunSetup:
 
 def serialize_run(setup: RunSetup) -> str:
     """Emit config text that parses back to an equal RunSetup."""
-    chain = setup.chain
-    lines = [f"n_atoms={chain.n_atoms}"]
-    for key in FLOAT_FIELDS:
-        lines.append(f"{key}={getattr(chain, key)!r}")
-    for key in _ENUM_KEYS:
-        lines.append(f"{key}={getattr(chain, key).value}")
-    lines.append(f"max_quanta={chain.window.max_quanta}")
-    lines.append(f"phonon_cap={chain.window.phonon_cap}")
+    lines = []
+    for key in _CHAIN_KEYS:
+        value = getattr(setup.chain, key)
+        # str(x) == repr(x) for a float, and a numpy scalar writes as a number
+        lines.append(f"{key}={value.value if isinstance(value, Enum) else value}")
     for prefix, axis in (("axis1", setup.axis1), ("axis2", setup.axis2)):
         if axis is not None:
             lines.append(f"{prefix}_param={axis.param}")
@@ -452,7 +439,7 @@ def main(argv=None) -> int:
         parser.error("--sample-every must be >= 1")
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

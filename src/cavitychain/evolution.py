@@ -31,6 +31,9 @@ UNITARITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-6
 ORACLE_MAX_DIM = 16
+TAYLOR_TOL = 1e-12
+TAYLOR_MAX_TERMS = 300
+DEFAULT_DT = 0.01
 
 
 class Propagator:
@@ -217,7 +220,7 @@ def evolve_assembled(
 
 
 def evolve(
-    config: ChainConfig, t_end: float, dt: float = 0.01, sample_every: int = 1
+    config: ChainConfig, t_end: float, dt: float = DEFAULT_DT, sample_every: int = 1
 ) -> TrajectoryRecord:
     """Assemble the chain from its config and evolve to t_end."""
     return evolve_assembled(assemble(config), t_end, dt, sample_every)
@@ -249,7 +252,7 @@ def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
     return DensityMatrix(chain.basis, propagated.reshape(dim, dim))
 
 
-def _expm_taylor(matrix: np.ndarray, tol: float = 1e-12, max_terms: int = 300) -> np.ndarray:
+def _expm_taylor(matrix: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a plain Taylor sum."""
     norm = float(np.abs(matrix).sum(axis=1).max())
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
@@ -257,10 +260,10 @@ def _expm_taylor(matrix: np.ndarray, tol: float = 1e-12, max_terms: int = 300) -
     dim = matrix.shape[0]
     result = np.eye(dim, dtype=complex)
     term = np.eye(dim, dtype=complex)
-    for k in range(1, max_terms + 1):
+    for k in range(1, TAYLOR_MAX_TERMS + 1):
         term = term @ scaled / k
         result += term
-        if np.abs(term).max() < tol:
+        if np.abs(term).max() < TAYLOR_TOL:
             break
     else:
         raise ArithmeticError("Taylor series for the matrix exponential did not converge")

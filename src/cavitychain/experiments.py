@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import iter_steps, sink_column, step_count
+from .evolution import DEFAULT_DT, iter_steps, sink_column, step_count
 from .model import ChainConfig, DephasingModel, InitialState, assemble
 from .modes import min_eigenvalue
 
@@ -23,7 +23,6 @@ SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 
 DEFAULT_TARGET = 0.995
 DEFAULT_T_MAX = 400.0
-DEFAULT_DT = 0.01
 
 
 def default_rate_grid() -> tuple[float, ...]:
@@ -95,6 +94,14 @@ class SweepSpec:
             raise TypeError(f"unsupported objective {self.objective!r}")
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
             raise ValueError(f"both axes sweep {self.axis1.param!r}")
+        swept = [axis.param for axis in (self.axis1, self.axis2) if axis is not None]
+        if "rate_in" in swept and self.base.rate_in == 0:
+            # the base's window and start are resolved for an undriven chain,
+            # and every cell would inherit them
+            raise ValueError(
+                f"rate_in: a rate_in sweep needs a pumped base (rate_in > 0), "
+                f"got {self.base.rate_in}"
+            )
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
@@ -145,8 +152,9 @@ def _cell_outcome(
     """Step one cell to its objective, tracking trace drift on every step.
 
     A TimeToReach cell stops at the first step whose sink population meets the
-    target and interpolates the crossing time; a SinkAtTime cell reads the
-    sink from its last state only.
+    target and interpolates the crossing time; a crossing past t_max (the last
+    step may overshoot it) is capped.  A SinkAtTime cell reads the sink from
+    its last state only.
     """
     chain = assemble(config)
     sink_col = sink_column(chain.basis)
@@ -163,9 +171,11 @@ def _cell_outcome(
                 crossing = 0.0 if i == 0 else (
                     (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
                 )
-                return _CellOutcome(crossing, False, drift, min_eigenvalue(rho))
+                if crossing <= objective.t_max + 1e-9 * dt:  # step_count's roundoff
+                    return _CellOutcome(crossing, False, drift, min_eigenvalue(rho))
+                break  # crossed only inside the step that overshoots t_max
             prev = current
-    if reach:  # never crossed: the cell carries its cap
+    if reach:  # no crossing by t_max: the cell carries its cap
         return _CellOutcome(objective.t_max, True, drift, min_eigenvalue(rho))
     return _CellOutcome(float(populations @ sink_col), False, drift, min_eigenvalue(rho))
 

@@ -62,11 +62,6 @@ class InitialState(Enum):
     PHOTON_IN_FIRST_CAVITY = "photon1"
 
 
-def default_max_quanta(n_atoms: int, rate_in: float) -> int:
-    """Default window cap: all two-level quanta if pumped, one photon if undriven."""
-    return 2 * n_atoms + 1 if rate_in > 0 else 1
-
-
 # ChainConfig float fields, in declaration order
 FLOAT_FIELDS = (
     "k", "mu", "g", "omega_a", "omega_p", "omega_g", "rate_in", "rate_out", "cavity_loss"
@@ -75,12 +70,12 @@ FLOAT_FIELDS = (
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Full parameter set of one chain model.
+    """Full parameter set of one chain model; its fields are the config keys.
 
-    ``window`` and ``initial_state`` may be left as None: pumped chains
-    (rate_in > 0) default to the widest window the two-level modes allow and a
-    vacuum start, undriven chains default to a single-excitation window with
-    the photon placed in the first cavity.
+    ``initial_state`` and ``max_quanta`` may be left as None: pumped chains
+    (rate_in > 0) default to a vacuum start and the widest window the
+    two-level modes allow (2*n_atoms + 1 quanta), undriven chains to the
+    photon in the first cavity and a single-excitation window.
     """
 
     n_atoms: int
@@ -92,12 +87,13 @@ class ChainConfig:
     omega_g: float = 0.01
     rate_in: float = 0.0
     rate_out: float = 0.0
+    cavity_loss: float = 0.0
     dephasing: DephasingModel = DephasingModel.LINDBLAD_LIKE
     sink_coupling: SinkCoupling = SinkCoupling.LAST_PHOTON
     dephasing_target: DephasingTarget = DephasingTarget.PHOTON_NUMBER
-    cavity_loss: float = 0.0
-    window: QuantaWindow | None = None
     initial_state: InitialState | None = None
+    max_quanta: int | None = None
+    phonon_cap: int = 1
 
     def __post_init__(self) -> None:
         if self.n_atoms < 1:
@@ -105,22 +101,18 @@ class ChainConfig:
         for name in FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
-        for name in ("g", "rate_in", "rate_out", "cavity_loss"):
+        pumped = self.rate_in > 0
+        if self.initial_state is None:
+            default = InitialState.VACUUM if pumped else InitialState.PHOTON_IN_FIRST_CAVITY
+            object.__setattr__(self, "initial_state", default)
+        if self.max_quanta is None:
+            object.__setattr__(self, "max_quanta", 2 * self.n_atoms + 1 if pumped else 1)
+        for name in ("g", "rate_in", "rate_out", "cavity_loss", "max_quanta", "phonon_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
-        if self.window is None:
-            cap = default_max_quanta(self.n_atoms, self.rate_in)
-            object.__setattr__(self, "window", QuantaWindow(cap))
-        if self.initial_state is None:
-            default = (
-                InitialState.VACUUM
-                if self.rate_in > 0
-                else InitialState.PHOTON_IN_FIRST_CAVITY
-            )
-            object.__setattr__(self, "initial_state", default)
         if (
             self.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY
-            and self.window.max_quanta < 1
+            and self.max_quanta < 1
         ):
             raise ValueError("max_quanta: must be >= 1 to hold the initial photon")
 
@@ -138,7 +130,7 @@ def build_layout(config: ChainConfig) -> ModeLayout:
 
     Every mode but the phonons is two-level (each cavity holds at most one
     photon, the natural cap of the chain being modelled); ``enumerate_basis``
-    caps each phonon at the window's ``phonon_cap``.
+    caps each phonon at ``config.phonon_cap``.
     """
     return ModeLayout(
         config.n_atoms, phonons=config.dephasing is DephasingModel.UNITARY_PHONON
@@ -146,7 +138,8 @@ def build_layout(config: ChainConfig) -> ModeLayout:
 
 
 def build_basis(config: ChainConfig) -> ProjectedBasis:
-    return enumerate_basis(build_layout(config), config.window)
+    window = QuantaWindow(config.max_quanta, config.phonon_cap)
+    return enumerate_basis(build_layout(config), window)
 
 
 def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
@@ -199,9 +192,9 @@ def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lindblad
         initial_quanta = (
             1 if config.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY else 0
         )
-        if initial_quanta >= config.window.max_quanta:
+        if initial_quanta >= config.max_quanta:
             warnings.warn(
-                "window.max_quanta is saturated by the initial state; "
+                "max_quanta is saturated by the initial state; "
                 "the pump acts as a projected-out zero on saturated states",
                 stacklevel=3,
             )

@@ -16,7 +16,6 @@ from cavitychain.cli import (
 )
 from cavitychain.experiments import SweepAxis
 from cavitychain.model import ChainConfig, DephasingModel, SinkCoupling
-from cavitychain.modes import QuantaWindow
 
 
 def test_parse_minimal_defaults():
@@ -83,15 +82,18 @@ def test_parse_unitary_without_g_warns_decoupled():
 
 def test_parse_window_keys():
     setup = parse_config("n_atoms=3 rate_in=0.5 max_quanta=2 phonon_cap=0")
-    assert setup.chain.window == QuantaWindow(2, 0)
+    assert (setup.chain.max_quanta, setup.chain.phonon_cap) == (2, 0)
     # defaults fill the missing half of the pair
     setup = parse_config("n_atoms=3 rate_in=0.5 phonon_cap=2")
-    assert setup.chain.window == QuantaWindow(7, 2)
+    assert (setup.chain.max_quanta, setup.chain.phonon_cap) == (7, 2)
 
 
 def test_serialize_round_trip_simple():
     setup = parse_config("n_atoms=2 k=1.0 mu=1.0 rate_in=1.5 rate_out=1.5")
     assert parse_config(serialize_run(setup)) == setup
+    # numpy scalars from a library caller write as plain numbers
+    chain = ChainConfig(n_atoms=np.int64(2), k=np.float64(0.7), max_quanta=np.int64(3))
+    assert parse_config(serialize_run(RunSetup(chain))) == RunSetup(chain)
 
 
 def test_serialize_round_trip_randomized():
@@ -107,7 +109,8 @@ def test_serialize_round_trip_randomized():
             rate_out=float(rng.uniform(0, 2)),
             cavity_loss=float(rng.choice([0.0, 0.3])),
             dephasing=DephasingModel(str(rng.choice(["none", "lindblad", "unitary"]))),
-            window=QuantaWindow(int(rng.integers(1, 5)), int(rng.integers(0, 3))),
+            max_quanta=int(rng.integers(1, 5)),
+            phonon_cap=int(rng.integers(0, 3)),
         )
         axis1 = None
         axis2 = None
@@ -306,6 +309,16 @@ def test_exit_codes_on_bad_input(tmp_path):
         name="pumped.cfg",
     )
     assert run_cli("dat", "--config", pumped, "--out", str(tmp_path / "x")) == 2
+    undriven = write_config(
+        tmp_path,
+        "n_atoms=2 k=1.0 mu=1.0\n"
+        "axis1_param=rate_in axis1_values=1.5\n"
+        "axis2_param=rate_out axis2_values=1.0,1.5\n",
+        name="undriven.cfg",
+    )
+    out = str(tmp_path / "undriven")
+    assert run_cli("bottleneck", "--config", undriven, "--out", out, "--t-max", "20") == 2
+    assert not (tmp_path / "undriven.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def test_diagonalize_diagonal_hamiltonian():
 
 
 def test_diagonalize_coupling_block_spectrum():
-    config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, window=QuantaWindow(1))
+    config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, max_quanta=1)
     prop = diagonalize(assemble(config).hamiltonian)
     # photon hopping block contributes a +-k pair
     assert prop.eigenvalues.min() == pytest.approx(-0.7, abs=1e-12)

@@ -61,6 +61,14 @@ def test_spec_validation():
         SweepSpec(base=transport_config(), axis1=axis, objective="time")
     with pytest.raises(ValueError):
         SweepSpec(base=transport_config(), axis1=axis, objective=TimeToReach(), dt=0.0)
+    # an undriven base resolves an undriven window and start for every cell
+    with pytest.raises(ValueError, match="^rate_in: "):
+        SweepSpec(
+            base=transport_config(rate_in=0.0),
+            axis1=SweepAxis("rate_in", (1.5,)),
+            axis2=axis,
+            objective=TimeToReach(),
+        )
 
 
 def test_default_grids():
@@ -79,6 +87,13 @@ def test_default_grids():
 def test_time_to_reach_capped_without_output():
     result = time_to_reach(transport_config(rate_out=0.0), t_max=5.0)
     assert result == ReachTime(5.0, True)
+
+
+def test_time_to_reach_caps_a_crossing_past_t_max():
+    # 12 steps of 0.1 cover t_max=1.12, and the sink reaches 0.2 only after it
+    config = ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5)
+    result = time_to_reach(config, target=0.2, t_max=1.12, dt=0.1)
+    assert result == ReachTime(1.12, True)
 
 
 def test_time_to_reach_finite_for_transport_run():

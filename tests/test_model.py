@@ -16,7 +16,6 @@ from cavitychain.model import (
 )
 from cavitychain.modes import (
     ModeKind,
-    QuantaWindow,
     hermiticity_defect,
 )
 from operator_oracles import total_quanta_op, trace
@@ -33,11 +32,11 @@ def test_layout_mode_counts():
 
 def test_window_and_initial_defaults():
     undriven = ChainConfig(n_atoms=2)
-    assert undriven.window == QuantaWindow(1)
+    assert (undriven.max_quanta, undriven.phonon_cap) == (1, 1)
     assert undriven.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY
 
     pumped = ChainConfig(n_atoms=2, rate_in=1.5)
-    assert pumped.window == QuantaWindow(5)
+    assert (pumped.max_quanta, pumped.phonon_cap) == (5, 1)
     assert pumped.initial_state is InitialState.VACUUM
     # widest window: every two-level occupation vector survives
     assert build_basis(pumped).dim == 2 ** 5
@@ -60,14 +59,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(
             n_atoms=1,
-            window=QuantaWindow(0),
+            max_quanta=0,
             initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
         )
 
 
 def test_hamiltonian_diagonal_when_uncoupled():
     config = ChainConfig(
-        n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, window=QuantaWindow(1)
+        n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, max_quanta=1
     )
     basis = build_basis(config)
     h = assemble(config).hamiltonian.elements
@@ -84,7 +83,7 @@ def test_hamiltonian_diagonal_when_uncoupled():
 
 
 def test_tunnelling_block_two_by_two():
-    config = ChainConfig(n_atoms=2, k=0.7, window=QuantaWindow(1))
+    config = ChainConfig(n_atoms=2, k=0.7, max_quanta=1)
     basis = build_basis(config)
     h = assemble(config).hamiltonian.elements
     p1 = basis.state_index((1, 0, 0, 0, 0))
@@ -244,7 +243,7 @@ def test_saturated_window_pump_warns():
     config = ChainConfig(
         n_atoms=1,
         rate_in=1.0,
-        window=QuantaWindow(1),
+        max_quanta=1,
         initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
     )
     with pytest.warns(UserWarning, match="saturated"):
