@@ -38,7 +38,6 @@ from .model import (
     SinkCoupling,
     assemble,
     build_basis,
-    build_layout,
 )
 from .modes import (
     DensityMatrix,
@@ -47,7 +46,6 @@ from .modes import (
     ModeSpec,
     Operator,
     ProjectedBasis,
-    QuantaWindow,
     enumerate_basis,
     transfer_op,
 )

@@ -48,6 +48,7 @@ from .experiments import (
 )
 from .model import (
     FLOAT_FIELDS,
+    INT_FIELDS,
     ChainConfig,
     DephasingModel,
     DephasingTarget,
@@ -61,7 +62,6 @@ class ConfigError(ValueError):
 
 
 _FLOAT_KEYS = FLOAT_FIELDS + ("objective_time",)
-_INT_KEYS = ("n_atoms", "max_quanta", "phonon_cap")
 _ENUM_KEYS = {
     "dephasing": DephasingModel,
     "sink_coupling": SinkCoupling,
@@ -111,7 +111,7 @@ def _parse_float(key: str, raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {raw!r}") from None
-    if not (value == value and abs(value) != float("inf")):
+    if not math.isfinite(value):
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
     return value
 
@@ -155,7 +155,7 @@ def parse_config(text: str) -> RunSetup:
             raise ConfigError(f"duplicate key: {key}")
         if key in _FLOAT_KEYS:
             values[key] = _parse_float(key, raw)
-        elif key in _INT_KEYS:
+        elif key in INT_FIELDS:
             values[key] = _parse_int(key, raw)
         elif key in _ENUM_KEYS:
             values[key] = _parse_enum(key, raw)

@@ -102,6 +102,13 @@ class SweepSpec:
                 f"rate_in: a rate_in sweep needs a pumped base (rate_in > 0), "
                 f"got {self.base.rate_in}"
             )
+        # a swept parameter the base chain ignores would write a flat grid
+        if "g" in swept and self.base.dephasing is DephasingModel.NONE:
+            raise ValueError("g: a g sweep needs a dephasing model, got dephasing=none")
+        if "k" in swept and self.base.n_atoms < 2:
+            raise ValueError(
+                f"k: a k sweep needs n_atoms >= 2 for a photon hop, got {self.base.n_atoms}"
+            )
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
@@ -263,6 +270,4 @@ def dat_scan(spec: SweepSpec) -> SweepResult:
         raise ValueError("dephasing scan expects an undriven chain (rate_in = 0)")
     if spec.base.initial_state is not InitialState.PHOTON_IN_FIRST_CAVITY:
         raise ValueError("dephasing scan starts with the photon in the first cavity")
-    if spec.base.dephasing is DephasingModel.NONE:
-        raise ValueError("dephasing scan needs a dephasing model")
     return run_sweep(spec)

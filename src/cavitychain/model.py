@@ -19,6 +19,7 @@ Two conventions worth knowing before reading numbers off the output:
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +32,6 @@ from .modes import (
     ModeLayout,
     Operator,
     ProjectedBasis,
-    QuantaWindow,
     enumerate_basis,
     transfer_op,
 )
@@ -62,10 +62,11 @@ class InitialState(Enum):
     PHOTON_IN_FIRST_CAVITY = "photon1"
 
 
-# ChainConfig float fields, in declaration order
+# ChainConfig float and integer fields, in declaration order
 FLOAT_FIELDS = (
     "k", "mu", "g", "omega_a", "omega_p", "omega_g", "rate_in", "rate_out", "cavity_loss"
 )
+INT_FIELDS = ("n_atoms", "max_quanta", "phonon_cap")
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,14 @@ class ChainConfig:
     phonon_cap: int = 1
 
     def __post_init__(self) -> None:
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if name == "max_quanta" and value is None:
+                continue  # resolved below
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name}: must be an integer, got {value!r}") from None
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms: must be >= 1, got {self.n_atoms}")
         for name in FLOAT_FIELDS:
@@ -125,21 +134,18 @@ class LindbladTerm:
     operator: np.ndarray
 
 
-def build_layout(config: ChainConfig) -> ModeLayout:
-    """Mode layout implied by the config: phonons present iff unitary dephasing.
+def build_basis(config: ChainConfig) -> ProjectedBasis:
+    """The config's basis: phonon modes present iff unitary dephasing.
 
     Every mode but the phonons is two-level (each cavity holds at most one
-    photon, the natural cap of the chain being modelled); ``enumerate_basis``
-    caps each phonon at ``config.phonon_cap``.
+    photon, the natural cap of the chain being modelled); each phonon is
+    capped at ``config.phonon_cap``, and the excitation count at
+    ``config.max_quanta``.
     """
-    return ModeLayout(
+    layout = ModeLayout(
         config.n_atoms, phonons=config.dephasing is DephasingModel.UNITARY_PHONON
     )
-
-
-def build_basis(config: ChainConfig) -> ProjectedBasis:
-    window = QuantaWindow(config.max_quanta, config.phonon_cap)
-    return enumerate_basis(build_layout(config), window)
+    return enumerate_basis(layout, config.max_quanta, config.phonon_cap)
 
 
 def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:

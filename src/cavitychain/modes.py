@@ -1,4 +1,4 @@
-"""Occupation-number bases for chains of quantum modes, truncated by a quanta window.
+"""Occupation-number bases for chains of quantum modes, truncated by quanta caps.
 
 A chain is an ordered list of modes (photon and exciton per site, optionally a
 phonon per site, one sink at the end).  Photon, exciton and sink modes are
@@ -71,35 +71,16 @@ class ModeLayout:
         return tuple(i for i, m in enumerate(self.modes) if m.kind is kind)
 
 
-@dataclass(frozen=True)
-class QuantaWindow:
-    """Cap on the conserved excitation count, plus a per-site phonon cap."""
-
-    max_quanta: int
-    phonon_cap: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("max_quanta", "phonon_cap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
-
-
 class ProjectedBasis:
-    """Enumerated occupation vectors surviving a quanta window.
+    """Enumerated occupation vectors surviving the quanta caps.
 
     States are kept in lexicographic order over occupation vectors so that
     basis construction, and every matrix built on top of it, is reproducible
     bit for bit.
     """
 
-    def __init__(
-        self,
-        layout: ModeLayout,
-        window: QuantaWindow,
-        states: list[tuple[int, ...]],
-    ) -> None:
+    def __init__(self, layout: ModeLayout, states: list[tuple[int, ...]]) -> None:
         self.layout = layout
-        self.window = window
         self.states: tuple[tuple[int, ...], ...] = tuple(states)
         self.index_of: dict[tuple[int, ...], int] = {
             s: i for i, s in enumerate(self.states)
@@ -115,22 +96,22 @@ class ProjectedBasis:
         return self.index_of[tuple(occupation)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProjectedBasis(dim={self.dim}, sites={self.layout.n_sites}, "
-            f"max_quanta={self.window.max_quanta}, phonon_cap={self.window.phonon_cap})"
-        )
+        return f"ProjectedBasis(dim={self.dim}, sites={self.layout.n_sites})"
 
 
-def enumerate_basis(layout: ModeLayout, window: QuantaWindow) -> ProjectedBasis:
-    """Enumerate all occupation vectors allowed by the window, in canonical order.
+def enumerate_basis(
+    layout: ModeLayout, max_quanta: int, phonon_cap: int = 1
+) -> ProjectedBasis:
+    """Enumerate all occupation vectors within the caps, in canonical order.
 
     Photon, exciton and sink modes are two-level and each phonon holds 0 to
     ``phonon_cap`` quanta; the summed occupation of photon, exciton and sink
     modes is at most ``max_quanta``.  The vacuum always fits.
     """
-    caps = [
-        window.phonon_cap if m.kind is ModeKind.PHONON else 1 for m in layout.modes
-    ]
+    for name, value in (("max_quanta", max_quanta), ("phonon_cap", phonon_cap)):
+        if value < 0:
+            raise ValueError(f"{name}: must be >= 0, got {value}")
+    caps = [phonon_cap if m.kind is ModeKind.PHONON else 1 for m in layout.modes]
     weights = [1 if m.kind in COUNTED_KINDS else 0 for m in layout.modes]
     n_modes = len(caps)
     states: list[tuple[int, ...]] = []
@@ -142,14 +123,14 @@ def enumerate_basis(layout: ModeLayout, window: QuantaWindow) -> ProjectedBasis:
             return
         for n in range(caps[m] + 1):
             q = quanta + n * weights[m]
-            if q > window.max_quanta:
+            if q > max_quanta:
                 break
             occ[m] = n
             fill(m + 1, q)
         occ[m] = 0
 
     fill(0, 0)
-    return ProjectedBasis(layout, window, states)
+    return ProjectedBasis(layout, states)
 
 
 @dataclass

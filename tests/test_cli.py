@@ -319,6 +319,16 @@ def test_exit_codes_on_bad_input(tmp_path):
     out = str(tmp_path / "undriven")
     assert run_cli("bottleneck", "--config", undriven, "--out", out, "--t-max", "20") == 2
     assert not (tmp_path / "undriven.csv").exists()
+    ignored_g = write_config(
+        tmp_path,
+        "n_atoms=2 k=0.8 mu=0.2 rate_out=1.0 dephasing=none\n"
+        "axis1_param=g axis1_values=0,0.5,1.0\n"
+        "objective=sink_at_time objective_time=5\n",
+        name="ignored_g.cfg",
+    )
+    out = str(tmp_path / "ignored_g")
+    assert run_cli("sweep", "--config", ignored_g, "--out", out) == 2
+    assert not (tmp_path / "ignored_g.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -26,14 +26,13 @@ from cavitychain.modes import (
     ModeKind,
     ModeLayout,
     Operator,
-    QuantaWindow,
     enumerate_basis,
 )
 from operator_oracles import identity_op, number_op, observable, total_quanta_op, trace
 
 
 def two_site_basis():
-    return enumerate_basis(ModeLayout(2), QuantaWindow(1))
+    return enumerate_basis(ModeLayout(2), 1)
 
 
 def test_diagonalize_diagonal_hamiltonian():

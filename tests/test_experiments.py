@@ -69,6 +69,21 @@ def test_spec_validation():
             axis2=axis,
             objective=TimeToReach(),
         )
+    # a swept parameter the base chain ignores would write a flat grid
+    with pytest.raises(ValueError, match="^g: "):
+        SweepSpec(
+            base=ChainConfig(
+                n_atoms=2, k=0.8, mu=0.2, rate_out=1.0, dephasing=DephasingModel.NONE
+            ),
+            axis1=SweepAxis("g", (0.0, 0.5, 1.0)),
+            objective=SinkAtTime(5.0),
+        )
+    with pytest.raises(ValueError, match="^k: "):
+        SweepSpec(
+            base=ChainConfig(n_atoms=1, mu=0.8, rate_out=1.0),
+            axis1=SweepAxis("k", (0.0, 0.5, 1.0)),
+            objective=SinkAtTime(5.0),
+        )
 
 
 def test_default_grids():

@@ -12,7 +12,6 @@ from cavitychain.model import (
     SinkCoupling,
     assemble,
     build_basis,
-    build_layout,
 )
 from cavitychain.modes import (
     ModeKind,
@@ -22,12 +21,11 @@ from operator_oracles import total_quanta_op, trace
 
 
 def test_layout_mode_counts():
-    assert len(build_layout(ChainConfig(n_atoms=2)).modes) == 5
-    assert (
-        len(build_layout(ChainConfig(n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON)).modes)
-        == 7
-    )
-    assert len(build_layout(ChainConfig(n_atoms=1, dephasing=DephasingModel.NONE)).modes) == 3
+    assert len(build_basis(ChainConfig(n_atoms=2)).layout.modes) == 5
+    phonons = ChainConfig(n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON)
+    assert len(build_basis(phonons).layout.modes) == 7
+    no_dephasing = ChainConfig(n_atoms=1, dephasing=DephasingModel.NONE)
+    assert len(build_basis(no_dephasing).layout.modes) == 3
 
 
 def test_window_and_initial_defaults():
@@ -62,6 +60,12 @@ def test_config_validation():
             max_quanta=0,
             initial_state=InitialState.PHOTON_IN_FIRST_CAVITY,
         )
+    with pytest.raises(ValueError, match="^n_atoms: must be an integer"):
+        ChainConfig(n_atoms=1.5)
+    with pytest.raises(ValueError, match="^max_quanta: must be an integer"):
+        ChainConfig(n_atoms=1, max_quanta=1.5)
+    with pytest.raises(ValueError, match="^phonon_cap: must be an integer"):
+        ChainConfig(n_atoms=1, phonon_cap=0.5, dephasing=DephasingModel.UNITARY_PHONON)
 
 
 def test_hamiltonian_diagonal_when_uncoupled():

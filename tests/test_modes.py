@@ -10,7 +10,6 @@ from cavitychain.modes import (
     ModeKind,
     ModeLayout,
     Operator,
-    QuantaWindow,
     enumerate_basis,
     hermiticity_defect,
     transfer_op,
@@ -23,24 +22,24 @@ from operator_oracles import (
 )
 
 
-def brute_force_states(layout, window):
+def brute_force_states(layout, max_quanta, phonon_cap):
     """Independent enumeration oracle: filter the full product space."""
     ranges = [
-        range(window.phonon_cap + 1 if m.kind is ModeKind.PHONON else 2)
+        range(phonon_cap + 1 if m.kind is ModeKind.PHONON else 2)
         for m in layout.modes
     ]
     weights = quanta_weights(layout)
     kept = []
     for occ in itertools.product(*ranges):
         q = sum(int(w) * n for w, n in zip(weights, occ))
-        if q <= window.max_quanta:
+        if q <= max_quanta:
             kept.append(occ)
     return kept
 
 
 def test_two_site_window_0_1():
     layout = ModeLayout(2)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     expected = [
         (0, 0, 0, 0, 0),
         (0, 0, 0, 0, 1),
@@ -56,13 +55,13 @@ def test_two_site_window_0_1():
 
 def test_vacuum_only_window():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(0))
+    basis = enumerate_basis(layout, 0)
     assert basis.states == ((0, 0, 0),)
 
 
 def test_two_site_with_phonons():
     layout = ModeLayout(2, phonons=True)
-    basis = enumerate_basis(layout, QuantaWindow(1, phonon_cap=1))
+    basis = enumerate_basis(layout, 1, phonon_cap=1)
     # 6 excitation states times 2^2 phonon configurations
     assert basis.dim == 24
     weights = quanta_weights(layout)
@@ -75,9 +74,9 @@ def test_enumeration_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     n_sites = int(rng.integers(1, 3))
     layout = ModeLayout(n_sites, phonons=bool(rng.integers(0, 2)))
-    window = QuantaWindow(int(rng.integers(1, 5)), phonon_cap=int(rng.integers(0, 3)))
-    basis = enumerate_basis(layout, window)
-    assert list(basis.states) == brute_force_states(layout, window)
+    max_quanta, phonon_cap = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    basis = enumerate_basis(layout, max_quanta, phonon_cap=phonon_cap)
+    assert list(basis.states) == brute_force_states(layout, max_quanta, phonon_cap)
     # index_of round-trips
     for j, s in enumerate(basis.states):
         assert basis.index_of[s] == j
@@ -85,13 +84,13 @@ def test_enumeration_matches_brute_force(seed):
 
 def test_enumeration_deterministic():
     layout = ModeLayout(2, phonons=True)
-    w = QuantaWindow(2, phonon_cap=1)
-    assert enumerate_basis(layout, w).states == enumerate_basis(layout, w).states
+    first = enumerate_basis(layout, 2, phonon_cap=1)
+    assert first.states == enumerate_basis(layout, 2, phonon_cap=1).states
 
 
 def full_window(layout, phonon_cap=1):
-    """Window wide enough to keep every occupation vector of the layout."""
-    return QuantaWindow(int(quanta_weights(layout).sum()), phonon_cap=phonon_cap)
+    """Caps wide enough to keep every occupation vector of the layout."""
+    return int(quanta_weights(layout).sum()), phonon_cap
 
 
 def single_mode_raise(levels):
@@ -104,7 +103,7 @@ def single_mode_raise(levels):
 def test_ladder_matches_kron_construction():
     # Untruncated basis: projected construction must equal the tensor product.
     layout = ModeLayout(1, phonons=True)
-    basis = enumerate_basis(layout, full_window(layout, phonon_cap=2))
+    basis = enumerate_basis(layout, *full_window(layout, phonon_cap=2))
     assert basis.dim == 2 * 2 * 3 * 2
     dims = [3 if m.kind is ModeKind.PHONON else 2 for m in layout.modes]
     for mode in range(len(dims)):
@@ -119,9 +118,8 @@ def test_ladder_matches_kron_construction():
 
 def test_projected_ladder_agrees_with_full_space_restriction():
     layout = ModeLayout(2)
-    window = QuantaWindow(1)
-    small = enumerate_basis(layout, window)
-    full = enumerate_basis(layout, full_window(layout))
+    small = enumerate_basis(layout, 1)
+    full = enumerate_basis(layout, *full_window(layout))
     for mode in range(len(layout.modes)):
         op_small = transfer_op(small, None, mode)
         op_full = transfer_op(full, None, mode)
@@ -134,7 +132,7 @@ def test_projected_ladder_agrees_with_full_space_restriction():
 
 def test_transfer_equals_product_on_full_window():
     layout = ModeLayout(2, phonons=True)
-    basis = enumerate_basis(layout, full_window(layout, phonon_cap=2))
+    basis = enumerate_basis(layout, *full_window(layout, phonon_cap=2))
     pairs = [(0, 3), (3, 0), (0, 1), (4, 6), (1, 4), (2, 5), (5, 2)]
     for src, dst in pairs:
         direct = transfer_op(basis, src, dst)
@@ -146,8 +144,8 @@ def test_transfer_survives_tight_window():
     # raise-then-lower through a projected intermediate loses the element;
     # the direct construction keeps it
     layout = ModeLayout(2)
-    basis = enumerate_basis(layout, QuantaWindow(1))
-    full = enumerate_basis(layout, full_window(layout))
+    basis = enumerate_basis(layout, 1)
+    full = enumerate_basis(layout, *full_window(layout))
     hop_small = transfer_op(basis, 0, 2)
     hop_full = transfer_op(full, 0, 2)
     for i, src in enumerate(basis.states):
@@ -163,7 +161,7 @@ def test_transfer_survives_tight_window():
 
 def test_transfer_validation():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     with pytest.raises(ValueError):
         transfer_op(basis, 1, 1)
     with pytest.raises(ValueError):
@@ -174,14 +172,14 @@ def test_transfer_validation():
 
 def test_raise_out_of_window_projects_to_zero():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(0))
+    basis = enumerate_basis(layout, 0)
     op = transfer_op(basis, None, 0)
     np.testing.assert_array_equal(op, np.zeros((1, 1)))
 
 
 def test_three_level_matrix_element():
     layout = ModeLayout(1, phonons=True)
-    basis = enumerate_basis(layout, full_window(layout, phonon_cap=2))
+    basis = enumerate_basis(layout, *full_window(layout, phonon_cap=2))
     op = transfer_op(basis, None, layout.index(ModeKind.PHONON, 1))
     one = basis.state_index((0, 0, 1, 0))
     two = basis.state_index((0, 0, 2, 0))
@@ -190,8 +188,8 @@ def test_three_level_matrix_element():
 
 def test_lower_is_adjoint_of_raise():
     bases = [
-        enumerate_basis(ModeLayout(2, phonons=True), QuantaWindow(2, phonon_cap=1)),
-        enumerate_basis(ModeLayout(2, phonons=True), QuantaWindow(3, phonon_cap=2)),
+        enumerate_basis(ModeLayout(2, phonons=True), 2, phonon_cap=1),
+        enumerate_basis(ModeLayout(2, phonons=True), 3, phonon_cap=2),
     ]
     for basis in bases:
         for mode in range(len(basis.layout.modes)):
@@ -202,7 +200,7 @@ def test_lower_is_adjoint_of_raise():
 
 def test_raise_lower_product_is_number_op():
     layout = ModeLayout(2, phonons=True)
-    basis = enumerate_basis(layout, QuantaWindow(3, phonon_cap=2))
+    basis = enumerate_basis(layout, 3, phonon_cap=2)
     for mode in range(len(layout.modes)):
         prod = transfer_op(basis, None, mode) @ transfer_op(basis, mode, None)
         np.testing.assert_allclose(prod, number_op(basis, mode).elements, atol=1e-12)
@@ -210,7 +208,7 @@ def test_raise_lower_product_is_number_op():
 
 def test_number_op_diagonal_reads_occupations():
     layout = ModeLayout(2)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     for mode in range(len(layout.modes)):
         op = number_op(basis, mode)
         assert hermiticity_defect(op.elements) <= 1e-12
@@ -221,7 +219,7 @@ def test_number_op_diagonal_reads_occupations():
 
 def test_total_quanta_op_skips_phonons():
     layout = ModeLayout(1, phonons=True)
-    basis = enumerate_basis(layout, QuantaWindow(1, phonon_cap=1))
+    basis = enumerate_basis(layout, 1, phonon_cap=1)
     diag = np.diag(total_quanta_op(basis).elements).real
     for i, state in enumerate(basis.states):
         # modes: photon, exciton, phonon, sink
@@ -230,7 +228,7 @@ def test_total_quanta_op_skips_phonons():
 
 def test_two_level_anticommutator_is_identity():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, full_window(layout))
+    basis = enumerate_basis(layout, *full_window(layout))
     mode = layout.index(ModeKind.EXCITON, 1)
     ra, lo = transfer_op(basis, None, mode), transfer_op(basis, mode, None)
     anti = lo @ ra + ra @ lo
@@ -239,14 +237,14 @@ def test_two_level_anticommutator_is_identity():
 
 def test_operator_algebra_flags():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     assert hermiticity_defect(number_op(basis, 0).elements) <= 1e-12
     assert isinstance(transfer_op(basis, 0, 1), np.ndarray)
 
 
 def test_hermitian_tag_verified():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     bad = np.zeros((basis.dim, basis.dim), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
@@ -255,7 +253,7 @@ def test_hermitian_tag_verified():
 
 def test_random_symmetrized_matrix_passes_hermitian_tag():
     layout = ModeLayout(2)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     Operator(basis, a + a.conj().T)
@@ -263,14 +261,14 @@ def test_random_symmetrized_matrix_passes_hermitian_tag():
 
 def test_operator_shape_checked():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     with pytest.raises(ValueError):
         Operator(basis, np.zeros((2, 3)))
 
 
 def test_ladder_mode_index_range():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     with pytest.raises(IndexError):
         transfer_op(basis, None, 99)
     with pytest.raises(IndexError):
@@ -292,16 +290,16 @@ def test_layout_helpers():
         layout.index(ModeKind.PHOTON, 4)
 
 
-def test_window_validation():
+def test_enumerate_basis_validation():
     with pytest.raises(ValueError, match="^max_quanta:"):
-        QuantaWindow(-1)
+        enumerate_basis(ModeLayout(1), -1)
     with pytest.raises(ValueError, match="^phonon_cap:"):
-        QuantaWindow(1, phonon_cap=-1)
+        enumerate_basis(ModeLayout(1), 1, phonon_cap=-1)
 
 
 def test_density_matrix_validate():
     layout = ModeLayout(1)
-    basis = enumerate_basis(layout, QuantaWindow(1))
+    basis = enumerate_basis(layout, 1)
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho[0, 0] = 1.0
     validate_state(DensityMatrix(basis, rho))
