@@ -54,6 +54,7 @@ from .model import (
     DephasingTarget,
     InitialState,
     SinkCoupling,
+    build_basis,
 )
 
 
@@ -286,7 +287,12 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 
 
 def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
-    """Write ``<out>.manifest.json``; result is a TrajectoryRecord or SweepResult."""
+    """Write ``<out>.manifest.json``; result is a TrajectoryRecord or SweepResult.
+
+    The basis and its sectors come from the base chain: no sweepable
+    parameter changes the basis.
+    """
+    sectors = build_basis(setup.chain).sectors
     manifest = {
         "command": args.command,
         "config": serialize_run(setup),
@@ -295,6 +301,10 @@ def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
         "duration_seconds": duration,
         "max_trace_drift": result.max_trace_drift,
         "min_eigenvalue_seen": result.min_eigenvalue_seen,
+        "basis_dim": sectors.dim,
+        "sector_sizes": [
+            [n, sink, size] for (n, sink), size in zip(sectors.keys, sectors.sizes)
+        ],
     }
     with open(f"{args.out}.manifest.json", "w", newline="\n") as handle:
         json.dump(manifest, handle, indent=2)

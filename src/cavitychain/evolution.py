@@ -4,7 +4,9 @@ Each step conjugates the state with U = exp(-i*dt*H), computed once from the
 Hamiltonian eigendecomposition, then adds dt times the standard dissipator
 sum(L rho L^dag - (L^dag L rho + rho L^dag L)/2) over all jump operators.
 The scheme is first order in dt through the dissipator; the unitary half is
-exact.  A vectorized-Liouvillian oracle with a hand-rolled matrix exponential
+exact.  The state is stepped as one block per (excitation count, sink)
+sector of the basis, a structure the Hamiltonian and every jump preserve.
+A vectorized-Liouvillian oracle with a hand-rolled matrix exponential
 provides an independent second route for convergence testing.
 """
 
@@ -22,8 +24,8 @@ from .modes import (
     ModeKind,
     Operator,
     ProjectedBasis,
+    Sectors,
     hermiticity_defect,
-    min_eigenvalue,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -73,35 +75,73 @@ def diagonalize(hamiltonian: Operator) -> Propagator:
 
 
 class StepEngine:
-    """Precomputed arrays for repeated steps at one fixed dt."""
+    """Precomputed sector-blocked arrays for repeated steps at one fixed dt.
+
+    States are block stacks of the basis's ``sectors``.  The unitary is
+    packed once, and must not leak out of the sectors.  Every jump must be
+    monomial (one nonzero per row and column) and send each block into a
+    single block, so sum(L^dag L) is diagonal: the anticommutator and the
+    diagonal (dephasing) jumps fold into one elementwise weight, and each
+    other jump is a (destination, source, coefficient) map over the
+    flattened stack.
+    """
 
     def __init__(self, propagator: Propagator, terms: list[LindbladTerm], dt: float) -> None:
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         self.dt = float(dt)
-        self.unitary = propagator.unitary(dt)
-        self.unitary_dag = self.unitary.conj().T.copy()
-        dim = propagator.basis.dim
-        if terms:
-            self.jumps = np.stack([t.operator for t in terms])
-            self.jumps_dag = self.jumps.conj().transpose(0, 2, 1).copy()
-            # 0.5 * sum of L^dag L, shared by both anticommutator halves
-            self.half_rate = 0.5 * np.einsum(
-                "aij,ajk->ik", self.jumps_dag, self.jumps
-            )
-        else:
-            self.jumps = None
-            self.jumps_dag = None
-            self.half_rate = np.zeros((dim, dim), dtype=complex)
+        sectors = propagator.basis.sectors
+        self.unitary = sectors.pack(propagator.unitary(dt))
+        self.unitary_dag = self.unitary.conj().swapaxes(-1, -2).copy()
+        rows, cols = sectors.rows, sectors.cols
+        rates = np.zeros(sectors.dim)  # diagonal of sum(L^dag L)
+        gained = np.zeros(rows.shape, dtype=complex)  # diagonal jumps, in-block pairs
+        self.transfers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for term in terms:
+            sources, targets = _monomial_map(sectors, term)
+            amplitude = np.zeros(sectors.dim, dtype=complex)
+            amplitude[sources] = term.operator[targets, sources]
+            rates += np.abs(amplitude) ** 2
+            if np.array_equal(sources, targets):
+                gained += amplitude[rows] * amplitude[cols].conj()
+                continue
+            target = np.full(sectors.dim, -1)
+            target[sources] = targets
+            kept = (target[rows] >= 0) & (target[cols] >= 0)
+            self.transfers.append((
+                sectors.flat(target[rows[kept]], target[cols[kept]]),
+                sectors.packed[kept],
+                self.dt * amplitude[rows[kept]] * amplitude[cols[kept]].conj(),
+            ))
+        self.weight = np.zeros(sectors.shape, dtype=complex)
+        self.weight.reshape(-1)[sectors.packed] = self.dt * (
+            gained - 0.5 * (rates[rows] + rates[cols])
+        )
 
     def step(self, rho: np.ndarray) -> np.ndarray:
         out = self.unitary @ rho @ self.unitary_dag
-        if self.jumps is not None:
-            gained = np.matmul(np.matmul(self.jumps, rho), self.jumps_dag).sum(axis=0)
-            out += self.dt * (
-                gained - (self.half_rate @ rho + rho @ self.half_rate)
-            )
+        out += rho * self.weight
+        flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)
+        for destination, source, coefficient in self.transfers:
+            flat_out[destination] += coefficient * flat_rho[source]
         return out
+
+
+def _monomial_map(sectors: Sectors, term: LindbladTerm) -> tuple[np.ndarray, np.ndarray]:
+    """(source states, target states) of a jump's nonzeros, checked block to block."""
+    targets, sources = np.nonzero(term.operator)
+    for states in (targets, sources):
+        if np.bincount(states, minlength=1).max() > 1:
+            raise ValueError(
+                f"{term.label}: jump is not monomial "
+                "(more than one nonzero in a row or column)"
+            )
+    from_block, to_block = sectors.block[sources], sectors.block[targets]
+    destination = np.full(len(sectors.sizes), -1)
+    destination[from_block] = to_block
+    if np.any(destination[from_block] != to_block):
+        raise ValueError(f"{term.label}: jump sends one (N, sink) sector into several")
+    return sources, targets
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -163,11 +203,11 @@ def iter_steps(
 
     The one place that steps a density matrix: trajectories and sweep cells
     all consume this loop, which diagonalizes the Hamiltonian of the chain it
-    steps.  Each yielded state is a fresh array that later steps never write
-    to.
+    steps.  Each yielded state is a fresh block stack of
+    ``chain.basis.sectors`` that later steps never write to.
     """
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
-    rho = chain.initial.elements.copy()
+    rho = chain.basis.sectors.pack(chain.initial.elements)
     yield 0, rho
     for i in range(1, n_steps + 1):
         rho = engine.step(rho)
@@ -188,6 +228,7 @@ def evolve_assembled(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_steps = step_count(t_end, dt)
     basis = chain.basis
+    sectors = basis.sectors
     layout = basis.layout
     occ = basis.occupations
     sink_col = sink_column(basis)
@@ -198,13 +239,13 @@ def evolve_assembled(
     trace, min_eig, herm = [], [], []
     for i, rho in iter_steps(chain, dt, n_steps):
         if i % sample_every == 0 or i == n_steps:
-            populations = np.diag(rho).real
+            populations = sectors.populations(rho)
             times.append(i * dt)
             sink.append(float(populations @ sink_col))
             photon.append(populations @ photon_cols)
             exciton.append(populations @ exciton_cols)
             trace.append(float(populations.sum()))
-            min_eig.append(min_eigenvalue(rho))
+            min_eig.append(sectors.min_eigenvalue(rho))
             herm.append(hermiticity_defect(rho))
 
     return TrajectoryRecord(
@@ -215,7 +256,7 @@ def evolve_assembled(
         trace=np.array(trace),
         min_eigenvalue=np.array(min_eig),
         hermiticity=np.array(herm),
-        final_state=DensityMatrix(basis, rho),
+        final_state=DensityMatrix(basis, sectors.unpack(rho)),
     )
 
 

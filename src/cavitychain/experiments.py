@@ -17,7 +17,6 @@ import numpy as np
 
 from .evolution import DEFAULT_DT, iter_steps, sink_column, step_count
 from .model import ChainConfig, DephasingModel, InitialState, assemble
-from .modes import min_eigenvalue
 
 SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 
@@ -164,13 +163,14 @@ def _cell_outcome(
     its last state only.
     """
     chain = assemble(config)
+    sectors = chain.basis.sectors
     sink_col = sink_column(chain.basis)
     reach = isinstance(objective, TimeToReach)
     t_end = objective.t_max if reach else objective.t
     states = iter_steps(chain, dt, step_count(t_end, dt))
     drift = 0.0
     for i, rho in states:
-        populations = np.diag(rho).real
+        populations = sectors.populations(rho)
         drift = max(drift, abs(float(populations.sum()) - 1.0))
         if reach:
             current = float(populations @ sink_col)
@@ -179,12 +179,13 @@ def _cell_outcome(
                     (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
                 )
                 if crossing <= objective.t_max + 1e-9 * dt:  # step_count's roundoff
-                    return _CellOutcome(crossing, False, drift, min_eigenvalue(rho))
+                    return _CellOutcome(crossing, False, drift, sectors.min_eigenvalue(rho))
                 break  # crossed only inside the step that overshoots t_max
             prev = current
+    final_min_eig = sectors.min_eigenvalue(rho)
     if reach:  # no crossing by t_max: the cell carries its cap
-        return _CellOutcome(objective.t_max, True, drift, min_eigenvalue(rho))
-    return _CellOutcome(float(populations @ sink_col), False, drift, min_eigenvalue(rho))
+        return _CellOutcome(objective.t_max, True, drift, final_min_eig)
+    return _CellOutcome(float(populations @ sink_col), False, drift, final_min_eig)
 
 
 def time_to_reach(

@@ -9,6 +9,12 @@ separately, at ``phonon_cap``, because phonon number is not conserved.
 Every coupling and jump of the chain moves one excitation, so one builder,
 ``transfer_op``, makes them all directly in the projected basis: moving out
 of the kept set projects to zero rather than erroring.
+
+The Hamiltonian keeps the excitation count N and the sink occupation, and
+each jump moves a whole (N, sink) block into one other block (the pump
+raises N, loss lowers it, the drain fills the sink), so
+``ProjectedBasis.sectors`` groups the basis into these blocks and a state is
+stored as one square block per sector.
 """
 
 from __future__ import annotations
@@ -16,10 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+# largest off-sector element a matrix may carry and still be packed
+SECTOR_LEAK_TOL = 1e-12
 
 
 class ModeKind(Enum):
@@ -95,8 +104,92 @@ class ProjectedBasis:
         """Dense index of an occupation vector; KeyError if projected out."""
         return self.index_of[tuple(occupation)]
 
+    @cached_property
+    def sectors(self) -> Sectors:
+        """The (N, sink) blocks of this basis, derived on first use."""
+        return Sectors(self)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProjectedBasis(dim={self.dim}, sites={self.layout.n_sites})"
+
+
+class Sectors:
+    """The basis grouped into blocks of equal (excitation count N, sink occupation).
+
+    A block state is a zero-padded ``(blocks, size, size)`` complex stack:
+    block k holds the rows and columns of sector ``keys[k]``, its states in
+    basis order, and the padding past ``sizes[k]`` stays exactly zero.
+    Blocks are sorted by (N, sink).  Flat indices address the flattened
+    stack.
+    """
+
+    def __init__(self, basis: ProjectedBasis) -> None:
+        layout = basis.layout
+        counted = [i for i, m in enumerate(layout.modes) if m.kind in COUNTED_KINDS]
+        occ = basis.occupations
+        sink = occ[:, layout.index(ModeKind.SINK, layout.n_sites)]
+        # sink is two-level, so 2N + sink sorts as (N, sink)
+        key = 2 * occ[:, counted].sum(axis=1) + sink
+        counts = np.bincount(key)
+        keys = np.flatnonzero(counts)
+        sizes = counts[keys]
+        self.block = np.searchsorted(keys, key)
+        self.keys = tuple((int(k) // 2, int(k) % 2) for k in keys)
+        self.sizes = tuple(int(size) for size in sizes)
+        dim = self.dim = basis.dim
+        size = int(sizes.max())
+        self.shape = (len(sizes), size, size)
+        order = np.argsort(self.block, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        self.position = np.empty(dim, dtype=np.int64)
+        self.position[order] = np.arange(dim) - np.repeat(starts, sizes)
+        # every (row, col) pair of basis states inside one block
+        self.rows, self.cols = np.nonzero(self.block[:, None] == self.block[None, :])
+        self.packed = self.flat(self.rows, self.cols)
+        # population of every basis state, in basis order
+        self.diagonal = self.flat(np.arange(dim), np.arange(dim))
+        self._by_size = [(s, np.flatnonzero(sizes == s)) for s in sorted(set(self.sizes))]
+
+    def flat(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Flat stack index of each (row, col) pair of same-block basis states."""
+        size = self.shape[1]
+        return (self.block[rows] * size + self.position[rows]) * size + self.position[cols]
+
+    def pack(self, dense: np.ndarray) -> np.ndarray:
+        """Block stack of a dense d x d matrix that stays inside the sectors.
+
+        Raises ArithmeticError if an element outside the blocks exceeds
+        SECTOR_LEAK_TOL, rather than dropping it.
+        """
+        inside = dense[self.rows, self.cols]
+        outside = dense.copy()
+        outside[self.rows, self.cols] = 0
+        leak = float(np.abs(outside).max(initial=0.0))
+        if not leak <= SECTOR_LEAK_TOL:
+            raise ArithmeticError(
+                f"matrix leaks out of its (N, sink) sectors: max off-block |element| "
+                f"{leak:.3e} > {SECTOR_LEAK_TOL:g}"
+            )
+        blocks = np.zeros(self.shape, dtype=complex)
+        blocks.reshape(-1)[self.packed] = inside
+        return blocks
+
+    def unpack(self, blocks: np.ndarray) -> np.ndarray:
+        """Dense d x d matrix of a block stack."""
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        dense[self.rows, self.cols] = blocks.reshape(-1)[self.packed]
+        return dense
+
+    def populations(self, blocks: np.ndarray) -> np.ndarray:
+        """Real diagonal of a block state, in basis order."""
+        return blocks.reshape(-1)[self.diagonal].real
+
+    def min_eigenvalue(self, blocks: np.ndarray) -> float:
+        """Smallest eigenvalue of a Hermitian block state, over its unpadded blocks."""
+        return min(
+            float(np.linalg.eigvalsh(blocks[index, :size, :size])[:, 0].min())
+            for size, index in self._by_size
+        )
 
 
 def enumerate_basis(
@@ -210,10 +303,5 @@ def transfer_op(
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max element of |A - A^dag|."""
-    return float(np.abs(matrix - matrix.conj().T).max())
-
-
-def min_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(matrix)[0])
+    """Max element of |A - A^dag|, over the last two axes of a matrix or block stack."""
+    return float(np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max())

@@ -1,7 +1,9 @@
-"""Operators and state checks that tests use as oracles; the package needs none.
+"""Operators, state checks and a dense step that tests use as oracles.
 
 Each operator is built straight from the basis occupation table, not from
-``transfer_op``, the operator builder under test.
+``transfer_op``, the operator builder under test.  ``dense_step`` steps a
+full d x d density matrix with one matmul per jump, the route the blocked
+``StepEngine`` replaced.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ from cavitychain.modes import (
     Operator,
     ProjectedBasis,
     hermiticity_defect,
-    min_eigenvalue,
 )
 
 OBSERVABLE_IMAG_TOL = 1e-9
@@ -50,6 +51,40 @@ def observable(rho: DensityMatrix, op: Operator) -> float:
             f"Hermitian observable returned imaginary part {value.imag:.3e}"
         )
     return value.real
+
+
+def dense_step(propagator, terms, dt: float):
+    """The step map rho -> U rho U^dag + dt * D(rho) on dense d x d arrays.
+
+    Every jump is a dense matmul, so this costs about (4 + 2J) d^3 per step
+    and makes no use of sectors or of the jumps' monomial shape.
+    """
+    unitary = propagator.unitary(dt)
+    unitary_dag = unitary.conj().T.copy()
+    dim = propagator.basis.dim
+    if terms:
+        jumps = np.stack([t.operator for t in terms])
+        jumps_dag = jumps.conj().transpose(0, 2, 1).copy()
+        # 0.5 * sum of L^dag L, shared by both anticommutator halves
+        half_rate = 0.5 * np.einsum("aij,ajk->ik", jumps_dag, jumps)
+    else:
+        jumps = None
+        jumps_dag = None
+        half_rate = np.zeros((dim, dim), dtype=complex)
+
+    def step(rho: np.ndarray) -> np.ndarray:
+        out = unitary @ rho @ unitary_dag
+        if jumps is not None:
+            gained = np.matmul(np.matmul(jumps, rho), jumps_dag).sum(axis=0)
+            out += dt * (gained - (half_rate @ rho + rho @ half_rate))
+        return out
+
+    return step
+
+
+def min_eigenvalue(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return float(np.linalg.eigvalsh(matrix)[0])
 
 
 def trace(rho: DensityMatrix) -> float:

@@ -198,6 +198,31 @@ def test_manifest_round_trips(tmp_path):
     assert reparsed == parse_config((tmp_path / "run.cfg").read_text())
 
 
+@pytest.mark.parametrize(
+    "command,text,flags",
+    [
+        ("evolve", "n_atoms=2 k=0.8 mu=0.2 rate_out=1.0\n", ("--t-max", "1")),
+        (
+            "dat",
+            "n_atoms=2 k=0.8 mu=0.2 objective_time=1\n"
+            "axis1_param=rate_out axis1_values=0.5,1.0\n"
+            "axis2_param=g axis2_values=0.0,0.3\n",
+            (),
+        ),
+    ],
+    ids=["evolve", "dat"],
+)
+def test_manifest_records_basis_and_sectors(tmp_path, command, text, flags):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", config, "--out", str(out), *flags) == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert list(manifest)[-2:] == ["basis_dim", "sector_sizes"]
+    assert manifest["basis_dim"] == 6
+    # [N, sink, size]: the vacuum; a photon or exciton on either site; the sink
+    assert manifest["sector_sizes"] == [[0, 0, 1], [1, 0, 4], [1, 1, 1]]
+
+
 def test_sweep_csv_layout(tmp_path):
     config = write_config(
         tmp_path,

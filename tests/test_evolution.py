@@ -17,6 +17,7 @@ from cavitychain.experiments import SinkAtTime, SweepAxis, SweepSpec, time_to_re
 from cavitychain.model import (
     ChainConfig,
     DephasingModel,
+    LindbladTerm,
     SinkCoupling,
     assemble,
     build_basis,
@@ -27,6 +28,7 @@ from cavitychain.modes import (
     ModeLayout,
     Operator,
     enumerate_basis,
+    transfer_op,
 )
 from operator_oracles import identity_op, number_op, observable, total_quanta_op, trace
 
@@ -86,9 +88,11 @@ def test_unitary_step_preserves_spectrum():
     prop = diagonalize(chain.hamiltonian)
     rho = chain.initial
     engine = StepEngine(prop, [], 0.05)
+    sectors = rho.basis.sectors
     before = np.linalg.eigvalsh(rho.elements)
     for _ in range(50):
-        rho = DensityMatrix(rho.basis, engine.step(rho.elements))
+        stepped = engine.step(sectors.pack(rho.elements))
+        rho = DensityMatrix(rho.basis, sectors.unpack(stepped))
     after = np.linalg.eigvalsh(rho.elements)
     np.testing.assert_allclose(after, before, atol=1e-10)
     assert trace(rho) == pytest.approx(1.0, abs=1e-12)
@@ -111,7 +115,9 @@ def test_single_jump_hand_computed_step():
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho[exciton_idx, exciton_idx] = 1.0
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
-    stepped = DensityMatrix(basis, engine.step(rho))
+    stepped = DensityMatrix(
+        basis, basis.sectors.unpack(engine.step(basis.sectors.pack(rho)))
+    )
     assert stepped.elements[sink_idx, sink_idx].real == pytest.approx(0.0064, abs=1e-15)
     assert stepped.elements[exciton_idx, exciton_idx].real == pytest.approx(
         1 - 0.0064, abs=1e-15
@@ -135,6 +141,36 @@ def test_step_engine_validates_dt():
     prop = diagonalize(chain.hamiltonian)
     with pytest.raises(ValueError):
         StepEngine(prop, [], 0.0)
+
+
+def test_step_engine_rejects_hamiltonian_coupling_sectors():
+    rng = np.random.default_rng(3)
+    basis = two_site_basis()
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    prop = diagonalize(Operator(basis, a + a.conj().T))
+    with pytest.raises(ArithmeticError, match="sectors"):
+        StepEngine(prop, [], 0.01)
+
+
+# mode positions on the two-site layout: photon_1, exciton_1, photon_2, exciton_2, sink
+PHOTON_1, EXCITON_1, PHOTON_2, EXCITON_2 = 0, 1, 2, 3
+
+
+@pytest.mark.parametrize(
+    "moves,match",
+    [
+        # photon_1 hops and is absorbed at once: two nonzeros in one column
+        (((PHOTON_1, PHOTON_2), (PHOTON_1, EXCITON_1)), "not monomial"),
+        # the one-excitation block goes partly to N = 1, partly to the vacuum
+        (((PHOTON_1, PHOTON_2), (EXCITON_2, None)), "into several"),
+    ],
+)
+def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
+    basis = two_site_basis()
+    term = LindbladTerm("mixer", sum(transfer_op(basis, a, b) for a, b in moves))
+    prop = diagonalize(Operator(basis, np.zeros((basis.dim, basis.dim))))
+    with pytest.raises(ValueError, match=f"^mixer: .*{match}"):
+        StepEngine(prop, [term], 0.01)
 
 
 def test_step_count():
@@ -398,8 +434,10 @@ def test_quanta_conserved_without_input():
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
     n_quanta = total_quanta_op(chain.basis)
     rho = chain.initial
+    sectors = rho.basis.sectors
     values = [observable(rho, n_quanta)]
     for _ in range(200):
-        rho = DensityMatrix(rho.basis, engine.step(rho.elements))
+        stepped = engine.step(sectors.pack(rho.elements))
+        rho = DensityMatrix(rho.basis, sectors.unpack(stepped))
         values.append(observable(rho, n_quanta))
     np.testing.assert_allclose(values, 1.0, atol=1e-8)

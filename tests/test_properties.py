@@ -3,14 +3,16 @@
 Trajectories and sweep cells consume the same step loop, so what a sweep cell
 reports must agree with what ``evolve`` samples on the same chain, and every
 sampled state must stay a trace-one Hermitian matrix.  Chains stay at
-dimension <= 32 and runs at <= 300 steps.
+dimension <= 32 and runs at <= 300 steps.  The blocked step itself is
+checked against the dense step of ``operator_oracles`` on chains up to
+dimension 128.
 """
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cavitychain.evolution import evolve
+from cavitychain.evolution import diagonalize, evolve, iter_steps
 from cavitychain.experiments import (
     ReachTime,
     SinkAtTime,
@@ -24,8 +26,10 @@ from cavitychain.model import (
     DephasingModel,
     DephasingTarget,
     SinkCoupling,
+    assemble,
     build_basis,
 )
+from operator_oracles import dense_step
 
 MAX_DIM = 32
 # with run times up to 3.0, every dt here keeps a run at <= 300 steps
@@ -104,3 +108,54 @@ def test_evolve_preserves_trace(config, dt, t):
 @given(chains(), time_steps, run_times)
 def test_evolve_preserves_hermiticity(config, dt, t):
     assert evolve(config, t, dt).max_hermiticity_defect <= HERMITICITY_DEFECT_MAX
+
+
+# The blocked and dense routes differ only in roundoff, and the dense route's
+# leak out of the (N, sink) blocks is roundoff from its dense eigh.
+BLOCKED_VS_DENSE_MAX = 1e-12
+DENSE_SECTOR_LEAK_MAX = 1e-12
+
+
+@st.composite
+def sector_chains(draw):
+    """A chain up to three sites and dimension 128, pumped or not, any dephasing."""
+    pumped = draw(st.booleans())
+    config = ChainConfig(
+        n_atoms=draw(st.integers(1, 3)),
+        k=draw(strengths),
+        mu=draw(strengths),
+        g=draw(strengths),
+        rate_in=draw(st.sampled_from((0.7, 1.5))) if pumped else 0.0,
+        rate_out=draw(st.floats(0.0, 2.0)),
+        cavity_loss=draw(st.sampled_from((0.0, 0.2))),
+        dephasing=draw(st.sampled_from(DephasingModel)),
+        sink_coupling=draw(st.sampled_from(SinkCoupling)),
+        dephasing_target=draw(st.sampled_from(DephasingTarget)),
+        max_quanta=None if pumped else draw(st.integers(1, 3)),
+    )
+    assume(build_basis(config).dim <= 128)
+    return config
+
+
+@settings(max_examples=25)
+@given(sector_chains(), time_steps, st.integers(1, 200))
+# every kind of jump at dimension 128: pump, drain, dephasing and loss
+@example(
+    ChainConfig(
+        n_atoms=3, k=1.0, mu=1.0, g=0.5, rate_in=1.5, rate_out=1.5, cavity_loss=0.2
+    ),
+    0.01,
+    200,
+)
+def test_blocked_step_matches_dense_step(config, dt, n_steps):
+    chain = assemble(config)
+    sectors = chain.basis.sectors
+    step = dense_step(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
+    rho = chain.initial.elements
+    for i, blocks in iter_steps(chain, dt, n_steps):
+        if i:
+            rho = step(rho)
+        assert np.abs(sectors.unpack(blocks) - rho).max() <= BLOCKED_VS_DENSE_MAX
+        leak = rho.copy()
+        leak[sectors.rows, sectors.cols] = 0
+        assert np.abs(leak).max() <= DENSE_SECTOR_LEAK_MAX
