@@ -27,7 +27,7 @@ import math
 import sys
 import time as _time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 from . import __version__
@@ -46,38 +46,20 @@ from .experiments import (
     default_rate_grid,
     run_sweep,
 )
-from .model import (
-    FLOAT_FIELDS,
-    INT_FIELDS,
-    ChainConfig,
-    DephasingModel,
-    DephasingTarget,
-    InitialState,
-    SinkCoupling,
-    build_basis,
-)
+from .model import FIELD_KINDS, ChainConfig, DephasingModel, build_basis
 
 
 class ConfigError(ValueError):
     """Raised for malformed or contradictory configuration text."""
 
 
-_FLOAT_KEYS = FLOAT_FIELDS + ("objective_time",)
-_ENUM_KEYS = {
-    "dephasing": DephasingModel,
-    "sink_coupling": SinkCoupling,
-    "dephasing_target": DephasingTarget,
-    "initial_state": InitialState,
-}
 # long-form spellings tolerated on input, never emitted
 _ENUM_ALIASES = {
     "dephasing": {"unitaryphonon": "unitary", "lindbladlike": "lindblad"},
 }
 _AXIS_KEYS = ("axis1_param", "axis1_values", "axis2_param", "axis2_values")
-# every ChainConfig field is a config key, written in declaration order
-_CHAIN_KEYS = tuple(field.name for field in fields(ChainConfig))
 _OBJECTIVE_KINDS = ("time_to_reach", "sink_at_time")
-_ALL_KEYS = frozenset(_CHAIN_KEYS + _AXIS_KEYS + ("objective", "objective_time"))
+_ALL_KEYS = frozenset((*FIELD_KINDS, *_AXIS_KEYS, "objective", "objective_time"))
 
 
 @dataclass(frozen=True)
@@ -124,17 +106,6 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: not an integer: {raw!r}") from None
 
 
-def _parse_enum(key: str, raw: str):
-    kind = _ENUM_KEYS[key]
-    token = raw.lower()
-    token = _ENUM_ALIASES.get(key, {}).get(token, token)
-    try:
-        return kind(token)
-    except ValueError:
-        options = "|".join(member.value for member in kind)
-        raise ConfigError(f"{key}: expected one of {options}, got {raw!r}") from None
-
-
 def _parse_values(key: str, raw: str) -> tuple[float, ...]:
     parts = [part for part in raw.split(",") if part != ""]
     if not parts:
@@ -154,12 +125,14 @@ def parse_config(text: str) -> RunSetup:
             raise ConfigError(f"unknown key: {key}")
         if key in values:
             raise ConfigError(f"duplicate key: {key}")
-        if key in _FLOAT_KEYS:
+        kind = FIELD_KINDS.get(key)
+        if kind is float or key == "objective_time":  # the one non-chain float key
             values[key] = _parse_float(key, raw)
-        elif key in INT_FIELDS:
+        elif kind is int:
             values[key] = _parse_int(key, raw)
-        elif key in _ENUM_KEYS:
-            values[key] = _parse_enum(key, raw)
+        elif kind is not None:  # an enum: ChainConfig checks the token
+            token = raw.lower()
+            values[key] = _ENUM_ALIASES.get(key, {}).get(token, token)
         elif key in ("axis1_values", "axis2_values"):
             values[key] = _parse_values(key, raw)
         elif key == "objective":
@@ -175,7 +148,7 @@ def parse_config(text: str) -> RunSetup:
         raise ConfigError("n_atoms is required")
 
     try:
-        chain = ChainConfig(**{key: values[key] for key in _CHAIN_KEYS if key in values})
+        chain = ChainConfig(**{key: values[key] for key in FIELD_KINDS if key in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -211,10 +184,7 @@ def parse_config(text: str) -> RunSetup:
         objective_kind=objective_kind,
         objective_time=objective_time,
     )
-    if (
-        chain.dephasing is DephasingModel.UNITARY_PHONON
-        and chain.g == 0.0
-    ):
+    if chain.dephasing is DephasingModel.UNITARY_PHONON and chain.g == 0.0:
         warnings.warn(
             "dephasing=unitary with g=0: phonons are present but decoupled",
             UserWarning,
@@ -226,9 +196,9 @@ def parse_config(text: str) -> RunSetup:
 def serialize_run(setup: RunSetup) -> str:
     """Emit config text that parses back to an equal RunSetup."""
     lines = []
-    for key in _CHAIN_KEYS:
+    # every ChainConfig field is a config key, written in declaration order
+    for key in FIELD_KINDS:
         value = getattr(setup.chain, key)
-        # str(x) == repr(x) for a float, and a numpy scalar writes as a number
         lines.append(f"{key}={value.value if isinstance(value, Enum) else value}")
     for prefix, axis in (("axis1", setup.axis1), ("axis2", setup.axis2)):
         if axis is not None:

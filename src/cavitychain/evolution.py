@@ -13,6 +13,7 @@ provides an independent second route for convergence testing.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -224,6 +225,10 @@ def evolve_assembled(
     chain: AssembledChain, t_end: float, dt: float, sample_every: int = 1
 ) -> TrajectoryRecord:
     """Run the step loop on a prebuilt chain, sampling every few steps."""
+    try:
+        sample_every = operator.index(sample_every)
+    except TypeError:
+        raise ValueError(f"sample_every must be an integer, got {sample_every!r}") from None
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_steps = step_count(t_end, dt)

@@ -19,10 +19,13 @@ Two conventions worth knowing before reading numbers off the output:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from types import NoneType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -62,16 +65,12 @@ class InitialState(Enum):
     PHOTON_IN_FIRST_CAVITY = "photon1"
 
 
-# ChainConfig float and integer fields, in declaration order
-FLOAT_FIELDS = (
-    "k", "mu", "g", "omega_a", "omega_p", "omega_g", "rate_in", "rate_out", "cavity_loss"
-)
-INT_FIELDS = ("n_atoms", "max_quanta", "phonon_cap")
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Full parameter set of one chain model; its fields are the config keys.
+
+    Each field is normalized to its type in ``FIELD_KINDS``, and a value
+    that does not fit raises ``ValueError`` naming the field.
 
     ``initial_state`` and ``max_quanta`` may be left as None: pumped chains
     (rate_in > 0) default to a vacuum start and the widest window the
@@ -97,19 +96,15 @@ class ChainConfig:
     phonon_cap: int = 1
 
     def __post_init__(self) -> None:
-        for name in INT_FIELDS:
+        for name, kind in FIELD_KINDS.items():
             value = getattr(self, name)
-            if name == "max_quanta" and value is None:
-                continue  # resolved below
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+            if type(value) is not kind and not (value is None and name in _OPTIONAL):
+                value = _normalized(name, kind, value)
+                object.__setattr__(self, name, value)
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms: must be >= 1, got {self.n_atoms}")
-        for name in FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         pumped = self.rate_in > 0
         if self.initial_state is None:
             default = InitialState.VACUUM if pumped else InitialState.PHOTON_IN_FIRST_CAVITY
@@ -124,6 +119,34 @@ class ChainConfig:
             and self.max_quanta < 1
         ):
             raise ValueError("max_quanta: must be >= 1 to hold the initial photon")
+
+
+_HINTS = get_type_hints(ChainConfig)
+# each config key's type, read off its annotation with `X | None` taken as X;
+# the keys in _OPTIONAL may be left as None for ChainConfig to resolve
+FIELD_KINDS = {
+    name: next(arg for arg in get_args(hint) or (hint,) if arg is not NoneType)
+    for name, hint in _HINTS.items()
+}
+_OPTIONAL = frozenset(name for name, hint in _HINTS.items() if NoneType in get_args(hint))
+
+
+def _normalized(name: str, kind: type, value: object) -> object:
+    """``value`` as an instance of ``kind``, or a ValueError naming the field."""
+    if kind is int:
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+    if kind is float:
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}: must be a number, got {value!r}")
+        return float(value)
+    try:
+        return kind(value)
+    except ValueError:
+        options = "|".join(member.value for member in kind)
+        raise ValueError(f"{name}: expected one of {options}, got {value!r}") from None
 
 
 @dataclass(frozen=True)

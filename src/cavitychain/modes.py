@@ -251,7 +251,8 @@ class Operator:
 
 @dataclass
 class DensityMatrix:
-    """State of the chain: Hermitian, trace-one, positive matrix over a basis."""
+    """State of the chain over a basis.  Only the matrix shape is checked, not
+    Hermiticity, trace or positivity (Euler steps can dip below zero)."""
 
     basis: ProjectedBasis
     elements: np.ndarray

@@ -15,7 +15,13 @@ from cavitychain.cli import (
     serialize_run,
 )
 from cavitychain.experiments import SweepAxis
-from cavitychain.model import ChainConfig, DephasingModel, SinkCoupling
+from cavitychain.model import (
+    ChainConfig,
+    DephasingModel,
+    DephasingTarget,
+    InitialState,
+    SinkCoupling,
+)
 
 
 def test_parse_minimal_defaults():
@@ -99,6 +105,12 @@ def test_serialize_round_trip_simple():
 def test_serialize_round_trip_randomized():
     rng = np.random.default_rng(7)
     params = ("rate_in", "rate_out", "k", "mu", "g")
+
+    def draw_enum(kind):
+        # a member or its value string, which ChainConfig turns into the member
+        member = list(kind)[int(rng.integers(len(kind)))]
+        return member.value if rng.random() < 0.5 else member
+
     for _ in range(20):
         chain = ChainConfig(
             n_atoms=int(rng.integers(1, 4)),
@@ -108,7 +120,10 @@ def test_serialize_round_trip_randomized():
             rate_in=float(rng.choice([0.0, rng.uniform(0.1, 2)])),
             rate_out=float(rng.uniform(0, 2)),
             cavity_loss=float(rng.choice([0.0, 0.3])),
-            dephasing=DephasingModel(str(rng.choice(["none", "lindblad", "unitary"]))),
+            dephasing=draw_enum(DephasingModel),
+            sink_coupling=draw_enum(SinkCoupling),
+            dephasing_target=draw_enum(DephasingTarget),
+            initial_state=draw_enum(InitialState),
             max_quanta=int(rng.integers(1, 5)),
             phonon_cap=int(rng.integers(0, 3)),
         )

@@ -17,6 +17,7 @@ from cavitychain.experiments import SinkAtTime, SweepAxis, SweepSpec, time_to_re
 from cavitychain.model import (
     ChainConfig,
     DephasingModel,
+    DephasingTarget,
     LindbladTerm,
     SinkCoupling,
     assemble,
@@ -308,6 +309,12 @@ def test_evolve_sampling_grid():
     assert record.photon.shape == (5, 1)
     with pytest.raises(ValueError):
         evolve(config, 1.0, dt=0.01, sample_every=0)
+    # a non-integer step count is rejected, not rounded into another grid
+    for bad in (1.5, "2", None):
+        with pytest.raises(ValueError, match="^sample_every must be an integer"):
+            evolve(config, 1.0, dt=0.01, sample_every=bad)
+    record = evolve(config, 1.0, dt=0.01, sample_every=np.int64(30))
+    np.testing.assert_allclose(record.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
 
 
 def test_trajectory_record_summaries():
@@ -377,14 +384,24 @@ def test_oracle_matches_unitary_path():
 
 
 def test_oracle_first_order_agreement_with_stepper():
-    config = ChainConfig(n_atoms=2, k=0.8, mu=0.5, g=0.4, rate_out=1.2)
+    drain_and_photon_dephasing = ChainConfig(n_atoms=2, k=0.8, mu=0.5, g=0.4, rate_out=1.2)
+    # d = 8 with the pump, the exciton drain, exciton dephasing and cavity loss
+    every_jump_kind = ChainConfig(
+        n_atoms=1, mu=0.8, g=0.4, rate_in=0.7, rate_out=0.5, cavity_loss=0.3,
+        sink_coupling=SinkCoupling.LAST_EXCITON,
+        dephasing_target=DephasingTarget.EXCITON_NUMBER,
+    )
+    assert [t.label for t in assemble(every_jump_kind).lindblad_terms] == [
+        "input", "output", "dephasing_1", "loss_1"
+    ]
     t = 2.0
-    reference = superoperator_oracle(config, t).elements
-    err = {
-        dt: np.abs(evolve(config, t, dt=dt).final_state.elements - reference).max()
-        for dt in (0.02, 0.01)
-    }
-    assert 1.7 <= err[0.02] / err[0.01] <= 2.3
+    for config in (drain_and_photon_dephasing, every_jump_kind):
+        reference = superoperator_oracle(config, t).elements
+        err = {
+            dt: np.abs(evolve(config, t, dt=dt).final_state.elements - reference).max()
+            for dt in (0.02, 0.01)
+        }
+        assert 1.7 <= err[0.02] / err[0.01] <= 2.3
 
 
 def test_oracle_dimension_guard():

@@ -68,6 +68,52 @@ def test_config_validation():
         ChainConfig(n_atoms=1, phonon_cap=0.5, dephasing=DephasingModel.UNITARY_PHONON)
 
 
+def test_enum_value_strings_become_members():
+    by_string = ChainConfig(n_atoms=2, g=0.3, rate_out=0.6, dephasing="lindblad")
+    by_member = ChainConfig(
+        n_atoms=2, g=0.3, rate_out=0.6, dephasing=DephasingModel.LINDBLAD_LIKE
+    )
+    assert by_string.dephasing is DephasingModel.LINDBLAD_LIKE
+    assert by_string == by_member
+    labels = [t.label for t in assemble(by_string).lindblad_terms]
+    assert labels == [t.label for t in assemble(by_member).lindblad_terms]
+    assert labels == ["output", "dephasing_1", "dephasing_2"]
+    phonons = ChainConfig(n_atoms=2, g=0.5, dephasing="unitary")
+    assert build_basis(phonons).dim == 24
+    exciton = ChainConfig(
+        n_atoms=1, sink_coupling="exciton", dephasing_target="exciton",
+        initial_state="vacuum",
+    )
+    assert exciton.sink_coupling is SinkCoupling.LAST_EXCITON
+    assert exciton.dephasing_target is DephasingTarget.EXCITON_NUMBER
+    assert exciton.initial_state is InitialState.VACUUM
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dephasing", "sometimes"),
+        ("initial_state", "bogus"),
+        ("sink_coupling", DephasingTarget.PHOTON_NUMBER),
+        ("k", "0.5"),
+        ("rate_out", None),
+        ("g", 0.5j),
+        ("dephasing", None),
+    ],
+)
+def test_bad_field_value_names_the_field(field, value):
+    kwargs = {"n_atoms": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        ChainConfig(**kwargs)
+
+
+def test_real_numbers_are_stored_as_float():
+    config = ChainConfig(n_atoms=np.int64(1), k=np.float64(0.7), mu=1, g=np.int32(2))
+    assert (config.k, config.mu, config.g) == (0.7, 1.0, 2.0)
+    assert all(type(v) is float for v in (config.k, config.mu, config.g))
+    assert type(config.n_atoms) is int
+
+
 def test_hamiltonian_diagonal_when_uncoupled():
     config = ChainConfig(
         n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, max_quanta=1
