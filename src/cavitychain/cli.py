@@ -260,7 +260,8 @@ def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
     """Write ``<out>.manifest.json``; result is a TrajectoryRecord or SweepResult.
 
     The basis and its sectors come from the base chain: no sweepable
-    parameter changes the basis.
+    parameter changes the basis.  A sweep also records how many cells each
+    route ran.
     """
     sectors = build_basis(setup.chain).sectors
     manifest = {
@@ -271,11 +272,13 @@ def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
         "duration_seconds": duration,
         "max_trace_drift": result.max_trace_drift,
         "min_eigenvalue_seen": result.min_eigenvalue_seen,
-        "basis_dim": sectors.dim,
-        "sector_sizes": [
-            [n, sink, size] for (n, sink), size in zip(sectors.keys, sectors.sizes)
-        ],
     }
+    if isinstance(result, SweepResult):
+        manifest["cell_routes"] = result.cell_routes
+    manifest["basis_dim"] = sectors.dim
+    manifest["sector_sizes"] = [
+        [n, sink, size] for (n, sink), size in zip(sectors.keys, sectors.sizes)
+    ]
     with open(f"{args.out}.manifest.json", "w", newline="\n") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")

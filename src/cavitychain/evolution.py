@@ -6,6 +6,9 @@ sum(L rho L^dag - (L^dag L rho + rho L^dag L)/2) over all jump operators.
 The scheme is first order in dt through the dissipator; the unitary half is
 exact.  The state is stepped as one block per (excitation count, sink)
 sector of the basis, a structure the Hamiltonian and every jump preserve.
+A sweep cell needs only the sink and trace at each step, so where
+``cell_route`` finds it cheaper, it reads them off powers of the step's
+matrix on packed block coordinates, CHUNK_STEPS steps per product.
 A vectorized-Liouvillian oracle with a hand-rolled matrix exponential
 provides an independent second route for convergence testing.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +123,15 @@ class StepEngine:
         )
 
     def step(self, rho: np.ndarray) -> np.ndarray:
+        """One step of a block stack, or of a stack of them along leading batch axes."""
         out = self.unitary @ rho @ self.unitary_dag
         out += rho * self.weight
         flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)
-        for destination, source, coefficient in self.transfers:
+        transfers = self.transfers
+        if rho.ndim > 3:  # each stack of a batch takes every transfer at its offset
+            offsets = np.arange(0, rho.size, self.weight.size)[:, None]
+            transfers = [(offsets + d, offsets + s, c) for d, s, c in transfers]
+        for destination, source, coefficient in transfers:
             flat_out[destination] += coefficient * flat_rho[source]
         return out
 
@@ -202,10 +210,12 @@ def iter_steps(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (step index, state) for steps 0..n_steps from the chain's initial state.
 
-    The one place that steps a density matrix: trajectories and sweep cells
-    all consume this loop, which diagonalizes the Hamiltonian of the chain it
-    steps.  Each yielded state is a fresh block stack of
-    ``chain.basis.sectors`` that later steps never write to.
+    The one loop that steps a density matrix state by state, which
+    diagonalizes the Hamiltonian of the chain it steps: trajectories consume
+    it, and so do sweep cells on the stepped route (``cell_route`` sends the
+    others through the step map of ``chunked_cell_steps``).  Each yielded
+    state is a fresh block stack of ``chain.basis.sectors`` that later steps
+    never write to.
     """
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
     rho = chain.basis.sectors.pack(chain.initial.elements)
@@ -219,6 +229,122 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
     """Sink occupation of every basis state, as weights over the populations."""
     layout = basis.layout
     return basis.occupations[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
+
+
+def step_map(engine: StepEngine, sectors: Sectors) -> np.ndarray:
+    """The step as an M x M matrix S on packed block coordinates, M = sum of size**2.
+
+    A packed state is ``blocks.reshape(-1)[sectors.packed]``.  Column j of S
+    is the step of the j-th packed unit state, all of them pushed through
+    ``engine.step`` as one batch, so S is the blocked step by construction.
+    """
+    m = len(sectors.packed)
+    units = np.zeros((m, *sectors.shape), dtype=complex)
+    units.reshape(m, -1)[np.arange(m), sectors.packed] = 1.0
+    return np.ascontiguousarray(engine.step(units).reshape(m, -1)[:, sectors.packed].T)
+
+
+# The chunked route reads CHUNK_STEPS steps per product; S**CHUNK_STEPS
+# takes CHUNK_SQUARINGS squarings of S.
+CHUNK_SQUARINGS = 5
+CHUNK_STEPS = 2**CHUNK_SQUARINGS
+# Fixed cost of one numpy product or step call from Python (dispatch,
+# temporaries, the loop around it), in complex multiply-adds.  A blocked
+# step at dim 6 counts 384 of them yet takes about 15 us, the time of some
+# 150 000 in a large zgemm; 100 000 puts the rule's crossover within about
+# 2x of the measured one on the chains of the sweep benchmarks and of the
+# acceptance tests (timed on a 2-core Xeon VM).
+STEP_OVERHEAD_MACS = 100_000
+
+# (step index, sink population, trace, state): state() returns the block
+# state at the step yielded last, built only when called
+CellSteps = Iterator[tuple[int, float, float, Callable[[], np.ndarray]]]
+
+
+def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
+    """``"chunked"`` or ``"stepped"``: the cheaper route for n_steps on these sectors.
+
+    Costs are counted in complex multiply-adds from the sector sizes alone,
+    so the rule runs before S is allocated, and every product or step call
+    adds STEP_OVERHEAD_MACS.  A blocked step is two batched matmuls over the
+    padded stack.  The chunked route builds S as one batched step of the M
+    unit states, squares it CHUNK_SQUARINGS times, forms the CHUNK_STEPS
+    readout rows R S^j, and then takes one (2 CHUNK_STEPS + M) x M product
+    per chunk.
+    """
+    m = sum(b * b for b in sizes)
+    step = 2 * len(sizes) * max(sizes) ** 3
+    chunks = -(-n_steps // CHUNK_STEPS)
+    chunked = (
+        m * step
+        + CHUNK_SQUARINGS * m**3
+        + CHUNK_STEPS * 2 * m * m
+        + chunks * (2 * CHUNK_STEPS + m) * m
+        + (1 + CHUNK_SQUARINGS + CHUNK_STEPS + chunks) * STEP_OVERHEAD_MACS
+    )
+    return "chunked" if chunked < n_steps * (step + STEP_OVERHEAD_MACS) else "stepped"
+
+
+def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
+    """Sink and trace at steps 0..n_steps, stepping every state through ``iter_steps``."""
+    sectors = chain.basis.sectors
+    sink_col = sink_column(chain.basis)
+
+    def state() -> np.ndarray:
+        return rho
+
+    for i, rho in iter_steps(chain, dt, n_steps):
+        populations = sectors.populations(rho)
+        yield i, float(populations @ sink_col), float(populations.sum()), state
+
+
+def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
+    """Sink and trace at steps 0..n_steps, CHUNK_STEPS steps per product.
+
+    With S the ``step_map`` and R the sink and trace rows over packed
+    coordinates, one product of the stacked rows R S^1 .. R S^CHUNK_STEPS
+    and S^CHUNK_STEPS with the packed state at a chunk's start gives every
+    value inside the chunk and the state at the next start.  A state is
+    rebuilt, by fewer than CHUNK_STEPS products with S, only when asked for.
+    """
+    sectors = chain.basis.sectors
+    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
+    step = step_map(engine, sectors)
+    diagonal = sectors.rows == sectors.cols
+    readout = np.zeros((2, len(sectors.packed)))
+    readout[0, diagonal] = sink_column(chain.basis)[sectors.rows[diagonal]]
+    readout[1, diagonal] = 1.0
+    rows = [readout]
+    for _ in range(CHUNK_STEPS):
+        rows.append(rows[-1] @ step)
+    power = step
+    for _ in range(CHUNK_SQUARINGS):
+        power = power @ power
+    chunk = np.vstack([*rows[1:], power])
+    n_values = 2 * CHUNK_STEPS
+
+    def state() -> np.ndarray:  # offset steps past the chunk's start state
+        packed = start_state
+        for _ in range(offset):
+            packed = step @ packed
+        blocks = np.zeros(sectors.shape, dtype=complex)
+        blocks.reshape(-1)[sectors.packed] = packed
+        return blocks
+
+    next_state = sectors.pack(chain.initial.elements).reshape(-1)[sectors.packed]
+    start_state, offset = next_state, 0
+    sink, trace = (readout @ start_state).real.tolist()
+    yield 0, sink, trace, state
+    for start in range(0, n_steps, CHUNK_STEPS):
+        start_state = next_state
+        out = chunk @ start_state
+        next_state = out[n_values:]
+        values = out[:n_values].real.reshape(CHUNK_STEPS, 2).tolist()
+        for offset, (sink, trace) in enumerate(values[: n_steps - start], 1):
+            yield start + offset, sink, trace, state
+
+
+CELL_ROUTES = {"chunked": chunked_cell_steps, "stepped": stepped_cell_steps}
 
 
 def evolve_assembled(

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import DEFAULT_DT, iter_steps, sink_column, step_count
+from .evolution import CELL_ROUTES, DEFAULT_DT, CellSteps, cell_route, step_count
 from .model import ChainConfig, DephasingModel, InitialState, assemble
+from .modes import Sectors
 
 SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 
@@ -135,6 +136,8 @@ class SweepResult:
     carry the cap value itself.  trace and positivity diagnostics are collected
     across all cells: trace is tracked every step, eigenvalues only on each
     cell's final state (a full spectrum per step would dwarf the sweep cost).
+    cell_routes counts the cells each route of ``evolution.cell_route`` ran,
+    ``{"chunked": n, "stepped": m}``.
     """
 
     spec: SweepSpec
@@ -142,6 +145,7 @@ class SweepResult:
     cap_mask: np.ndarray
     max_trace_drift: float
     min_eigenvalue_seen: float
+    cell_routes: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -154,38 +158,47 @@ class _CellOutcome:
 
 def _cell_outcome(
     config: ChainConfig, objective: TimeToReach | SinkAtTime, dt: float
+) -> tuple[str, _CellOutcome]:
+    """(route, outcome) of one cell, on the route ``cell_route`` picks for it."""
+    chain = assemble(config)
+    sectors = chain.basis.sectors
+    t_end = objective.t_max if isinstance(objective, TimeToReach) else objective.t
+    n_steps = step_count(t_end, dt)
+    route = cell_route(sectors.sizes, n_steps)
+    return route, _read_cell(CELL_ROUTES[route](chain, dt, n_steps), sectors, objective, dt)
+
+
+def _read_cell(
+    steps: CellSteps, sectors: Sectors, objective: TimeToReach | SinkAtTime, dt: float
 ) -> _CellOutcome:
-    """Step one cell to its objective, tracking trace drift on every step.
+    """Read one cell's objective off its per-step values, tracking trace drift on every step.
 
     A TimeToReach cell stops at the first step whose sink population meets the
     target and interpolates the crossing time; a crossing past t_max (the last
-    step may overshoot it) is capped.  A SinkAtTime cell reads the sink from
-    its last state only.
+    step may overshoot it) is capped.  A SinkAtTime cell reads the sink at its
+    last step.  Only the state where the cell stops is built, for its minimum
+    eigenvalue.
     """
-    chain = assemble(config)
-    sectors = chain.basis.sectors
-    sink_col = sink_column(chain.basis)
     reach = isinstance(objective, TimeToReach)
-    t_end = objective.t_max if reach else objective.t
-    states = iter_steps(chain, dt, step_count(t_end, dt))
     drift = 0.0
-    for i, rho in states:
-        populations = sectors.populations(rho)
-        drift = max(drift, abs(float(populations.sum()) - 1.0))
+    for i, current, trace, state in steps:
+        if abs(trace - 1.0) > drift:
+            drift = abs(trace - 1.0)
         if reach:
-            current = float(populations @ sink_col)
             if current >= objective.target:
                 crossing = 0.0 if i == 0 else (
                     (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
                 )
                 if crossing <= objective.t_max + 1e-9 * dt:  # step_count's roundoff
-                    return _CellOutcome(crossing, False, drift, sectors.min_eigenvalue(rho))
+                    return _CellOutcome(
+                        crossing, False, drift, sectors.min_eigenvalue(state())
+                    )
                 break  # crossed only inside the step that overshoots t_max
             prev = current
-    final_min_eig = sectors.min_eigenvalue(rho)
+    final_min_eig = sectors.min_eigenvalue(state())
     if reach:  # no crossing by t_max: the cell carries its cap
         return _CellOutcome(objective.t_max, True, drift, final_min_eig)
-    return _CellOutcome(float(populations @ sink_col), False, drift, final_min_eig)
+    return _CellOutcome(current, False, drift, final_min_eig)
 
 
 def time_to_reach(
@@ -195,21 +208,23 @@ def time_to_reach(
     dt: float = DEFAULT_DT,
 ) -> ReachTime:
     """First time the sink population reaches target, capped at t_max."""
-    outcome = _cell_outcome(config, TimeToReach(target, t_max), dt)
+    _, outcome = _cell_outcome(config, TimeToReach(target, t_max), dt)
     return ReachTime(outcome.value, outcome.capped)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the objective over the full axis grid, cell by cell."""
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
-    outcomes = []
+    routes, outcomes = [], []
     for v1 in spec.axis1.values:
         for v2 in axis2_values:
             overrides = {spec.axis1.param: v1}
             if spec.axis2 is not None:
                 overrides[spec.axis2.param] = v2
             config = replace(spec.base, **overrides)
-            outcomes.append(_cell_outcome(config, spec.objective, spec.dt))
+            route, outcome = _cell_outcome(config, spec.objective, spec.dt)
+            routes.append(route)
+            outcomes.append(outcome)
 
     shape = (len(spec.axis1.values), len(axis2_values))
     grid = np.array([o.value for o in outcomes]).reshape(shape)
@@ -220,6 +235,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         cap_mask=cap_mask,
         max_trace_drift=max(o.trace_drift for o in outcomes),
         min_eigenvalue_seen=min(o.final_min_eig for o in outcomes),
+        cell_routes={route: routes.count(route) for route in CELL_ROUTES},
     )
 
 

@@ -233,9 +233,31 @@ def test_manifest_records_basis_and_sectors(tmp_path, command, text, flags):
     assert run_cli(command, "--config", config, "--out", str(out), *flags) == 0
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert list(manifest)[-2:] == ["basis_dim", "sector_sizes"]
+    assert ("cell_routes" in manifest) == (command != "evolve")
     assert manifest["basis_dim"] == 6
     # [N, sink, size]: the vacuum; a photon or exciton on either site; the sink
     assert manifest["sector_sizes"] == [[0, 0, 1], [1, 0, 4], [1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "objective_time,routes",
+    [("1", {"chunked": 6, "stepped": 0}), ("0.01", {"chunked": 0, "stepped": 6})],
+    ids=["100 steps", "one step"],
+)
+def test_sweep_manifest_counts_cell_routes(tmp_path, objective_time, routes):
+    config = write_config(
+        tmp_path,
+        "n_atoms=2 k=0.8 mu=0.2 rate_out=0.5\n"
+        "axis1_param=rate_out axis1_values=0.4,0.8,1.2\n"
+        "axis2_param=g axis2_values=0.0,0.3\n"
+        f"objective=sink_at_time objective_time={objective_time}\n",
+    )
+    out = tmp_path / "scan"
+    assert run_cli("sweep", "--config", config, "--out", str(out)) == 0
+    manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
+    _, rows = read_rows(tmp_path / "scan.csv")
+    assert sum(manifest["cell_routes"].values()) == len(rows) == 6
+    assert manifest["cell_routes"] == routes
 
 
 def test_sweep_csv_layout(tmp_path):

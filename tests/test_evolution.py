@@ -3,17 +3,27 @@
 import numpy as np
 import pytest
 
+from cavitychain import evolution
 from cavitychain.evolution import (
     Propagator,
     StepEngine,
     TrajectoryRecord,
     _expm_taylor,
+    cell_route,
     diagonalize,
     evolve,
     step_count,
+    step_map,
     superoperator_oracle,
 )
-from cavitychain.experiments import SinkAtTime, SweepAxis, SweepSpec, time_to_reach
+from cavitychain.experiments import (
+    SinkAtTime,
+    SweepAxis,
+    SweepSpec,
+    TimeToReach,
+    run_sweep,
+    time_to_reach,
+)
 from cavitychain.model import (
     ChainConfig,
     DephasingModel,
@@ -172,6 +182,80 @@ def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
     prop = diagonalize(Operator(basis, np.zeros((basis.dim, basis.dim))))
     with pytest.raises(ValueError, match=f"^mixer: .*{match}"):
         StepEngine(prop, [term], 0.01)
+
+
+# pumped with loss and dephasing (every jump kind), and an undriven phonon chain
+STEP_MAP_CHAINS = [
+    ChainConfig(n_atoms=2, k=1.0, mu=1.0, g=0.5, rate_in=1.5, rate_out=1.5, cavity_loss=0.2),
+    ChainConfig(
+        n_atoms=2, k=0.8, mu=0.2, g=0.35, rate_out=0.3,
+        sink_coupling=SinkCoupling.LAST_EXCITON, dephasing=DephasingModel.UNITARY_PHONON,
+    ),
+]
+
+
+@pytest.mark.parametrize("config", STEP_MAP_CHAINS, ids=["pumped", "phonons"])
+def test_step_map_is_the_blocked_step(config):
+    chain = assemble(config)
+    sectors = chain.basis.sectors
+    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
+    step = step_map(engine, sectors)
+    m = len(sectors.packed)
+    assert step.shape == (m, m)
+    for j in range(m):
+        unit = np.zeros(sectors.shape, dtype=complex)
+        unit.reshape(-1)[sectors.packed[j]] = 1.0
+        stepped = engine.step(unit).reshape(-1)[sectors.packed]
+        assert np.abs(step[:, j] - stepped).max() <= 1e-15
+    # the step keeps the trace: the trace row is a left fixed point of S
+    trace_row = (sectors.rows == sectors.cols).astype(float)
+    assert np.abs(trace_row @ step - trace_row).max() <= 1e-14
+
+
+def sweep_chain(**overrides):
+    return ChainConfig(**{
+        "n_atoms": 2, "k": 0.8, "mu": 0.2, "rate_out": 0.5,
+        "sink_coupling": SinkCoupling.LAST_EXCITON, **overrides,
+    })
+
+
+@pytest.mark.parametrize(
+    "config,t_end",
+    [
+        (sweep_chain(g=0.3), 50.0),
+        (ChainConfig(n_atoms=2, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5), 400.0),
+        (sweep_chain(g=0.35, dephasing=DephasingModel.UNITARY_PHONON), 150.0),
+        (sweep_chain(n_atoms=5, g=0.4), 150.0),
+    ],
+    ids=["dat_grid", "bottleneck_row", "criterion_08_phonons", "criterion_08_five_sites"],
+)
+def test_route_rule_chunks_the_sweep_cells(config, t_end):
+    sizes = build_basis(config).sectors.sizes
+    assert cell_route(sizes, step_count(t_end, 0.01)) == "chunked"
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4])
+def test_route_rule_steps_large_pumped_cells(n_atoms):
+    config = ChainConfig(n_atoms=n_atoms, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+    sizes = build_basis(config).sectors.sizes
+    assert sum(b * b for b in sizes) == {3: 1848, 4: 25740}[n_atoms]
+    assert cell_route(sizes, step_count(400.0, 0.01)) == "stepped"
+
+
+def test_stepped_cell_never_builds_the_step_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the step map was built")
+
+    monkeypatch.setattr(evolution, "step_map", refuse)
+    config = ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+    spec = SweepSpec(
+        base=config,
+        axis1=SweepAxis("rate_out", (1.5,)),
+        objective=TimeToReach(0.5, 400.0),
+    )
+    result = run_sweep(spec)
+    assert not result.cap_mask.any()
+    assert result.cell_routes == {"chunked": 0, "stepped": 1}
 
 
 def test_step_count():

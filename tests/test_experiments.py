@@ -181,7 +181,8 @@ def test_run_sweep_grid_layout_and_cell_values():
     assert result.grid.shape == (2, 2)
     assert not result.cap_mask.any()
     direct = evolve(ChainConfig(n_atoms=1, mu=0.8, rate_out=1.0), 3.0, spec.dt).sink[-1]
-    assert result.grid[1, 1] == direct
+    # the chunked cell route sums the same step map in another order
+    assert abs(result.grid[1, 1] - direct) <= 1e-12
 
 
 def test_run_sweep_rerun_is_identical():
