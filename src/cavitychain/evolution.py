@@ -123,15 +123,14 @@ class StepEngine:
         )
 
     def step(self, rho: np.ndarray) -> np.ndarray:
-        """One step of a block stack, or of a stack of them along leading batch axes."""
+        """One step of a block stack, as a fresh stack.
+
+        ``step_map`` writes the same terms, in the same order, as a matrix.
+        """
         out = self.unitary @ rho @ self.unitary_dag
         out += rho * self.weight
         flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)
-        transfers = self.transfers
-        if rho.ndim > 3:  # each stack of a batch takes every transfer at its offset
-            offsets = np.arange(0, rho.size, self.weight.size)[:, None]
-            transfers = [(offsets + d, offsets + s, c) for d, s, c in transfers]
-        for destination, source, coefficient in transfers:
+        for destination, source, coefficient in self.transfers:
             flat_out[destination] += coefficient * flat_rho[source]
         return out
 
@@ -234,14 +233,30 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
 def step_map(engine: StepEngine, sectors: Sectors) -> np.ndarray:
     """The step as an M x M matrix S on packed block coordinates, M = sum of size**2.
 
-    A packed state is ``blocks.reshape(-1)[sectors.packed]``.  Column j of S
-    is the step of the j-th packed unit state, all of them pushed through
-    ``engine.step`` as one batch, so S is the blocked step by construction.
+    A packed state is ``blocks.reshape(-1)[sectors.packed]``, in (row,
+    column) basis order, so block b's packed coordinates are its size**2
+    entries in row-major order, on which the unitary part of the step acts
+    as U_b kron conj(U_b).  S is written from those Kronecker products, the
+    packed ``engine.weight`` on its diagonal and each transfer's
+    coefficients at their packed (destination, source) pairs: the terms of
+    ``engine.step``, summed in the same order, with no state pushed through.
     """
     m = len(sectors.packed)
-    units = np.zeros((m, *sectors.shape), dtype=complex)
-    units.reshape(m, -1)[np.arange(m), sectors.packed] = 1.0
-    return np.ascontiguousarray(engine.step(units).reshape(m, -1)[:, sectors.packed].T)
+    step = np.zeros((m, m), dtype=complex)
+    # packed coordinates grouped by block, each block's in row-major order
+    by_block = np.argsort(sectors.block[sectors.rows], kind="stable")
+    start = 0
+    for b, size in enumerate(sectors.sizes):
+        coords = by_block[start : start + size * size]
+        start += size * size
+        u = engine.unitary[b, :size, :size]
+        step[np.ix_(coords, coords)] = np.kron(u, u.conj())
+    step.reshape(-1)[:: m + 1] += engine.weight.reshape(-1)[sectors.packed]
+    coordinate = np.empty(engine.weight.size, dtype=np.int64)
+    coordinate[sectors.packed] = np.arange(m)  # flat stack index -> packed coordinate
+    for destination, source, coefficient in engine.transfers:
+        np.add.at(step, (coordinate[destination], coordinate[source]), coefficient)
+    return step
 
 
 # The chunked route reads CHUNK_STEPS steps per product; S**CHUNK_STEPS
@@ -256,46 +271,49 @@ CHUNK_STEPS = 2**CHUNK_SQUARINGS
 # acceptance tests (timed on a 2-core Xeon VM).
 STEP_OVERHEAD_MACS = 100_000
 
-# (step index, sink population, trace, state): state() returns the block
-# state at the step yielded last, built only when called
-CellSteps = Iterator[tuple[int, float, float, Callable[[], np.ndarray]]]
+# (first step, values, state): values is a (k, 2) array holding the sink
+# population and the trace at steps first .. first + k - 1, and state(i)
+# builds the block state at step i of the chunk yielded last, only when called
+CellSteps = Iterator[tuple[int, np.ndarray, Callable[[int], np.ndarray]]]
 
 
 def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
     """``"chunked"`` or ``"stepped"``: the cheaper route for n_steps on these sectors.
 
     Costs are counted in complex multiply-adds from the sector sizes alone,
-    so the rule runs before S is allocated, and every product or step call
-    adds STEP_OVERHEAD_MACS.  A blocked step is two batched matmuls over the
-    padded stack.  The chunked route builds S as one batched step of the M
-    unit states, squares it CHUNK_SQUARINGS times, forms the CHUNK_STEPS
-    readout rows R S^j, and then takes one (2 CHUNK_STEPS + M) x M product
-    per chunk.
+    so the rule runs before S is allocated, and every product, step or
+    per-block call adds STEP_OVERHEAD_MACS.  A blocked step is two batched
+    matmuls over the padded stack.  The chunked route writes S (sum of
+    size**4 unitary entries, M weights and the transfer entries, at most M
+    per jump; the rule sees no jumps and counts them as one M), squares it
+    CHUNK_SQUARINGS times, forms the 2 CHUNK_STEPS readout rows R S^j in
+    one product and CHUNK_SQUARINGS doublings, and then takes one
+    (2 CHUNK_STEPS + M) x M product per chunk.
     """
     m = sum(b * b for b in sizes)
     step = 2 * len(sizes) * max(sizes) ** 3
     chunks = -(-n_steps // CHUNK_STEPS)
     chunked = (
-        m * step
+        sum(b**4 for b in sizes) + 2 * m
         + CHUNK_SQUARINGS * m**3
-        + CHUNK_STEPS * 2 * m * m
+        + 2 * CHUNK_STEPS * m * m
         + chunks * (2 * CHUNK_STEPS + m) * m
-        + (1 + CHUNK_SQUARINGS + CHUNK_STEPS + chunks) * STEP_OVERHEAD_MACS
+        + (len(sizes) + 1 + 2 * CHUNK_SQUARINGS + chunks) * STEP_OVERHEAD_MACS
     )
     return "chunked" if chunked < n_steps * (step + STEP_OVERHEAD_MACS) else "stepped"
 
 
 def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
-    """Sink and trace at steps 0..n_steps, stepping every state through ``iter_steps``."""
+    """Sink and trace at steps 0..n_steps through ``iter_steps``, one step per chunk."""
     sectors = chain.basis.sectors
     sink_col = sink_column(chain.basis)
 
-    def state() -> np.ndarray:
+    def state(i: int) -> np.ndarray:
         return rho
 
     for i, rho in iter_steps(chain, dt, n_steps):
         populations = sectors.populations(rho)
-        yield i, float(populations @ sink_col), float(populations.sum()), state
+        yield i, np.array([[populations @ sink_col, populations.sum()]]), state
 
 
 def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
@@ -304,8 +322,11 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
     With S the ``step_map`` and R the sink and trace rows over packed
     coordinates, one product of the stacked rows R S^1 .. R S^CHUNK_STEPS
     and S^CHUNK_STEPS with the packed state at a chunk's start gives every
-    value inside the chunk and the state at the next start.  A state is
-    rebuilt, by fewer than CHUNK_STEPS products with S, only when asked for.
+    value inside the chunk and the state at the next start.  The rows come
+    by doubling alongside the squarings: with R S^1 .. R S^K stacked, one
+    product with S^K appends R S^(K+1) .. R S^2K.  Step 0 comes as its own
+    one-row chunk.  A state is rebuilt, by at most CHUNK_STEPS products
+    with S from its chunk's start, only when asked for.
     """
     sectors = chain.basis.sectors
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
@@ -314,34 +335,31 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
     readout = np.zeros((2, len(sectors.packed)))
     readout[0, diagonal] = sink_column(chain.basis)[sectors.rows[diagonal]]
     readout[1, diagonal] = 1.0
-    rows = [readout]
-    for _ in range(CHUNK_STEPS):
-        rows.append(rows[-1] @ step)
-    power = step
+    rows, power = readout @ step, step
     for _ in range(CHUNK_SQUARINGS):
+        rows = np.vstack([rows, rows @ power])
         power = power @ power
-    chunk = np.vstack([*rows[1:], power])
+    chunk = np.vstack([rows, power])
     n_values = 2 * CHUNK_STEPS
 
-    def state() -> np.ndarray:  # offset steps past the chunk's start state
+    def state(i: int) -> np.ndarray:
         packed = start_state
-        for _ in range(offset):
+        for _ in range(i - start):
             packed = step @ packed
         blocks = np.zeros(sectors.shape, dtype=complex)
         blocks.reshape(-1)[sectors.packed] = packed
         return blocks
 
-    next_state = sectors.pack(chain.initial.elements).reshape(-1)[sectors.packed]
-    start_state, offset = next_state, 0
-    sink, trace = (readout @ start_state).real.tolist()
-    yield 0, sink, trace, state
+    start = 0
+    start_state = sectors.pack(chain.initial.elements).reshape(-1)[sectors.packed]
+    yield 0, (readout @ start_state).real.reshape(1, 2), state
+    next_state = start_state
     for start in range(0, n_steps, CHUNK_STEPS):
         start_state = next_state
         out = chunk @ start_state
         next_state = out[n_values:]
-        values = out[:n_values].real.reshape(CHUNK_STEPS, 2).tolist()
-        for offset, (sink, trace) in enumerate(values[: n_steps - start], 1):
-            yield start + offset, sink, trace, state
+        values = out[:n_values].real.reshape(CHUNK_STEPS, 2)
+        yield start + 1, values[: n_steps - start], state
 
 
 CELL_ROUTES = {"chunked": chunked_cell_steps, "stepped": stepped_cell_steps}

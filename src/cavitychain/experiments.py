@@ -171,34 +171,45 @@ def _cell_outcome(
 def _read_cell(
     steps: CellSteps, sectors: Sectors, objective: TimeToReach | SinkAtTime, dt: float
 ) -> _CellOutcome:
-    """Read one cell's objective off its per-step values, tracking trace drift on every step.
+    """Read one cell's objective off its chunks of per-step values, tracking trace drift.
 
     A TimeToReach cell stops at the first step whose sink population meets the
-    target and interpolates the crossing time; a crossing past t_max (the last
-    step may overshoot it) is capped.  A SinkAtTime cell reads the sink at its
-    last step.  Only the state where the cell stops is built, for its minimum
-    eigenvalue.
+    target and interpolates the crossing time from the step before it, which
+    may end the previous chunk; a crossing past t_max (the last step may
+    overshoot it) is capped.  A SinkAtTime cell reads the sink at its last
+    step.  Trace drift is the largest |trace - 1| over the steps up to where
+    the cell stops.  Only the state where the cell stops is built, for its
+    minimum eigenvalue.
     """
     reach = isinstance(objective, TimeToReach)
     drift = 0.0
-    for i, current, trace, state in steps:
-        if abs(trace - 1.0) > drift:
-            drift = abs(trace - 1.0)
+    for first, values, state in steps:
+        sinks, traces = values[:, 0], values[:, 1]
         if reach:
-            if current >= objective.target:
+            hit = int(np.argmax(sinks >= objective.target))
+            if sinks[hit] >= objective.target:
+                i, current = first + hit, float(sinks[hit])
+                if hit:
+                    prev = float(sinks[hit - 1])
+                drift = max(drift, float(np.abs(traces[: hit + 1] - 1.0).max()))
                 crossing = 0.0 if i == 0 else (
                     (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
                 )
-                if crossing <= objective.t_max + 1e-9 * dt:  # step_count's roundoff
-                    return _CellOutcome(
-                        crossing, False, drift, sectors.min_eigenvalue(state())
-                    )
-                break  # crossed only inside the step that overshoots t_max
-            prev = current
-    final_min_eig = sectors.min_eigenvalue(state())
+                # crossed only inside the step that overshoots t_max (within
+                # step_count's roundoff): the cell carries its cap
+                capped = crossing > objective.t_max + 1e-9 * dt
+                return _CellOutcome(
+                    objective.t_max if capped else crossing,
+                    capped,
+                    drift,
+                    sectors.min_eigenvalue(state(i)),
+                )
+            prev = float(sinks[-1])
+        drift = max(drift, float(np.abs(traces - 1.0).max()))
+    final_min_eig = sectors.min_eigenvalue(state(first + len(values) - 1))
     if reach:  # no crossing by t_max: the cell carries its cap
         return _CellOutcome(objective.t_max, True, drift, final_min_eig)
-    return _CellOutcome(current, False, drift, final_min_eig)
+    return _CellOutcome(float(sinks[-1]), False, drift, final_min_eig)
 
 
 def time_to_reach(

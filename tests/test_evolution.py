@@ -1,5 +1,7 @@
 """Step scheme, propagator, observables, and the superoperator oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,9 +186,19 @@ def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
         StepEngine(prop, [term], 0.01)
 
 
-# pumped with loss and dephasing (every jump kind), and an undriven phonon chain
+# Pumped with loss and photon or exciton dephasing: the pump, the drain and
+# the losses are transfers, the dephasing jumps diagonal.  Then criterion
+# 08's undriven phonon chain (M = 288).
 STEP_MAP_CHAINS = [
-    ChainConfig(n_atoms=2, k=1.0, mu=1.0, g=0.5, rate_in=1.5, rate_out=1.5, cavity_loss=0.2),
+    ChainConfig(
+        n_atoms=2, k=1.0, mu=1.0, g=0.5, rate_in=1.5, rate_out=1.5, cavity_loss=0.2,
+        dephasing=DephasingModel.LINDBLAD_LIKE,
+    ),
+    ChainConfig(
+        n_atoms=2, k=0.8, mu=0.2, g=0.35, rate_in=0.7, rate_out=0.4, cavity_loss=0.2,
+        dephasing=DephasingModel.LINDBLAD_LIKE, sink_coupling=SinkCoupling.LAST_EXCITON,
+        dephasing_target=DephasingTarget.EXCITON_NUMBER,
+    ),
     ChainConfig(
         n_atoms=2, k=0.8, mu=0.2, g=0.35, rate_out=0.3,
         sink_coupling=SinkCoupling.LAST_EXCITON, dephasing=DephasingModel.UNITARY_PHONON,
@@ -194,7 +206,7 @@ STEP_MAP_CHAINS = [
 ]
 
 
-@pytest.mark.parametrize("config", STEP_MAP_CHAINS, ids=["pumped", "phonons"])
+@pytest.mark.parametrize("config", STEP_MAP_CHAINS, ids=["pumped", "pumped_exciton", "phonons"])
 def test_step_map_is_the_blocked_step(config):
     chain = assemble(config)
     sectors = chain.basis.sectors
@@ -210,6 +222,22 @@ def test_step_map_is_the_blocked_step(config):
     # the step keeps the trace: the trace row is a left fixed point of S
     trace_row = (sectors.rows == sectors.cols).astype(float)
     assert np.abs(trace_row @ step - trace_row).max() <= 1e-14
+
+
+def test_step_map_allocates_about_one_map():
+    chain = assemble(STEP_MAP_CHAINS[-1])
+    sectors = chain.basis.sectors
+    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
+    tracemalloc.start()
+    try:
+        step = step_map(engine, sectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert step.shape == (288, 288)
+    # S itself, one block's Kronecker product and index temporaries; a
+    # batch of M unit states would take several times S
+    assert peak <= 3 * step.nbytes
 
 
 def sweep_chain(**overrides):

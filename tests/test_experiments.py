@@ -11,6 +11,8 @@ from cavitychain.experiments import (
     SweepAxis,
     SweepSpec,
     TimeToReach,
+    _CellOutcome,
+    _read_cell,
     bottleneck_scan,
     dat_scan,
     default_g_grid,
@@ -132,6 +134,58 @@ def test_time_to_reach_interpolates_decay():
     assert result.time == pytest.approx(np.log(2.0), abs=5e-3)
     with pytest.raises(ValueError):
         time_to_reach(config, target=1.5)
+
+
+class StopStep:
+    """Stands in for ``Sectors`` in ``_read_cell``: with each chunk's state(i)
+    returning i, an outcome's minimum eigenvalue is minus the step whose state
+    the reader built."""
+
+    @staticmethod
+    def min_eigenvalue(step):
+        return -float(step)
+
+
+def chunk_stream(*chunks):
+    """A cell route's stream from lists of (sink, trace) rows, from step 0 on."""
+    first = 0
+    for rows in chunks:
+        yield first, np.array(rows, dtype=float), lambda i: i
+        first += len(rows)
+
+
+def test_reader_interpolates_from_the_chunk_before():
+    # the crossing is row 0 of the third chunk, and its previous sink ends the second
+    steps = chunk_stream([(0.0, 1.0)], [(0.2, 1.0), (0.4, 1.0)], [(0.8, 1.0), (0.9, 1.0)])
+    outcome = _read_cell(steps, StopStep, TimeToReach(0.6, 10.0), 0.1)
+    crossing = (3 - 1) * 0.1 + 0.1 * (0.6 - 0.4) / (0.8 - 0.4)
+    assert outcome == _CellOutcome(crossing, False, 0.0, -3.0)
+
+
+def test_reader_drift_stops_at_the_crossing():
+    # steps past the crossing in its chunk are never taken, whatever their trace
+    steps = chunk_stream(
+        [(0.0, 1.0)], [(0.2, 1.0 + 1e-10), (0.7, 1.0 - 2e-10), (0.9, 1.5), (0.95, 0.5)]
+    )
+    outcome = _read_cell(steps, StopStep, TimeToReach(0.6, 10.0), 0.1)
+    assert outcome.trace_drift == abs((1.0 - 2e-10) - 1.0)
+    assert outcome.final_min_eig == -2.0
+
+
+@pytest.mark.parametrize("t_max,capped", [(0.35, True), (0.4, False)])
+def test_reader_caps_a_last_step_crossing_past_t_max(t_max, capped):
+    # four steps of 0.1 cross 0.8 at t = 0.38: half a step short of t = 0.4
+    # caps it, and t_max at the last step keeps it
+    steps = chunk_stream([(0.0, 1.0)], [(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), (0.9, 1.0)])
+    outcome = _read_cell(steps, StopStep, TimeToReach(0.8, t_max), 0.1)
+    crossing = (4 - 1) * 0.1 + 0.1 * (0.8 - 0.3) / (0.9 - 0.3)
+    assert outcome == _CellOutcome(t_max if capped else crossing, capped, 0.0, -4.0)
+
+
+def test_reader_sink_at_time_reads_the_last_step():
+    steps = chunk_stream([(0.0, 1.0)], [(0.3, 1.0 + 3e-12), (0.5, 1.0)], [(0.6, 1.0 - 1e-12)])
+    outcome = _read_cell(steps, StopStep, SinkAtTime(0.3), 0.1)
+    assert outcome == _CellOutcome(0.6, False, abs((1.0 + 3e-12) - 1.0), -3.0)
 
 
 def test_optimal_rate_single_candidate():

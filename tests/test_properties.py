@@ -180,6 +180,14 @@ ROUTE_TIME_MAX = 1e-9
 ROUTES = (chunked_cell_steps, stepped_cell_steps)
 
 
+def step_rows(steps):
+    """(step, sink, trace) of every step of a route's chunks, one row each."""
+    return np.vstack([
+        np.column_stack([first + np.arange(len(values)), values])
+        for first, values, _ in steps
+    ])
+
+
 @st.composite
 def route_chains(draw):
     """A chain with at most 300 packed coordinates: pumped or not, any jump kind.
@@ -210,8 +218,8 @@ def route_chains(draw):
 def test_chunked_route_matches_stepped_route_at_fixed_time(config, dt, n_steps):
     chain = assemble(config)
     sectors = chain.basis.sectors
-    streams = [[values[:3] for values in route(chain, dt, n_steps)] for route in ROUTES]
-    assert [i for i, *_ in streams[0]] == list(range(n_steps + 1))
+    streams = [step_rows(route(chain, dt, n_steps)) for route in ROUTES]
+    assert streams[0][:, 0].tolist() == list(range(n_steps + 1))
     assert np.abs(np.subtract(*streams)).max() <= ROUTE_VALUE_MAX
     objective = SinkAtTime(n_steps * dt)
     chunked, stepped = (_read_cell(r(chain, dt, n_steps), sectors, objective, dt) for r in ROUTES)
@@ -221,7 +229,8 @@ def test_chunked_route_matches_stepped_route_at_fixed_time(config, dt, n_steps):
 
 
 def first_crossing(steps, target):
-    return next((i for i, sink, *_ in steps if sink >= target), None)
+    rows = step_rows(steps)
+    return next((int(i) for i, sink, _ in rows if sink >= target), None)
 
 
 @settings(max_examples=30)
@@ -246,7 +255,7 @@ def test_chunked_route_matches_stepped_route_to_target(
     chain = assemble(config)
     sectors = chain.basis.sectors
     n_steps = chunks * CHUNK_STEPS + extra
-    sinks = [sink for _, sink, *_ in stepped_cell_steps(chain, dt, n_steps)]
+    sinks = step_rows(stepped_cell_steps(chain, dt, n_steps))[:, 1].tolist()
     if where == "never":
         target = (max(sinks) + 1.0) / 2
     else:
