@@ -224,7 +224,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
         + [f"exciton_{i}" for i in range(1, n + 1)]
         + ["trace", "min_eig_flag"]
     )
-    flags = record.positivity_flags()
+    flags = record.positivity_flags
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in range(record.times.shape[0]):
@@ -422,7 +422,7 @@ def main(argv=None) -> int:
         parser.error("--sample-every must be >= 1")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,10 @@ sector of the basis, a structure the Hamiltonian and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
 matrix on packed block coordinates, CHUNK_STEPS steps per product.
+A trajectory reads its samples CHUNK_STEPS at a time (``SampleReader``):
+populations, Hermiticity and positivity in one pass per chunk, positivity
+by a shifted Cholesky screen that leaves the exact eigenvalues to the
+chunks where a state could be flagged or lower the minimum seen so far.
 A vectorized-Liouvillian oracle with a hand-rolled matrix exponential
 provides an independent second route for convergence testing.
 """
@@ -29,13 +33,24 @@ from .modes import (
     Operator,
     ProjectedBasis,
     Sectors,
-    hermiticity_defect,
 )
 
 ORTHONORMALITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-6
+# Margin of the positivity screen over its shift c.  A Cholesky factorization
+# of a block less c*I that succeeds proves every eigenvalue of the block
+# above c less the factorization's backward error, about n*eps*||rho||, some
+# 2e-15 for blocks of up to 20 states and a state of norm about 1 (unit
+# trace, nearly positive); the error of eigvalsh is of the same size.  1e-12
+# is far above both, so the exact eigenvalues of a screened state stay above
+# the base of the shift.
+SCREEN_MARGIN = 1e-12
+# States a chunk read works on at once, so that the arrays it builds (one
+# block size's blocks of 16 states: at most 230 kB at d = 128) come back
+# from the heap each time rather than as fresh pages
+READ_ROWS = 16
 ORACLE_MAX_DIM = 16
 TAYLOR_TOL = 1e-12
 TAYLOR_MAX_TERMS = 300
@@ -166,8 +181,12 @@ class TrajectoryRecord:
     """Sampled observables of one evolution run.
 
     photon and exciton are (n_samples, n_sites) population arrays in site
-    order; min_eigenvalue and hermiticity are validation columns sampled at
-    the same instants.  final_state is the exact end-of-run density matrix.
+    order; positivity_flags (1 where a sampled state's smallest eigenvalue
+    lies below POSITIVITY_FLOOR) and hermiticity are validation columns
+    sampled at the same instants, and min_eigenvalue_seen is the smallest
+    eigenvalue over all samples.  Flags and minimum are exact, though a
+    sample that ``SampleReader``'s screen clears has no eigenvalue of its
+    own.  final_state is the exact end-of-run density matrix.
     """
 
     times: np.ndarray
@@ -175,7 +194,8 @@ class TrajectoryRecord:
     photon: np.ndarray
     exciton: np.ndarray
     trace: np.ndarray
-    min_eigenvalue: np.ndarray
+    positivity_flags: np.ndarray
+    min_eigenvalue_seen: float
     hermiticity: np.ndarray
     final_state: DensityMatrix
 
@@ -192,16 +212,8 @@ class TrajectoryRecord:
         return float(np.abs(self.trace - 1.0).max())
 
     @property
-    def min_eigenvalue_seen(self) -> float:
-        return float(self.min_eigenvalue.min())
-
-    @property
     def max_hermiticity_defect(self) -> float:
         return float(self.hermiticity.max())
-
-    def positivity_flags(self) -> np.ndarray:
-        """1 where the sampled state dipped below POSITIVITY_FLOOR."""
-        return (self.min_eigenvalue < POSITIVITY_FLOOR).astype(np.int64)
 
 
 def iter_steps(
@@ -365,10 +377,148 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
 CELL_ROUTES = {"chunked": chunked_cell_steps, "stepped": stepped_cell_steps}
 
 
+class SampleReader:
+    """Diagnostics of sampled states, gathered CHUNK_STEPS at a time and read in one pass.
+
+    ``add`` gathers a block state into the chunk, as the lower triangle of
+    every block (all that eigvalsh and Cholesky read), blocks grouped by
+    size, and takes its Hermiticity defect max |a_rc - conj(a_cr)| over the
+    off-diagonal pairs.  ``read`` then reads the chunk:
+
+    * One gather of the diagonal gives every population.  The sink, photon
+      and exciton columns come from one stacked product with their weights:
+      each state's row is its own vector product, the one a stepped sweep
+      cell takes (``stepped_cell_steps``), so a value does not depend on the
+      chunk it is read in.  The trace is the sum of the populations.
+    * The defect of the diagonal, 2 |Im a_ii|, joins the pairs'.
+    * Positivity is screened.  With ``seen`` the exact minimum eigenvalue
+      of the chunks before, every block of every state less c*I, where
+      c = max(seen, POSITIVITY_FLOOR) + SCREEN_MARGIN, goes through a
+      batched Cholesky factorization per block size (1 x 1 blocks are
+      compared with c directly).  If every factorization succeeds, no state
+      of the chunk lies below c, so none is flagged and none lowers
+      ``seen``.  Otherwise, and for the first chunk, every state takes its
+      exact smallest eigenvalue.
+    """
+
+    def __init__(self, basis: ProjectedBasis) -> None:
+        sectors = basis.sectors
+        layout = basis.layout
+        stack = np.arange(math.prod(sectors.shape)).reshape(sectors.shape)
+        lower = []  # flat stack indices of each block's lower triangle
+        for size, index in sectors.by_size:
+            rows, cols = np.tril_indices(size)
+            lower.append(stack[index][:, rows, cols].reshape(-1))
+        self.flat = np.concatenate(lower)
+        # the chunk's last column stays zero and stands for every upper element
+        self.chunk = np.zeros((CHUNK_STEPS, len(self.flat) + 1), dtype=complex)
+        column = np.full(stack.size, len(self.flat))  # flat stack index -> chunk column
+        column[self.flat] = np.arange(len(self.flat))
+        column = column.reshape(sectors.shape)
+        # chunk columns of each block size's (count, size, size) blocks
+        self.groups = [(size, column[index, :size, :size]) for size, index in sectors.by_size]
+        self.diagonal = column.reshape(-1)[sectors.diagonal]
+        # flat stack indices of the (r, c) and (c, r) elements with r < c
+        upper = sectors.rows < sectors.cols
+        self.pairs = np.stack([
+            sectors.packed[upper], sectors.flat(sectors.cols[upper], sectors.rows[upper])
+        ])
+        self.sink = sink_column(basis)
+        self.photon, self.exciton = (
+            basis.occupations[:, list(layout.indices(kind))].astype(float)
+            for kind in (ModeKind.PHOTON, ModeKind.EXCITON)
+        )
+        self.steps: list[int] = []
+        self.defects = np.empty(CHUNK_STEPS)
+        self.seen = math.inf  # the exact minimum eigenvalue of every chunk read
+
+    def add(self, step: int, blocks: np.ndarray) -> None:
+        """Gather the block state at ``step`` into the chunk, which must not be full."""
+        flat = blocks.reshape(-1)
+        row = len(self.steps)
+        self.chunk[row, :-1] = flat[self.flat]
+        pairs = flat[self.pairs]
+        self.defects[row] = np.abs(pairs[0] - pairs[1].conj()).max(initial=0.0)
+        self.steps.append(step)
+
+    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, hermiticity, flags) of the chunk's states, which it then drops.
+
+        values holds the sink, photon, exciton and trace columns.  A state
+        with a non-finite element raises ArithmeticError naming its step,
+        before the screen runs.
+        """
+        steps, self.steps = self.steps, []
+        chunk = self.chunk[: len(steps)]
+        diagonal = np.take(chunk, self.diagonal, axis=1)
+        populations = diagonal.real
+        rows = populations[:, None, :]
+        values = np.column_stack([
+            rows @ self.sink,
+            (rows @ self.photon)[:, 0],
+            (rows @ self.exciton)[:, 0],
+            populations.sum(axis=1),
+        ])
+        hermiticity = np.maximum(
+            self.defects[: len(steps)], 2 * np.abs(diagonal.imag).max(axis=1)
+        )
+        # every element reaches the trace column or the defect
+        finite = np.isfinite(values).all(axis=1) & np.isfinite(hermiticity)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ArithmeticError(
+                f"state not finite at step {steps[row]}: sink {values[row, 0]}, "
+                f"trace {values[row, -1]}, Hermiticity defect {hermiticity[row]}"
+            )
+        shift = max(self.seen, POSITIVITY_FLOOR) + SCREEN_MARGIN
+        if self.seen < math.inf and self._screen(chunk, shift):
+            return values, hermiticity, np.zeros(len(steps), dtype=np.int64)
+        lowest = self.min_eigenvalues(chunk)
+        self.seen = min(self.seen, float(lowest.min()))
+        return values, hermiticity, (lowest < POSITIVITY_FLOOR).astype(np.int64)
+
+    def min_eigenvalues(self, chunk: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of each state, bit for bit ``Sectors.min_eigenvalue``'s."""
+        return np.concatenate([
+            np.min([
+                np.linalg.eigvalsh(np.take(states, columns, axis=1))[..., 0].min(axis=1)
+                for _, columns in self.groups
+            ], axis=0)
+            for states in _slices(chunk)
+        ])
+
+    def _screen(self, chunk: np.ndarray, shift: float) -> bool:
+        """Whether every block of every state, less shift * I, is positive definite."""
+        for states in _slices(chunk):
+            for size, columns in self.groups:
+                blocks = np.take(states, columns, axis=1)
+                if size == 1:  # the eigenvalue of a 1 x 1 block is its real part
+                    if not (blocks.real > shift).all():
+                        return False
+                    continue
+                blocks.reshape(-1, size * size)[:, :: size + 1] -= shift
+                try:
+                    np.linalg.cholesky(blocks)
+                except np.linalg.LinAlgError:
+                    return False
+        return True
+
+
+def _slices(chunk: np.ndarray) -> Iterator[np.ndarray]:
+    """The chunk READ_ROWS states at a time."""
+    for start in range(0, len(chunk), READ_ROWS):
+        yield chunk[start : start + READ_ROWS]
+
+
 def evolve_assembled(
     chain: AssembledChain, t_end: float, dt: float, sample_every: int = 1
 ) -> TrajectoryRecord:
-    """Run the step loop on a prebuilt chain, sampling every few steps."""
+    """Run the step loop on a prebuilt chain, sampling every few steps.
+
+    Steps 0, sample_every, 2 sample_every, ... and the last step are
+    sampled.  ``SampleReader`` gathers their states CHUNK_STEPS at a time
+    and reads each full chunk, and the last partial one, in one pass.
+    """
     try:
         sample_every = operator.index(sample_every)
     except TypeError:
@@ -377,35 +527,28 @@ def evolve_assembled(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_steps = step_count(t_end, dt)
     basis = chain.basis
-    sectors = basis.sectors
-    layout = basis.layout
-    occ = basis.occupations
-    sink_col = sink_column(basis)
-    photon_cols = occ[:, list(layout.indices(ModeKind.PHOTON))].astype(float)
-    exciton_cols = occ[:, list(layout.indices(ModeKind.EXCITON))].astype(float)
-
-    times, sink, photon, exciton = [], [], [], []
-    trace, min_eig, herm = [], [], []
+    reader = SampleReader(basis)
+    times, reads = [], []
     for i, rho in iter_steps(chain, dt, n_steps):
-        if i % sample_every == 0 or i == n_steps:
-            populations = sectors.populations(rho)
-            times.append(i * dt)
-            sink.append(float(populations @ sink_col))
-            photon.append(populations @ photon_cols)
-            exciton.append(populations @ exciton_cols)
-            trace.append(float(populations.sum()))
-            min_eig.append(sectors.min_eigenvalue(rho))
-            herm.append(hermiticity_defect(rho))
+        if i % sample_every and i != n_steps:
+            continue
+        reader.add(i, rho)
+        times.append(i * dt)
+        if len(reader.steps) == CHUNK_STEPS or i == n_steps:
+            reads.append(reader.read())
 
+    values, hermiticity, flags = (np.concatenate(column) for column in zip(*reads))
+    n = basis.layout.n_sites
     return TrajectoryRecord(
         times=np.array(times),
-        sink=np.array(sink),
-        photon=np.array(photon),
-        exciton=np.array(exciton),
-        trace=np.array(trace),
-        min_eigenvalue=np.array(min_eig),
-        hermiticity=np.array(herm),
-        final_state=DensityMatrix(basis, sectors.unpack(rho)),
+        sink=values[:, 0],
+        photon=values[:, 1 : n + 1],
+        exciton=values[:, n + 1 : 2 * n + 1],
+        trace=values[:, -1],
+        positivity_flags=flags,
+        min_eigenvalue_seen=reader.seen,
+        hermiticity=hermiticity,
+        final_state=DensityMatrix(basis, basis.sectors.unpack(rho)),
     )
 
 

@@ -179,7 +179,9 @@ def _read_cell(
     overshoot it) is capped.  A SinkAtTime cell reads the sink at its last
     step.  Trace drift is the largest |trace - 1| over the steps up to where
     the cell stops.  Only the state where the cell stops is built, for its
-    minimum eigenvalue.
+    minimum eigenvalue.  A non-finite trace among those steps, or a
+    non-finite sink the objective reads, raises ArithmeticError naming the
+    step.
     """
     reach = isinstance(objective, TimeToReach)
     drift = 0.0
@@ -191,7 +193,10 @@ def _read_cell(
                 i, current = first + hit, float(sinks[hit])
                 if hit:
                     prev = float(sinks[hit - 1])
-                drift = max(drift, float(np.abs(traces[: hit + 1] - 1.0).max()))
+                drift = max(drift, _drift(traces[: hit + 1], first))
+                _finite_sink(current, i)
+                if i:
+                    _finite_sink(prev, i - 1)
                 crossing = 0.0 if i == 0 else (
                     (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
                 )
@@ -205,11 +210,27 @@ def _read_cell(
                     sectors.min_eigenvalue(state(i)),
                 )
             prev = float(sinks[-1])
-        drift = max(drift, float(np.abs(traces - 1.0).max()))
-    final_min_eig = sectors.min_eigenvalue(state(first + len(values) - 1))
+        drift = max(drift, _drift(traces, first))
+    last = first + len(values) - 1
+    final_min_eig = sectors.min_eigenvalue(state(last))
     if reach:  # no crossing by t_max: the cell carries its cap
         return _CellOutcome(objective.t_max, True, drift, final_min_eig)
-    return _CellOutcome(float(sinks[-1]), False, drift, final_min_eig)
+    return _CellOutcome(_finite_sink(float(sinks[-1]), last), False, drift, final_min_eig)
+
+
+def _drift(traces: np.ndarray, first: int) -> float:
+    """Largest |trace - 1| over a chunk's steps from ``first`` on; a non-finite trace raises."""
+    drift = float(np.abs(traces - 1.0).max())  # nan or inf if any trace is
+    if not drift < math.inf:
+        row = int(np.argmin(np.isfinite(traces)))
+        raise ArithmeticError(f"trace not finite at step {first + row}: {traces[row]}")
+    return drift
+
+
+def _finite_sink(sink: float, step: int) -> float:
+    if not math.isfinite(sink):
+        raise ArithmeticError(f"sink not finite at step {step}: {sink}")
+    return sink
 
 
 def time_to_reach(
@@ -233,7 +254,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.axis2 is not None:
                 overrides[spec.axis2.param] = v2
             config = replace(spec.base, **overrides)
-            route, outcome = _cell_outcome(config, spec.objective, spec.dt)
+            try:
+                route, outcome = _cell_outcome(config, spec.objective, spec.dt)
+            except ArithmeticError as exc:
+                cell = " ".join(f"{param}={value!r}" for param, value in overrides.items())
+                raise ArithmeticError(f"cell {cell}: {exc}") from exc
             routes.append(route)
             outcomes.append(outcome)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -114,12 +115,26 @@ class ChainConfig:
         for name in ("g", "rate_in", "rate_out", "cavity_loss", "max_quanta", "phonon_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        for name in SQUARED_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise ValueError(
+                    f"{name}: must be at most {SQUARED_MAX:.3g} in magnitude "
+                    f"(its square overflows), got {value}"
+                )
         if (
             self.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY
             and self.max_quanta < 1
         ):
             raise ValueError("max_quanta: must be >= 1 to hold the initial photon")
 
+
+# The rates and couplings, bounded by the largest float whose square is
+# finite.  A jump's rate enters the master equation squared (L = rate * A),
+# so past the bound the step overflows; a coupling that large turns each
+# step's phase into rounding noise long before.
+SQUARED_FIELDS = ("k", "mu", "g", "rate_in", "rate_out", "cavity_loss")
+SQUARED_MAX = math.sqrt(sys.float_info.max)
 
 _HINTS = get_type_hints(ChainConfig)
 # each config key's type, read off its annotation with `X | None` taken as X;

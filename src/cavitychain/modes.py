@@ -148,7 +148,8 @@ class Sectors:
         self.packed = self.flat(self.rows, self.cols)
         # population of every basis state, in basis order
         self.diagonal = self.flat(np.arange(dim), np.arange(dim))
-        self._by_size = [(s, np.flatnonzero(sizes == s)) for s in sorted(set(self.sizes))]
+        # the blocks of each size, sizes ascending
+        self.by_size = [(s, np.flatnonzero(sizes == s)) for s in sorted(set(self.sizes))]
 
     def flat(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Flat stack index of each (row, col) pair of same-block basis states."""
@@ -188,7 +189,7 @@ class Sectors:
         """Smallest eigenvalue of a Hermitian block state, over its unpadded blocks."""
         return min(
             float(np.linalg.eigvalsh(blocks[index, :size, :size])[:, 0].min())
-            for size, index in self._by_size
+            for size, index in self.by_size
         )
 
 

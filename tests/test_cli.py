@@ -394,6 +394,28 @@ def test_exit_codes_on_bad_input(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command,text,args",
+    [
+        ("evolve", "n_atoms=1 mu=0.8 rate_out=1e100\n", ("--t-max", "1")),
+        (
+            "sweep",
+            "n_atoms=1 mu=0.8 axis1_param=rate_out axis1_values=0.5,1e100\n"
+            "objective=sink_at_time objective_time=1\n",
+            (),
+        ),
+    ],
+)
+def test_run_that_blows_up_exits_2_naming_the_step(tmp_path, capsys, command, text, args):
+    # the rate's square is finite, yet the Euler step overflows within steps
+    config = write_config(tmp_path, text)
+    out = tmp_path / "blown"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(command, "--config", config, "--out", str(out), *args) == 2
+    assert " not finite at step " in capsys.readouterr().err
+    assert not (tmp_path / "blown.csv").exists()
+
+
+@pytest.mark.parametrize(
     "command,text",
     [
         (

@@ -7,7 +7,10 @@ import pytest
 
 from cavitychain import evolution
 from cavitychain.evolution import (
+    CHUNK_STEPS,
+    POSITIVITY_FLOOR,
     Propagator,
+    SampleReader,
     StepEngine,
     TrajectoryRecord,
     _expm_taylor,
@@ -436,13 +439,13 @@ def test_trajectory_record_summaries():
         photon=np.array([[1.0], [0.4]]),
         exciton=np.array([[0.0], [0.1]]),
         trace=np.array([1.0, 1.0 + 3e-9]),
-        min_eigenvalue=np.array([0.0, -2e-6]),
+        positivity_flags=np.array([0, 1]),
+        min_eigenvalue_seen=-2e-6,
         hermiticity=np.array([0.0, 1e-12]),
         final_state=None,
     )
     assert record.max_trace_drift == pytest.approx(3e-9)
-    assert record.min_eigenvalue_seen == pytest.approx(-2e-6)
-    np.testing.assert_array_equal(record.positivity_flags(), [0, 1])
+    assert record.max_hermiticity_defect == pytest.approx(1e-12)
     with pytest.raises(ValueError):
         TrajectoryRecord(
             times=np.array([1.0, 0.0]),
@@ -450,10 +453,70 @@ def test_trajectory_record_summaries():
             photon=np.zeros((2, 1)),
             exciton=np.zeros((2, 1)),
             trace=np.ones(2),
-            min_eigenvalue=np.zeros(2),
+            positivity_flags=np.zeros(2, dtype=np.int64),
+            min_eigenvalue_seen=0.0,
             hermiticity=np.zeros(2),
             final_state=None,
         )
+
+
+def test_positivity_flags_and_minimum_of_criterion_10_config():
+    # every chunk after the first lowers the minimum, so every sample is exact;
+    # the README quotes these figures
+    record = evolve(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5), 2.0)
+    assert len(record.times) == 201
+    assert record.positivity_flags.sum() == 197
+    assert record.min_eigenvalue_seen == pytest.approx(-8.8336e-4, abs=5e-9)
+
+
+def test_positivity_screen_leaves_few_samples_exact(monkeypatch):
+    """On the benchmark's n=3 trajectory the running minimum stops falling by
+    step 84, so three chunks of 32 take exact eigenvalues and the screen
+    clears the other 29."""
+    exact = []
+    min_eigenvalues = SampleReader.min_eigenvalues
+
+    def counted(reader, chunk):
+        exact.append(len(chunk))
+        return min_eigenvalues(reader, chunk)
+
+    monkeypatch.setattr(SampleReader, "min_eigenvalues", counted)
+    record = evolve(ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5), 10.0)
+    assert len(record.times) == 1001
+    assert sum(exact) <= 3 * CHUNK_STEPS
+    assert record.positivity_flags.sum() == 0
+    assert POSITIVITY_FLOOR < record.min_eigenvalue_seen < 0
+
+
+@pytest.mark.parametrize(
+    "element,value",
+    [
+        ((1, 0, 1), np.nan),  # an upper off-diagonal element
+        ((1, 1, 0), np.inf),  # a lower one
+        ((1, 0, 0), np.nan),  # a population
+        ((1, 1, 1), 1j * np.inf),  # the imaginary part of a population
+    ],
+)
+def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
+    monkeypatch, element, value
+):
+    chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
+    assert chain.basis.sectors.sizes[1] == 2  # the (1, 0) block: photon and exciton
+    reader = SampleReader(chain.basis)
+    reader.seen = -1e-3  # so a chunk is screened, not read exactly
+
+    def unreachable(*args):
+        raise AssertionError("the screen ran on a non-finite chunk")
+
+    monkeypatch.setattr(SampleReader, "_screen", unreachable)
+    monkeypatch.setattr(SampleReader, "min_eigenvalues", unreachable)
+    blocks = chain.basis.sectors.pack(chain.initial.elements)
+    bad = blocks.copy()
+    bad[element] = value
+    for step, state in ((0, blocks), (5, blocks), (10, bad), (15, blocks)):
+        reader.add(step, state)
+    with pytest.raises(ArithmeticError, match="^state not finite at step 10: "):
+        reader.read()
 
 
 def test_observable_basics():

@@ -188,6 +188,36 @@ def test_reader_sink_at_time_reads_the_last_step():
     assert outcome == _CellOutcome(0.6, False, abs((1.0 + 3e-12) - 1.0), -3.0)
 
 
+@pytest.mark.parametrize("objective", [SinkAtTime(0.3), TimeToReach(0.8, 10.0)])
+def test_reader_fails_on_a_non_finite_trace_naming_its_step(objective):
+    steps = chunk_stream(
+        [(0.0, 1.0)], [(0.1, 1.0), (0.2, float("nan")), (0.3, 1.0)], [(0.9, 1.0)]
+    )
+    with pytest.raises(ArithmeticError, match="^trace not finite at step 2: nan$"):
+        _read_cell(steps, StopStep, objective, 0.1)
+
+
+def test_reader_fails_on_a_non_finite_sink_it_reads():
+    steps = chunk_stream([(0.0, 1.0)], [(0.1, 1.0), (float("inf"), 1.0)])
+    with pytest.raises(ArithmeticError, match="^sink not finite at step 2: inf$"):
+        _read_cell(steps, StopStep, SinkAtTime(0.2), 0.1)
+
+
+def test_sweep_cell_that_blows_up_fails_naming_the_cell():
+    base = ChainConfig(n_atoms=1, mu=0.8)
+    # a rate whose square overflows stops at the config boundary
+    spec = SweepSpec(base=base, axis1=SweepAxis("rate_out", (1e160,)), objective=SinkAtTime(1.0))
+    with pytest.raises(ValueError, match="^rate_out: must be at most"):
+        run_sweep(spec)
+    # 1e100 squares to a finite rate, and the Euler step overflows within steps
+    spec = SweepSpec(
+        base=base, axis1=SweepAxis("rate_out", (0.5, 1e100)), objective=SinkAtTime(1.0)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match=r"^cell rate_out=1e\+100: trace not finite"):
+            run_sweep(spec)
+
+
 def test_optimal_rate_single_candidate():
     result = optimal_rate(transport_config(), "rate_out", [1.5], TimeToReach(t_max=20.0))
     assert result.rate == 1.5

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cavitychain.model import (
+    SQUARED_FIELDS,
+    SQUARED_MAX,
     AssembledChain,
     ChainConfig,
     DephasingModel,
@@ -105,6 +107,14 @@ def test_bad_field_value_names_the_field(field, value):
     kwargs = {"n_atoms": 1, field: value}
     with pytest.raises(ValueError, match=f"^{field}: "):
         ChainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", SQUARED_FIELDS)
+def test_rate_or_coupling_whose_square_overflows_names_the_field(field):
+    for value in (1.5e154, 1e160, 1e300):
+        with pytest.raises(ValueError, match=f"^{field}: must be at most 1.34e\\+154"):
+            ChainConfig(n_atoms=1, **{field: value})
+    assert getattr(ChainConfig(n_atoms=1, **{field: SQUARED_MAX}), field) == SQUARED_MAX
 
 
 def test_real_numbers_are_stored_as_float():

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from cavitychain.evolution import (
     CHUNK_STEPS,
+    POSITIVITY_FLOOR,
     chunked_cell_steps,
     diagonalize,
     evolve,
+    evolve_assembled,
     iter_steps,
     stepped_cell_steps,
 )
@@ -39,6 +41,7 @@ from cavitychain.model import (
     assemble,
     build_basis,
 )
+from cavitychain.modes import ModeKind, hermiticity_defect
 from operator_oracles import dense_step
 
 MAX_DIM = 32
@@ -170,6 +173,70 @@ def test_blocked_step_matches_dense_step(config, dt, n_steps):
         leak = rho.copy()
         leak[sectors.rows, sectors.cols] = 0
         assert np.abs(leak).max() <= DENSE_SECTOR_LEAK_MAX
+
+
+# Readouts are the per-state products a sample took one at a time, and the
+# screen only decides which states need no eigenvalues: flags and minimum
+# are exact, so only the populations and the defect carry a tolerance.
+SAMPLE_VALUE_MAX = 1e-15
+
+
+@settings(max_examples=40)
+@given(sector_chains(), time_steps, st.integers(1, 100), st.integers(1, 5))
+# minima fall by roundoff-sized steps (about 1e-19) after the first chunk
+@example(
+    ChainConfig(
+        n_atoms=3, k=0.04, mu=0.79, g=1.13, rate_in=0.7, rate_out=0.24, cavity_loss=0.2
+    ),
+    0.01,
+    51,
+    1,
+)
+# rate_out**2 * dt = 1.82 overshoots the exciton drain, and the 1 x 1 block of
+# the photon-and-exciton state turns negative past the floor in the second chunk
+@example(
+    ChainConfig(
+        n_atoms=1,
+        mu=0.78,
+        rate_in=1.8,
+        rate_out=13.5,
+        cavity_loss=5.0,
+        dephasing=DephasingModel.NONE,
+        sink_coupling=SinkCoupling.LAST_EXCITON,
+    ),
+    0.01,
+    41,
+    1,
+)
+def test_chunked_sample_diagnostics_match_exact_per_sample_ones(
+    config, dt, n_steps, sample_every
+):
+    """Flags and minimum equal those of ``Sectors.min_eigenvalue`` on every
+    sampled state, bit for bit, across chunk edges (up to 101 samples)."""
+    chain = assemble(config)
+    basis = chain.basis
+    sectors = basis.sectors
+    record = evolve_assembled(chain, n_steps * dt, dt, sample_every)
+    lowest, populations, defects = [], [], []
+    for i, rho in iter_steps(chain, dt, n_steps):
+        if i % sample_every == 0 or i == n_steps:
+            lowest.append(sectors.min_eigenvalue(rho))
+            populations.append(sectors.populations(rho))
+            defects.append(hermiticity_defect(rho))
+    assert record.positivity_flags.tolist() == [int(x < POSITIVITY_FLOOR) for x in lowest]
+    assert record.min_eigenvalue_seen == min(lowest)
+    sampled = np.array(populations)
+    occupations = basis.occupations.astype(float)
+    layout = basis.layout
+    expected = {
+        "sink": sampled @ occupations[:, layout.index(ModeKind.SINK, layout.n_sites)],
+        "photon": sampled @ occupations[:, list(layout.indices(ModeKind.PHOTON))],
+        "exciton": sampled @ occupations[:, list(layout.indices(ModeKind.EXCITON))],
+        "trace": sampled.sum(axis=1),
+    }
+    for name, values in expected.items():
+        assert np.abs(getattr(record, name) - values).max() <= SAMPLE_VALUE_MAX
+    assert abs(record.max_hermiticity_defect - max(defects)) <= SAMPLE_VALUE_MAX
 
 
 # The chunked route sums the same step map in another order: values agree
