@@ -47,14 +47,25 @@ POSITIVITY_FLOOR = -1e-6
 # is far above both, so the exact eigenvalues of a screened state stay above
 # the base of the shift.
 SCREEN_MARGIN = 1e-12
-# States a chunk read works on at once, so that the arrays it builds (one
-# block size's blocks of 16 states: at most 230 kB at d = 128) come back
-# from the heap each time rather than as fresh pages
-READ_ROWS = 16
 ORACLE_MAX_DIM = 16
 TAYLOR_TOL = 1e-12
 TAYLOR_MAX_TERMS = 300
 DEFAULT_DT = 0.01
+
+
+def _quiet_overflow() -> np.errstate:
+    """No numpy warning on overflow or invalid values, for stepping and readouts.
+
+    An unstable Euler step (a rate far too large for dt) grows the state
+    until it overflows.  The steps, the chunked route's products and the
+    readouts of their states then give non-finite values, which the readers
+    raise on, naming the step, so a warning would only say the same thing
+    first.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+_matmul = _quiet_overflow()(np.matmul)
 
 
 class Propagator:
@@ -96,22 +107,22 @@ def diagonalize(hamiltonian: Operator) -> Propagator:
 class StepEngine:
     """Precomputed sector-blocked arrays for repeated steps at one fixed dt.
 
-    States are block stacks of the basis's ``sectors``.  The unitary is
-    packed once, and must not leak out of the sectors.  Every jump must be
-    monomial (one nonzero per row and column) and send each block into a
+    States are packed vectors of the basis's ``sectors``.  The unitary is
+    packed once, and must not leak out of the sectors; ``unitary`` holds its
+    blocks as one (count, size, size) stack per size group.  Every jump must
+    be monomial (one nonzero per row and column) and send each block into a
     single block, so sum(L^dag L) is diagonal: the anticommutator and the
-    diagonal (dephasing) jumps fold into one elementwise weight, and each
-    other jump is a (destination, source, coefficient) map over the
-    flattened stack.
+    diagonal (dephasing) jumps fold into one packed weight, and each other
+    jump is a (destination, source, coefficient) map over packed coordinates.
     """
 
     def __init__(self, propagator: Propagator, terms: list[LindbladTerm], dt: float) -> None:
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         self.dt = float(dt)
-        sectors = propagator.basis.sectors
-        self.unitary = sectors.pack(propagator.unitary(dt))
-        self.unitary_dag = self.unitary.conj().swapaxes(-1, -2).copy()
+        sectors = self.sectors = propagator.basis.sectors
+        self.unitary = sectors.blocks(sectors.pack(propagator.unitary(dt)))
+        self.unitary_dag = [u.conj().swapaxes(-1, -2).copy() for u in self.unitary]
         rows, cols = sectors.rows, sectors.cols
         rates = np.zeros(sectors.dim)  # diagonal of sum(L^dag L)
         gained = np.zeros(rows.shape, dtype=complex)  # diagonal jumps, in-block pairs
@@ -128,25 +139,25 @@ class StepEngine:
             target[sources] = targets
             kept = (target[rows] >= 0) & (target[cols] >= 0)
             self.transfers.append((
-                sectors.flat(target[rows[kept]], target[cols[kept]]),
-                sectors.packed[kept],
+                sectors.index(target[rows[kept]], target[cols[kept]]),
+                np.flatnonzero(kept),
                 self.dt * amplitude[rows[kept]] * amplitude[cols[kept]].conj(),
             ))
-        self.weight = np.zeros(sectors.shape, dtype=complex)
-        self.weight.reshape(-1)[sectors.packed] = self.dt * (
-            gained - 0.5 * (rates[rows] + rates[cols])
-        )
+        self.weight = self.dt * (gained - 0.5 * (rates[rows] + rates[cols]))
 
+    @_quiet_overflow()
     def step(self, rho: np.ndarray) -> np.ndarray:
-        """One step of a block stack, as a fresh stack.
+        """One step of a packed state, as a fresh vector.
 
         ``step_map`` writes the same terms, in the same order, as a matrix.
         """
-        out = self.unitary @ rho @ self.unitary_dag
+        out = np.concatenate([
+            (u @ blocks @ u_dag).reshape(-1)
+            for u, blocks, u_dag in zip(self.unitary, self.sectors.blocks(rho), self.unitary_dag)
+        ])
         out += rho * self.weight
-        flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)
         for destination, source, coefficient in self.transfers:
-            flat_out[destination] += coefficient * flat_rho[source]
+            out[destination] += coefficient * rho[source]
         return out
 
 
@@ -225,8 +236,8 @@ def iter_steps(
     diagonalizes the Hamiltonian of the chain it steps: trajectories consume
     it, and so do sweep cells on the stepped route (``cell_route`` sends the
     others through the step map of ``chunked_cell_steps``).  Each yielded
-    state is a fresh block stack of ``chain.basis.sectors`` that later steps
-    never write to.
+    state is a fresh packed vector of ``chain.basis.sectors`` that later
+    steps never write to.
     """
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
     rho = chain.basis.sectors.pack(chain.initial.elements)
@@ -242,32 +253,27 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
     return basis.occupations[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
 
 
-def step_map(engine: StepEngine, sectors: Sectors) -> np.ndarray:
-    """The step as an M x M matrix S on packed block coordinates, M = sum of size**2.
+def step_map(engine: StepEngine) -> np.ndarray:
+    """The step as an M x M matrix S on packed coordinates, M = sum of size**2.
 
-    A packed state is ``blocks.reshape(-1)[sectors.packed]``, in (row,
-    column) basis order, so block b's packed coordinates are its size**2
+    Each block's packed coordinates are one contiguous range, its size**2
     entries in row-major order, on which the unitary part of the step acts
     as U_b kron conj(U_b).  S is written from those Kronecker products, the
     packed ``engine.weight`` on its diagonal and each transfer's
-    coefficients at their packed (destination, source) pairs: the terms of
+    coefficients at their (destination, source) pairs: the terms of
     ``engine.step``, summed in the same order, with no state pushed through.
     """
-    m = len(sectors.packed)
+    m = len(engine.weight)
     step = np.zeros((m, m), dtype=complex)
-    # packed coordinates grouped by block, each block's in row-major order
-    by_block = np.argsort(sectors.block[sectors.rows], kind="stable")
     start = 0
-    for b, size in enumerate(sectors.sizes):
-        coords = by_block[start : start + size * size]
-        start += size * size
-        u = engine.unitary[b, :size, :size]
-        step[np.ix_(coords, coords)] = np.kron(u, u.conj())
-    step.reshape(-1)[:: m + 1] += engine.weight.reshape(-1)[sectors.packed]
-    coordinate = np.empty(engine.weight.size, dtype=np.int64)
-    coordinate[sectors.packed] = np.arange(m)  # flat stack index -> packed coordinate
+    for group in engine.unitary:
+        for u in group:
+            stop = start + u.size
+            step[start:stop, start:stop] = np.kron(u, u.conj())
+            start = stop
+    step.reshape(-1)[:: m + 1] += engine.weight
     for destination, source, coefficient in engine.transfers:
-        np.add.at(step, (coordinate[destination], coordinate[source]), coefficient)
+        np.add.at(step, (destination, source), coefficient)
     return step
 
 
@@ -285,7 +291,7 @@ STEP_OVERHEAD_MACS = 100_000
 
 # (first step, values, state): values is a (k, 2) array holding the sink
 # population and the trace at steps first .. first + k - 1, and state(i)
-# builds the block state at step i of the chunk yielded last, only when called
+# builds the packed state at step i of the chunk yielded last, only when called
 CellSteps = Iterator[tuple[int, np.ndarray, Callable[[int], np.ndarray]]]
 
 
@@ -294,8 +300,8 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
 
     Costs are counted in complex multiply-adds from the sector sizes alone,
     so the rule runs before S is allocated, and every product, step or
-    per-block call adds STEP_OVERHEAD_MACS.  A blocked step is two batched
-    matmuls over the padded stack.  The chunked route writes S (sum of
+    per-block call adds STEP_OVERHEAD_MACS.  A blocked step is two matmuls
+    per block, 2 sum(size**3).  The chunked route writes S (sum of
     size**4 unitary entries, M weights and the transfer entries, at most M
     per jump; the rule sees no jumps and counts them as one M), squares it
     CHUNK_SQUARINGS times, forms the 2 CHUNK_STEPS readout rows R S^j in
@@ -303,7 +309,7 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
     (2 CHUNK_STEPS + M) x M product per chunk.
     """
     m = sum(b * b for b in sizes)
-    step = 2 * len(sizes) * max(sizes) ** 3
+    step = 2 * sum(b**3 for b in sizes)
     chunks = -(-n_steps // CHUNK_STEPS)
     chunked = (
         sum(b**4 for b in sizes) + 2 * m
@@ -325,7 +331,9 @@ def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
 
     for i, rho in iter_steps(chain, dt, n_steps):
         populations = sectors.populations(rho)
-        yield i, np.array([[populations @ sink_col, populations.sum()]]), state
+        with _quiet_overflow():
+            values = np.array([[populations @ sink_col, populations.sum()]])
+        yield i, values, state
 
 
 def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
@@ -342,15 +350,14 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
     """
     sectors = chain.basis.sectors
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
-    step = step_map(engine, sectors)
-    diagonal = sectors.rows == sectors.cols
-    readout = np.zeros((2, len(sectors.packed)))
-    readout[0, diagonal] = sink_column(chain.basis)[sectors.rows[diagonal]]
-    readout[1, diagonal] = 1.0
-    rows, power = readout @ step, step
+    step = step_map(engine)
+    readout = np.zeros((2, len(step)))
+    readout[0, sectors.diagonal] = sink_column(chain.basis)
+    readout[1, sectors.diagonal] = 1.0
+    rows, power = _matmul(readout, step), step
     for _ in range(CHUNK_SQUARINGS):
-        rows = np.vstack([rows, rows @ power])
-        power = power @ power
+        rows = np.vstack([rows, _matmul(rows, power)])
+        power = _matmul(power, power)
     chunk = np.vstack([rows, power])
     n_values = 2 * CHUNK_STEPS
 
@@ -358,17 +365,15 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
         packed = start_state
         for _ in range(i - start):
             packed = step @ packed
-        blocks = np.zeros(sectors.shape, dtype=complex)
-        blocks.reshape(-1)[sectors.packed] = packed
-        return blocks
+        return packed
 
     start = 0
-    start_state = sectors.pack(chain.initial.elements).reshape(-1)[sectors.packed]
+    start_state = sectors.pack(chain.initial.elements)
     yield 0, (readout @ start_state).real.reshape(1, 2), state
     next_state = start_state
     for start in range(0, n_steps, CHUNK_STEPS):
         start_state = next_state
-        out = chunk @ start_state
+        out = _matmul(chunk, start_state)
         next_state = out[n_values:]
         values = out[:n_values].real.reshape(CHUNK_STEPS, 2)
         yield start + 1, values[: n_steps - start], state
@@ -380,10 +385,9 @@ CELL_ROUTES = {"chunked": chunked_cell_steps, "stepped": stepped_cell_steps}
 class SampleReader:
     """Diagnostics of sampled states, gathered CHUNK_STEPS at a time and read in one pass.
 
-    ``add`` gathers a block state into the chunk, as the lower triangle of
-    every block (all that eigvalsh and Cholesky read), blocks grouped by
-    size, and takes its Hermiticity defect max |a_rc - conj(a_cr)| over the
-    off-diagonal pairs.  ``read`` then reads the chunk:
+    ``add`` copies a packed state into the chunk and takes its Hermiticity
+    defect max |a_rc - conj(a_cr)| over the off-diagonal pairs.  ``read``
+    then reads the chunk:
 
     * One gather of the diagonal gives every population.  The sink, photon
       and exciton columns come from one stacked product with their weights:
@@ -398,31 +402,16 @@ class SampleReader:
       compared with c directly).  If every factorization succeeds, no state
       of the chunk lies below c, so none is flagged and none lowers
       ``seen``.  Otherwise, and for the first chunk, every state takes its
-      exact smallest eigenvalue.
+      exact smallest eigenvalue (``Sectors.min_eigenvalue``).
     """
 
     def __init__(self, basis: ProjectedBasis) -> None:
-        sectors = basis.sectors
+        sectors = self.sectors = basis.sectors
         layout = basis.layout
-        stack = np.arange(math.prod(sectors.shape)).reshape(sectors.shape)
-        lower = []  # flat stack indices of each block's lower triangle
-        for size, index in sectors.by_size:
-            rows, cols = np.tril_indices(size)
-            lower.append(stack[index][:, rows, cols].reshape(-1))
-        self.flat = np.concatenate(lower)
-        # the chunk's last column stays zero and stands for every upper element
-        self.chunk = np.zeros((CHUNK_STEPS, len(self.flat) + 1), dtype=complex)
-        column = np.full(stack.size, len(self.flat))  # flat stack index -> chunk column
-        column[self.flat] = np.arange(len(self.flat))
-        column = column.reshape(sectors.shape)
-        # chunk columns of each block size's (count, size, size) blocks
-        self.groups = [(size, column[index, :size, :size]) for size, index in sectors.by_size]
-        self.diagonal = column.reshape(-1)[sectors.diagonal]
-        # flat stack indices of the (r, c) and (c, r) elements with r < c
-        upper = sectors.rows < sectors.cols
-        self.pairs = np.stack([
-            sectors.packed[upper], sectors.flat(sectors.cols[upper], sectors.rows[upper])
-        ])
+        self.chunk = np.empty((CHUNK_STEPS, len(sectors.rows)), dtype=complex)
+        # packed coordinates of the (r, c) and (c, r) elements with r < c
+        upper = np.flatnonzero(sectors.rows < sectors.cols)
+        self.pairs = np.stack([upper, sectors.index(sectors.cols[upper], sectors.rows[upper])])
         self.sink = sink_column(basis)
         self.photon, self.exciton = (
             basis.occupations[:, list(layout.indices(kind))].astype(float)
@@ -432,12 +421,12 @@ class SampleReader:
         self.defects = np.empty(CHUNK_STEPS)
         self.seen = math.inf  # the exact minimum eigenvalue of every chunk read
 
-    def add(self, step: int, blocks: np.ndarray) -> None:
-        """Gather the block state at ``step`` into the chunk, which must not be full."""
-        flat = blocks.reshape(-1)
+    @_quiet_overflow()
+    def add(self, step: int, packed: np.ndarray) -> None:
+        """Copy the packed state at ``step`` into the chunk, which must not be full."""
         row = len(self.steps)
-        self.chunk[row, :-1] = flat[self.flat]
-        pairs = flat[self.pairs]
+        self.chunk[row] = packed
+        pairs = packed[self.pairs]
         self.defects[row] = np.abs(pairs[0] - pairs[1].conj()).max(initial=0.0)
         self.steps.append(step)
 
@@ -450,15 +439,16 @@ class SampleReader:
         """
         steps, self.steps = self.steps, []
         chunk = self.chunk[: len(steps)]
-        diagonal = np.take(chunk, self.diagonal, axis=1)
+        diagonal = np.take(chunk, self.sectors.diagonal, axis=1)
         populations = diagonal.real
         rows = populations[:, None, :]
-        values = np.column_stack([
-            rows @ self.sink,
-            (rows @ self.photon)[:, 0],
-            (rows @ self.exciton)[:, 0],
-            populations.sum(axis=1),
-        ])
+        with _quiet_overflow():
+            values = np.column_stack([
+                rows @ self.sink,
+                (rows @ self.photon)[:, 0],
+                (rows @ self.exciton)[:, 0],
+                populations.sum(axis=1),
+            ])
         hermiticity = np.maximum(
             self.defects[: len(steps)], 2 * np.abs(diagonal.imag).max(axis=1)
         )
@@ -473,41 +463,23 @@ class SampleReader:
         shift = max(self.seen, POSITIVITY_FLOOR) + SCREEN_MARGIN
         if self.seen < math.inf and self._screen(chunk, shift):
             return values, hermiticity, np.zeros(len(steps), dtype=np.int64)
-        lowest = self.min_eigenvalues(chunk)
+        lowest = self.sectors.min_eigenvalue(chunk)
         self.seen = min(self.seen, float(lowest.min()))
         return values, hermiticity, (lowest < POSITIVITY_FLOOR).astype(np.int64)
 
-    def min_eigenvalues(self, chunk: np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of each state, bit for bit ``Sectors.min_eigenvalue``'s."""
-        return np.concatenate([
-            np.min([
-                np.linalg.eigvalsh(np.take(states, columns, axis=1))[..., 0].min(axis=1)
-                for _, columns in self.groups
-            ], axis=0)
-            for states in _slices(chunk)
-        ])
-
     def _screen(self, chunk: np.ndarray, shift: float) -> bool:
         """Whether every block of every state, less shift * I, is positive definite."""
-        for states in _slices(chunk):
-            for size, columns in self.groups:
-                blocks = np.take(states, columns, axis=1)
-                if size == 1:  # the eigenvalue of a 1 x 1 block is its real part
-                    if not (blocks.real > shift).all():
-                        return False
-                    continue
-                blocks.reshape(-1, size * size)[:, :: size + 1] -= shift
-                try:
-                    np.linalg.cholesky(blocks)
-                except np.linalg.LinAlgError:
+        for blocks in self.sectors.blocks(chunk):
+            size = blocks.shape[-1]
+            if size == 1:  # the eigenvalue of a 1 x 1 block is its real part
+                if not (blocks.real > shift).all():
                     return False
+                continue
+            try:
+                np.linalg.cholesky(blocks - shift * np.eye(size))
+            except np.linalg.LinAlgError:
+                return False
         return True
-
-
-def _slices(chunk: np.ndarray) -> Iterator[np.ndarray]:
-    """The chunk READ_ROWS states at a time."""
-    for start in range(0, len(chunk), READ_ROWS):
-        yield chunk[start : start + READ_ROWS]
 
 
 def evolve_assembled(

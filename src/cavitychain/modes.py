@@ -14,7 +14,7 @@ The Hamiltonian keeps the excitation count N and the sink occupation, and
 each jump moves a whole (N, sink) block into one other block (the pump
 raises N, loss lowers it, the drain fills the sink), so
 ``ProjectedBasis.sectors`` groups the basis into these blocks and a state is
-stored as one square block per sector.
+stored as the packed elements of its blocks.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ class ProjectedBasis:
 class Sectors:
     """The basis grouped into blocks of equal (excitation count N, sink occupation).
 
-    A block state is a zero-padded ``(blocks, size, size)`` complex stack:
-    block k holds the rows and columns of sector ``keys[k]``, its states in
-    basis order, and the padding past ``sizes[k]`` stays exactly zero.
-    Blocks are sorted by (N, sink).  Flat indices address the flattened
-    stack.
+    Blocks are sorted by (N, sink), and a state is packed: the vector of its
+    M = sum(size**2) in-block elements, ordered by (block size, block, row,
+    column), rows and columns in basis order.  ``rows`` and ``cols`` give the
+    basis pair of each packed coordinate.  The blocks of one size fill one
+    contiguous slice of the vector (``groups``), which ``blocks`` views as a
+    ``(count, size, size)`` stack.
     """
 
     def __init__(self, basis: ProjectedBasis) -> None:
@@ -137,32 +138,44 @@ class Sectors:
         self.keys = tuple((int(k) // 2, int(k) % 2) for k in keys)
         self.sizes = tuple(int(size) for size in sizes)
         dim = self.dim = basis.dim
-        size = int(sizes.max())
-        self.shape = (len(sizes), size, size)
         order = np.argsort(self.block, kind="stable")
-        starts = np.cumsum(sizes) - sizes
         self.position = np.empty(dim, dtype=np.int64)
-        self.position[order] = np.arange(dim) - np.repeat(starts, sizes)
-        # every (row, col) pair of basis states inside one block
-        self.rows, self.cols = np.nonzero(self.block[:, None] == self.block[None, :])
-        self.packed = self.flat(self.rows, self.cols)
+        self.position[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # first packed coordinate of each block, the blocks taken by (size, key)
+        by_size = np.argsort(sizes, kind="stable")
+        areas = sizes[by_size] ** 2
+        start = np.empty(len(sizes), dtype=np.int64)
+        start[by_size] = np.cumsum(areas) - areas
+        # size and first packed coordinate of each basis state's block
+        self.width, self.start = sizes[self.block], start[self.block]
+        self.groups: list[tuple[int, slice]] = []  # (size, packed span), sizes ascending
+        stop = 0
+        for size, count in zip(*np.unique(sizes, return_counts=True)):
+            self.groups.append((int(size), slice(stop, stop + int(count * size * size))))
+            stop += int(count * size * size)
+        # every (row, col) pair of basis states inside one block, in packed order
+        rows, cols = np.nonzero(self.block[:, None] == self.block[None, :])
+        coordinate = self.index(rows, cols)
+        self.rows, self.cols = np.empty_like(rows), np.empty_like(cols)
+        self.rows[coordinate], self.cols[coordinate] = rows, cols
         # population of every basis state, in basis order
-        self.diagonal = self.flat(np.arange(dim), np.arange(dim))
-        # the blocks of each size, sizes ascending
-        self.by_size = [(s, np.flatnonzero(sizes == s)) for s in sorted(set(self.sizes))]
+        self.diagonal = self.index(np.arange(dim), np.arange(dim))
 
-    def flat(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Flat stack index of each (row, col) pair of same-block basis states."""
-        size = self.shape[1]
-        return (self.block[rows] * size + self.position[rows]) * size + self.position[cols]
+    def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Packed coordinate of each (row, col) pair of same-block basis states."""
+        return self.start[rows] + self.position[rows] * self.width[rows] + self.position[cols]
+
+    def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Views of packed states (the last axis) as each group's (count, size, size) blocks."""
+        lead = packed.shape[:-1]
+        return [packed[..., span].reshape(*lead, -1, size, size) for size, span in self.groups]
 
     def pack(self, dense: np.ndarray) -> np.ndarray:
-        """Block stack of a dense d x d matrix that stays inside the sectors.
+        """Packed vector of a dense d x d matrix that stays inside the sectors.
 
         Raises ArithmeticError if an element outside the blocks exceeds
         SECTOR_LEAK_TOL, rather than dropping it.
         """
-        inside = dense[self.rows, self.cols]
         outside = dense.copy()
         outside[self.rows, self.cols] = 0
         leak = float(np.abs(outside).max(initial=0.0))
@@ -171,26 +184,23 @@ class Sectors:
                 f"matrix leaks out of its (N, sink) sectors: max off-block |element| "
                 f"{leak:.3e} > {SECTOR_LEAK_TOL:g}"
             )
-        blocks = np.zeros(self.shape, dtype=complex)
-        blocks.reshape(-1)[self.packed] = inside
-        return blocks
+        return dense[self.rows, self.cols].astype(complex, copy=False)
 
-    def unpack(self, blocks: np.ndarray) -> np.ndarray:
-        """Dense d x d matrix of a block stack."""
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Dense d x d matrix of a packed state."""
         dense = np.zeros((self.dim, self.dim), dtype=complex)
-        dense[self.rows, self.cols] = blocks.reshape(-1)[self.packed]
+        dense[self.rows, self.cols] = packed
         return dense
 
-    def populations(self, blocks: np.ndarray) -> np.ndarray:
-        """Real diagonal of a block state, in basis order."""
-        return blocks.reshape(-1)[self.diagonal].real
+    def populations(self, packed: np.ndarray) -> np.ndarray:
+        """Real diagonal of a packed state, in basis order."""
+        return packed[self.diagonal].real
 
-    def min_eigenvalue(self, blocks: np.ndarray) -> float:
-        """Smallest eigenvalue of a Hermitian block state, over its unpadded blocks."""
-        return min(
-            float(np.linalg.eigvalsh(blocks[index, :size, :size])[:, 0].min())
-            for size, index in self.by_size
-        )
+    def min_eigenvalue(self, packed: np.ndarray) -> float | np.ndarray:
+        """Smallest eigenvalue of a Hermitian packed state, or of each of a stack of them."""
+        return np.min([
+            np.linalg.eigvalsh(view)[..., 0].min(axis=-1) for view in self.blocks(packed)
+        ], axis=0)
 
 
 def enumerate_basis(
@@ -305,5 +315,5 @@ def transfer_op(
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max element of |A - A^dag|, over the last two axes of a matrix or block stack."""
-    return float(np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max())
+    """Max element of |A - A^dag| of a square matrix."""
+    return float(np.abs(matrix - matrix.conj().T).max())

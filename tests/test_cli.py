@@ -409,9 +409,11 @@ def test_run_that_blows_up_exits_2_naming_the_step(tmp_path, capsys, command, te
     # the rate's square is finite, yet the Euler step overflows within steps
     config = write_config(tmp_path, text)
     out = tmp_path / "blown"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli(command, "--config", config, "--out", str(out), *args) == 2
-    assert " not finite at step " in capsys.readouterr().err
+    assert run_cli(command, "--config", config, "--out", str(out), *args) == 2
+    err = capsys.readouterr().err
+    # the error line alone: no numpy warning comes before it
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert " not finite at step " in err
     assert not (tmp_path / "blown.csv").exists()
 
 

@@ -43,6 +43,7 @@ from cavitychain.modes import (
     ModeKind,
     ModeLayout,
     Operator,
+    Sectors,
     enumerate_basis,
     transfer_op,
 )
@@ -214,14 +215,11 @@ def test_step_map_is_the_blocked_step(config):
     chain = assemble(config)
     sectors = chain.basis.sectors
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
-    step = step_map(engine, sectors)
-    m = len(sectors.packed)
+    step = step_map(engine)
+    m = sum(b * b for b in sectors.sizes)
     assert step.shape == (m, m)
-    for j in range(m):
-        unit = np.zeros(sectors.shape, dtype=complex)
-        unit.reshape(-1)[sectors.packed[j]] = 1.0
-        stepped = engine.step(unit).reshape(-1)[sectors.packed]
-        assert np.abs(step[:, j] - stepped).max() <= 1e-15
+    for j, unit in enumerate(np.eye(m, dtype=complex)):
+        assert np.abs(step[:, j] - engine.step(unit)).max() <= 1e-15
     # the step keeps the trace: the trace row is a left fixed point of S
     trace_row = (sectors.rows == sectors.cols).astype(float)
     assert np.abs(trace_row @ step - trace_row).max() <= 1e-14
@@ -229,11 +227,10 @@ def test_step_map_is_the_blocked_step(config):
 
 def test_step_map_allocates_about_one_map():
     chain = assemble(STEP_MAP_CHAINS[-1])
-    sectors = chain.basis.sectors
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
     tracemalloc.start()
     try:
-        step = step_map(engine, sectors)
+        step = step_map(engine)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -474,13 +471,13 @@ def test_positivity_screen_leaves_few_samples_exact(monkeypatch):
     step 84, so three chunks of 32 take exact eigenvalues and the screen
     clears the other 29."""
     exact = []
-    min_eigenvalues = SampleReader.min_eigenvalues
+    min_eigenvalue = Sectors.min_eigenvalue
 
-    def counted(reader, chunk):
-        exact.append(len(chunk))
-        return min_eigenvalues(reader, chunk)
+    def counted(sectors, states):
+        exact.append(len(states))
+        return min_eigenvalue(sectors, states)
 
-    monkeypatch.setattr(SampleReader, "min_eigenvalues", counted)
+    monkeypatch.setattr(Sectors, "min_eigenvalue", counted)
     record = evolve(ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5), 10.0)
     assert len(record.times) == 1001
     assert sum(exact) <= 3 * CHUNK_STEPS
@@ -491,17 +488,18 @@ def test_positivity_screen_leaves_few_samples_exact(monkeypatch):
 @pytest.mark.parametrize(
     "element,value",
     [
-        ((1, 0, 1), np.nan),  # an upper off-diagonal element
-        ((1, 1, 0), np.inf),  # a lower one
-        ((1, 0, 0), np.nan),  # a population
-        ((1, 1, 1), 1j * np.inf),  # the imaginary part of a population
+        # (basis row, basis column): states 2 and 3 are the exciton and the photon
+        ((2, 3), np.nan),  # an upper off-diagonal element
+        ((3, 2), np.inf),  # a lower one
+        ((2, 2), np.nan),  # a population
+        ((3, 3), 1j * np.inf),  # the imaginary part of a population
     ],
 )
 def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
     monkeypatch, element, value
 ):
     chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
-    assert chain.basis.sectors.sizes[1] == 2  # the (1, 0) block: photon and exciton
+    assert chain.basis.sectors.block[2:].tolist() == [1, 1]  # the (1, 0) block
     reader = SampleReader(chain.basis)
     reader.seen = -1e-3  # so a chunk is screened, not read exactly
 
@@ -509,11 +507,12 @@ def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
         raise AssertionError("the screen ran on a non-finite chunk")
 
     monkeypatch.setattr(SampleReader, "_screen", unreachable)
-    monkeypatch.setattr(SampleReader, "min_eigenvalues", unreachable)
-    blocks = chain.basis.sectors.pack(chain.initial.elements)
-    bad = blocks.copy()
-    bad[element] = value
-    for step, state in ((0, blocks), (5, blocks), (10, bad), (15, blocks)):
+    monkeypatch.setattr(Sectors, "min_eigenvalue", unreachable)
+    sectors = chain.basis.sectors
+    packed = sectors.pack(chain.initial.elements)
+    bad = packed.copy()
+    bad[sectors.index(*element)] = value
+    for step, state in ((0, packed), (5, packed), (10, bad), (15, packed)):
         reader.add(step, state)
     with pytest.raises(ArithmeticError, match="^state not finite at step 10: "):
         reader.read()

@@ -10,6 +10,7 @@ with up to 300 packed coordinates.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +42,7 @@ from cavitychain.model import (
     assemble,
     build_basis,
 )
-from cavitychain.modes import ModeKind, hermiticity_defect
+from cavitychain.modes import SECTOR_LEAK_TOL, ModeKind, hermiticity_defect
 from operator_oracles import dense_step
 
 MAX_DIM = 32
@@ -151,6 +152,13 @@ def sector_chains(draw):
     return config
 
 
+# The derandomized draws rarely reach long runs on large chains, so the
+# stepping properties also run the pumped two-site chain of the bottleneck
+# benchmark (d = 32, M = 140: blocks of sizes 1, 4 and 6) over three chunks
+# or more
+PUMPED_PAIR = ChainConfig(n_atoms=2, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+
+
 @settings(max_examples=25)
 @given(sector_chains(), time_steps, st.integers(1, 200))
 # every kind of jump at dimension 128: pump, drain, dephasing and loss
@@ -161,6 +169,7 @@ def sector_chains(draw):
     0.01,
     200,
 )
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4)
 def test_blocked_step_matches_dense_step(config, dt, n_steps):
     chain = assemble(config)
     sectors = chain.basis.sectors
@@ -173,6 +182,37 @@ def test_blocked_step_matches_dense_step(config, dt, n_steps):
         leak = rho.copy()
         leak[sectors.rows, sectors.cols] = 0
         assert np.abs(leak).max() <= DENSE_SECTOR_LEAK_MAX
+
+
+@settings(max_examples=25)
+@given(sector_chains(), st.integers(0, 2**32 - 1))
+def test_packed_layout_groups_the_blocks_by_size(config, seed):
+    """Each size group views the dense blocks of its size in (N, sink) order,
+    unpack inverts pack on block-diagonal matrices, and pack refuses an
+    off-block element past SECTOR_LEAK_TOL."""
+    sectors = build_basis(config).sectors
+    rng = np.random.default_rng(seed)
+    dim = sectors.dim
+    inside = sectors.block[:, None] == sectors.block[None, :]
+    dense = np.where(inside, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), 0)
+    packed = sectors.pack(dense)
+    views = sectors.blocks(packed)
+    assert [size for size, _ in sectors.groups] == sorted(set(sectors.sizes))
+    assert sum(view.size for view in views) == len(packed) == inside.sum()
+    for (size, _), view in zip(sectors.groups, views):
+        assert np.shares_memory(view, packed)
+        states = [np.flatnonzero(sectors.block == b) for b, s in enumerate(sectors.sizes) if s == size]
+        assert view.shape == (len(states), size, size)
+        for block, members in zip(view, states):
+            assert np.array_equal(block, dense[np.ix_(members, members)])
+    assert np.array_equal(sectors.unpack(packed), dense)
+    outside = np.argwhere(~inside)
+    row, col = outside[rng.integers(len(outside))]
+    dense[row, col] = SECTOR_LEAK_TOL
+    sectors.pack(dense)
+    dense[row, col] = 2 * SECTOR_LEAK_TOL
+    with pytest.raises(ArithmeticError, match="leaks out of its"):
+        sectors.pack(dense)
 
 
 # Readouts are the per-state products a sample took one at a time, and the
@@ -222,7 +262,7 @@ def test_chunked_sample_diagnostics_match_exact_per_sample_ones(
         if i % sample_every == 0 or i == n_steps:
             lowest.append(sectors.min_eigenvalue(rho))
             populations.append(sectors.populations(rho))
-            defects.append(hermiticity_defect(rho))
+            defects.append(hermiticity_defect(sectors.unpack(rho)))
     assert record.positivity_flags.tolist() == [int(x < POSITIVITY_FLOOR) for x in lowest]
     assert record.min_eigenvalue_seen == min(lowest)
     sampled = np.array(populations)
@@ -282,6 +322,7 @@ def route_chains(draw):
 
 @settings(max_examples=30)
 @given(route_chains(), time_steps, st.integers(1, 5 * CHUNK_STEPS))
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4)
 def test_chunked_route_matches_stepped_route_at_fixed_time(config, dt, n_steps):
     chain = assemble(config)
     sectors = chain.basis.sectors
@@ -309,6 +350,7 @@ def first_crossing(steps, target):
     st.sampled_from(("chunk_first", "chunk_last", "run_end", "never")),
     st.sampled_from((0.0, 0.5)),
 )
+@example(PUMPED_PAIR, 0.01, 3, 10, "chunk_last", 0.0)
 def test_chunked_route_matches_stepped_route_to_target(
     config, dt, chunks, extra, where, short
 ):
