@@ -8,7 +8,8 @@ exact.  The state is stepped as one block per (excitation count, sink)
 sector of the basis, a structure the Hamiltonian and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
-matrix on packed block coordinates, CHUNK_STEPS steps per product.
+real matrix on the Hermitian coordinates of packed states, K steps per
+product, with K (``chunk_length``) sized from the number of coordinates.
 A trajectory reads its samples CHUNK_STEPS at a time (``SampleReader``):
 populations, Hermiticity and positivity in one pass per chunk, positivity
 by a shifted Cholesky screen that leaves the exact eigenvalues to the
@@ -28,6 +29,7 @@ import numpy as np
 
 from .model import AssembledChain, ChainConfig, LindbladTerm, assemble
 from .modes import (
+    HERMITIAN_TOL,
     DensityMatrix,
     ModeKind,
     Operator,
@@ -108,12 +110,14 @@ class StepEngine:
     """Precomputed sector-blocked arrays for repeated steps at one fixed dt.
 
     States are packed vectors of the basis's ``sectors``.  The unitary is
-    packed once, and must not leak out of the sectors; ``unitary`` holds its
-    blocks as one (count, size, size) stack per size group.  Every jump must
-    be monomial (one nonzero per row and column) and send each block into a
+    packed once, and must not leak out of the sectors.  Every jump must be
+    monomial (one nonzero per row and column) and send each block into a
     single block, so sum(L^dag L) is diagonal: the anticommutator and the
     diagonal (dephasing) jumps fold into one packed weight, and each other
     jump is a (destination, source, coefficient) map over packed coordinates.
+    The unitary part of a 1 x 1 block, u rho conj(u) = |u|**2 rho, folds into
+    the weight too; ``unitary`` holds (packed span, U, U^dag) for each group
+    of larger blocks, U and U^dag as (count, size, size) stacks.
     """
 
     def __init__(self, propagator: Propagator, terms: list[LindbladTerm], dt: float) -> None:
@@ -121,8 +125,7 @@ class StepEngine:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         self.dt = float(dt)
         sectors = self.sectors = propagator.basis.sectors
-        self.unitary = sectors.blocks(sectors.pack(propagator.unitary(dt)))
-        self.unitary_dag = [u.conj().swapaxes(-1, -2).copy() for u in self.unitary]
+        unitary = sectors.blocks(sectors.pack(propagator.unitary(dt)))
         rows, cols = sectors.rows, sectors.cols
         rates = np.zeros(sectors.dim)  # diagonal of sum(L^dag L)
         gained = np.zeros(rows.shape, dtype=complex)  # diagonal jumps, in-block pairs
@@ -144,6 +147,12 @@ class StepEngine:
                 self.dt * amplitude[rows[kept]] * amplitude[cols[kept]].conj(),
             ))
         self.weight = self.dt * (gained - 0.5 * (rates[rows] + rates[cols]))
+        self.unitary: list[tuple[slice, np.ndarray, np.ndarray]] = []
+        for (size, span), u in zip(sectors.groups, unitary):
+            if size == 1:  # |u|**2 as Re(u conj(u)): abs(u)**2 rounds twice more
+                self.weight[span] += (u * u.conj()).real.reshape(-1)
+            else:
+                self.unitary.append((span, u, u.conj().swapaxes(-1, -2).copy()))
 
     @_quiet_overflow()
     def step(self, rho: np.ndarray) -> np.ndarray:
@@ -151,11 +160,10 @@ class StepEngine:
 
         ``step_map`` writes the same terms, in the same order, as a matrix.
         """
-        out = np.concatenate([
-            (u @ blocks @ u_dag).reshape(-1)
-            for u, blocks, u_dag in zip(self.unitary, self.sectors.blocks(rho), self.unitary_dag)
-        ])
-        out += rho * self.weight
+        out = rho * self.weight
+        for span, u, u_dag in self.unitary:
+            size = u.shape[-1]
+            out[span] += (u @ rho[span].reshape(-1, size, size) @ u_dag).reshape(-1)
         for destination, source, coefficient in self.transfers:
             out[destination] += coefficient * rho[source]
         return out
@@ -254,19 +262,23 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
 
 
 def step_map(engine: StepEngine) -> np.ndarray:
-    """The step as an M x M matrix S on packed coordinates, M = sum of size**2.
+    """The step as a real M x M matrix on Hermitian coordinates, M = sum of size**2.
 
-    Each block's packed coordinates are one contiguous range, its size**2
-    entries in row-major order, on which the unitary part of the step acts
-    as U_b kron conj(U_b).  S is written from those Kronecker products, the
-    packed ``engine.weight`` on its diagonal and each transfer's
-    coefficients at their (destination, source) pairs: the terms of
-    ``engine.step``, summed in the same order, with no state pushed through.
+    The complex matrix S of the step on packed coordinates is written from
+    the engine's terms: each block's packed coordinates are one contiguous
+    range, its size**2 entries in row-major order, on which the unitary part
+    of the step acts as U_b kron conj(U_b); then the packed ``engine.weight``
+    on the diagonal and each transfer's coefficients at their (destination,
+    source) pairs.  These are the terms of ``engine.step``, summed in the same
+    order, with no state pushed through.  The step keeps a state Hermitian,
+    so on the M real coordinates of a Hermitian state
+    (``_hermitian_coordinates``) it acts as a real matrix, which
+    ``_real_map`` takes from S.
     """
     m = len(engine.weight)
     step = np.zeros((m, m), dtype=complex)
-    start = 0
-    for group in engine.unitary:
+    for span, group, _ in engine.unitary:
+        start = span.start
         for u in group:
             stop = start + u.size
             step[start:stop, start:stop] = np.kron(u, u.conj())
@@ -274,13 +286,69 @@ def step_map(engine: StepEngine) -> np.ndarray:
     step.reshape(-1)[:: m + 1] += engine.weight
     for destination, source, coefficient in engine.transfers:
         np.add.at(step, (destination, source), coefficient)
-    return step
+    return _real_map(step, engine.sectors)
 
 
-# The chunked route reads CHUNK_STEPS steps per product; S**CHUNK_STEPS
-# takes CHUNK_SQUARINGS squarings of S.
-CHUNK_SQUARINGS = 5
-CHUNK_STEPS = 2**CHUNK_SQUARINGS
+def _hermitian_coordinates(sectors: Sectors, packed: np.ndarray) -> np.ndarray:
+    """The M real coordinates of a Hermitian packed state.
+
+    Re rho_rc on the coordinates with r <= c, and Im rho_rc in the slot of
+    its transpose (c, r); ``_packed_state`` is the inverse.
+    """
+    upper, lower = sectors.pairs
+    real = packed.real.copy()
+    real[lower] = packed.imag[upper]
+    return real
+
+
+def _packed_state(sectors: Sectors, real: np.ndarray) -> np.ndarray:
+    """The Hermitian packed state of its real coordinates."""
+    upper, lower = sectors.pairs
+    packed = real.astype(complex)
+    packed[upper] += 1j * real[lower]
+    packed[lower] = packed[upper].conj()
+    return packed
+
+
+def _real_map(step: np.ndarray, sectors: Sectors) -> np.ndarray:
+    """The real matrix on Hermitian coordinates of a complex map S on packed ones.
+
+    With rho = T x the packed state of coordinates x, this is T^-1 S T.
+    Columns: the coordinates (u, l) of a pair, (r, c) and (c, r) with r < c,
+    take S_u + S_l and i (S_u - S_l).  Rows: the real part of each row with
+    r <= c, and the imaginary part of row (r, c) in the slot (c, r).  That
+    drops the imaginary part of the diagonal rows and row (c, r) - conj(row
+    (r, c)), which vanish for a map that keeps every state Hermitian; if
+    either exceeds HERMITIAN_TOL times the largest |S|, ArithmeticError.
+    S is overwritten.
+    """
+    upper, lower = sectors.pairs
+    scale = max(1.0, float(np.abs(step).max(initial=0.0)))
+    high, low = step[:, upper], step[:, lower]
+    step[:, upper] = high + low
+    high -= low
+    high *= 1j
+    step[:, lower] = high
+    del high, low
+    high, low = step[upper], step[lower]
+    low -= high.conj()
+    defect = max(
+        float(np.abs(low).max(initial=0.0)),
+        float(np.abs(step[sectors.diagonal].imag).max(initial=0.0)),
+    )
+    if not defect <= HERMITIAN_TOL * scale:
+        raise ArithmeticError(
+            f"step map does not keep states Hermitian: defect {defect:.3e} "
+            f"against a largest |entry| of {scale:.3e}"
+        )
+    real = step.real.copy()
+    real[lower] = high.imag
+    return real
+
+
+# A trajectory's samples are read CHUNK_STEPS at a time, and a chunked sweep
+# cell reads at least that many steps per product.
+CHUNK_STEPS = 32
 # Fixed cost of one numpy product or step call from Python (dispatch,
 # temporaries, the loop around it), in complex multiply-adds.  A blocked
 # step at dim 6 counts 384 of them yet takes about 15 us, the time of some
@@ -295,28 +363,48 @@ STEP_OVERHEAD_MACS = 100_000
 CellSteps = Iterator[tuple[int, np.ndarray, Callable[[int], np.ndarray]]]
 
 
+def chunk_length(m: int, n_steps: int) -> int:
+    """Steps K per product of the chunked route on M packed coordinates.
+
+    K starts at CHUNK_STEPS and doubles while one more doubling, a squaring
+    of the step map (M**3 real multiply-adds) and a doubling of the 2K
+    readout rows (2K M**2), costs no more than the fixed overhead of one
+    product, STEP_OVERHEAD_MACS, and while the 2K steps fit in n_steps.
+    """
+    k = CHUNK_STEPS
+    while 2 * k <= n_steps and m**3 + 2 * k * m * m <= STEP_OVERHEAD_MACS:
+        k *= 2
+    return k
+
+
 def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
     """``"chunked"`` or ``"stepped"``: the cheaper route for n_steps on these sectors.
 
     Costs are counted in complex multiply-adds from the sector sizes alone,
-    so the rule runs before S is allocated, and every product, step or
-    per-block call adds STEP_OVERHEAD_MACS.  A blocked step is two matmuls
-    per block, 2 sum(size**3).  The chunked route writes S (sum of
-    size**4 unitary entries, M weights and the transfer entries, at most M
-    per jump; the rule sees no jumps and counts them as one M), squares it
-    CHUNK_SQUARINGS times, forms the 2 CHUNK_STEPS readout rows R S^j in
-    one product and CHUNK_SQUARINGS doublings, and then takes one
-    (2 CHUNK_STEPS + M) x M product per chunk.
+    a real multiply-add as a quarter of one, so the rule runs before S is
+    allocated, and every product, step or per-block call adds
+    STEP_OVERHEAD_MACS.  A blocked step is two matmuls per block of size 2 or
+    more, 2 sum(size**3); 1 x 1 blocks are in its weight.  The chunked route
+    writes S (sum of size**4 unitary entries, M weights and the transfer
+    entries, at most M per jump; the rule sees no jumps and counts them as
+    one M) and changes its coordinates (M**2).  The rest is real, with
+    K = ``chunk_length``: log2 K squarings (M**3 each), the 2K readout rows
+    from one product and log2 K doublings (2K M**2 in all), one
+    (2K + M) x M product per chunk, and the stopping state rebuilt by at
+    most log2 K products with powers of S (M**2 each).
     """
     m = sum(b * b for b in sizes)
-    step = 2 * sum(b**3 for b in sizes)
-    chunks = -(-n_steps // CHUNK_STEPS)
+    blocks = [b for b in sizes if b > 1]
+    step = 2 * sum(b**3 for b in blocks)
+    k = chunk_length(m, n_steps)
+    squarings = k.bit_length() - 1
+    chunks = -(-n_steps // k)
+    real = (
+        squarings * m**3 + 2 * k * m * m + chunks * (2 * k + m) * m + squarings * m * m
+    )
     chunked = (
-        sum(b**4 for b in sizes) + 2 * m
-        + CHUNK_SQUARINGS * m**3
-        + 2 * CHUNK_STEPS * m * m
-        + chunks * (2 * CHUNK_STEPS + m) * m
-        + (len(sizes) + 1 + 2 * CHUNK_SQUARINGS + chunks) * STEP_OVERHEAD_MACS
+        sum(b**4 for b in blocks) + 2 * m + m * m + real / 4
+        + (len(blocks) + 3 + 3 * squarings + chunks) * STEP_OVERHEAD_MACS
     )
     return "chunked" if chunked < n_steps * (step + STEP_OVERHEAD_MACS) else "stepped"
 
@@ -337,46 +425,53 @@ def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
 
 
 def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
-    """Sink and trace at steps 0..n_steps, CHUNK_STEPS steps per product.
+    """Sink and trace at steps 0..n_steps, K = ``chunk_length`` steps per product.
 
-    With S the ``step_map`` and R the sink and trace rows over packed
-    coordinates, one product of the stacked rows R S^1 .. R S^CHUNK_STEPS
-    and S^CHUNK_STEPS with the packed state at a chunk's start gives every
-    value inside the chunk and the state at the next start.  The rows come
-    by doubling alongside the squarings: with R S^1 .. R S^K stacked, one
-    product with S^K appends R S^(K+1) .. R S^2K.  Step 0 comes as its own
-    one-row chunk.  A state is rebuilt, by at most CHUNK_STEPS products
-    with S from its chunk's start, only when asked for.
+    The state runs in Hermitian coordinates, where the ``step_map`` S is
+    real.  With R the sink and trace rows over them, one product of the
+    stacked rows R S^1 .. R S^K and S^K with the state at a chunk's start
+    gives every value inside the chunk and the state at the next start.
+    The rows come by doubling alongside the squarings: with R S^1 .. R S^n
+    stacked, one product with S^n appends R S^(n+1) .. R S^2n.  Step 0 comes
+    as its own one-row chunk.  A state is rebuilt only when asked for, from
+    its chunk's start by the powers S^(2^j) of the binary digits of its
+    offset, at most log2 K products, and returned as a packed state.
     """
     sectors = chain.basis.sectors
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
-    step = step_map(engine)
-    readout = np.zeros((2, len(step)))
+    power = step_map(engine)
+    m = len(power)
+    k = chunk_length(m, n_steps)
+    readout = np.zeros((2, m))
     readout[0, sectors.diagonal] = sink_column(chain.basis)
     readout[1, sectors.diagonal] = 1.0
-    rows, power = _matmul(readout, step), step
-    for _ in range(CHUNK_SQUARINGS):
-        rows = np.vstack([rows, _matmul(rows, power)])
-        power = _matmul(power, power)
-    chunk = np.vstack([rows, power])
-    n_values = 2 * CHUNK_STEPS
+    # R S^1 .. R S^K, two rows per step, over S^K
+    chunk = np.empty((2 * k + m, m))
+    _matmul(readout, power, out=chunk[:2])
+    powers = [power]  # S^(2^j) for j = 0 .. log2 K
+    n = 1
+    while n < k:  # chunk holds R S^1 .. R S^n, and power is S^n
+        _matmul(chunk[: 2 * n], power, out=chunk[2 * n : 4 * n])
+        power = _matmul(power, power, out=chunk[2 * k :] if 2 * n == k else None)
+        powers.append(power)
+        n *= 2
 
     def state(i: int) -> np.ndarray:
-        packed = start_state
-        for _ in range(i - start):
-            packed = step @ packed
-        return packed
+        real, offset = start_state, i - start
+        for j, square in enumerate(powers):
+            if offset >> j & 1:
+                real = square @ real
+        return _packed_state(sectors, real)
 
     start = 0
-    start_state = sectors.pack(chain.initial.elements)
-    yield 0, (readout @ start_state).real.reshape(1, 2), state
+    start_state = _hermitian_coordinates(sectors, sectors.pack(chain.initial.elements))
+    yield 0, (readout @ start_state).reshape(1, 2), state
     next_state = start_state
-    for start in range(0, n_steps, CHUNK_STEPS):
+    for start in range(0, n_steps, k):
         start_state = next_state
         out = _matmul(chunk, start_state)
-        next_state = out[n_values:]
-        values = out[:n_values].real.reshape(CHUNK_STEPS, 2)
-        yield start + 1, values[: n_steps - start], state
+        next_state = out[2 * k :]
+        yield start + 1, out[: 2 * k].reshape(k, 2)[: n_steps - start], state
 
 
 CELL_ROUTES = {"chunked": chunked_cell_steps, "stepped": stepped_cell_steps}
@@ -409,9 +504,6 @@ class SampleReader:
         sectors = self.sectors = basis.sectors
         layout = basis.layout
         self.chunk = np.empty((CHUNK_STEPS, len(sectors.rows)), dtype=complex)
-        # packed coordinates of the (r, c) and (c, r) elements with r < c
-        upper = np.flatnonzero(sectors.rows < sectors.cols)
-        self.pairs = np.stack([upper, sectors.index(sectors.cols[upper], sectors.rows[upper])])
         self.sink = sink_column(basis)
         self.photon, self.exciton = (
             basis.occupations[:, list(layout.indices(kind))].astype(float)
@@ -426,7 +518,7 @@ class SampleReader:
         """Copy the packed state at ``step`` into the chunk, which must not be full."""
         row = len(self.steps)
         self.chunk[row] = packed
-        pairs = packed[self.pairs]
+        pairs = packed[self.sectors.pairs]
         self.defects[row] = np.abs(pairs[0] - pairs[1].conj()).max(initial=0.0)
         self.steps.append(step)
 

@@ -121,7 +121,9 @@ class Sectors:
     column), rows and columns in basis order.  ``rows`` and ``cols`` give the
     basis pair of each packed coordinate.  The blocks of one size fill one
     contiguous slice of the vector (``groups``), which ``blocks`` views as a
-    ``(count, size, size)`` stack.
+    ``(count, size, size)`` stack.  ``pairs`` pairs each off-diagonal
+    coordinate above the diagonal with its transpose's, the elements that
+    Hermiticity ties together.
     """
 
     def __init__(self, basis: ProjectedBasis) -> None:
@@ -160,6 +162,10 @@ class Sectors:
         self.rows[coordinate], self.cols[coordinate] = rows, cols
         # population of every basis state, in basis order
         self.diagonal = self.index(np.arange(dim), np.arange(dim))
+        # (2, P): the packed coordinates of the (r, c) elements with r < c,
+        # over those of their transposes (c, r)
+        upper = np.flatnonzero(self.rows < self.cols)
+        self.pairs = np.stack([upper, self.index(self.cols[upper], self.rows[upper])])
 
     def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Packed coordinate of each (row, col) pair of same-block basis states."""

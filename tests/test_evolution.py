@@ -15,6 +15,7 @@ from cavitychain.evolution import (
     TrajectoryRecord,
     _expm_taylor,
     cell_route,
+    chunk_length,
     diagonalize,
     evolve,
     step_count,
@@ -45,6 +46,7 @@ from cavitychain.modes import (
     Operator,
     Sectors,
     enumerate_basis,
+    hermiticity_defect,
     transfer_op,
 )
 from operator_oracles import identity_op, number_op, observable, total_quanta_op, trace
@@ -210,6 +212,24 @@ STEP_MAP_CHAINS = [
 ]
 
 
+def hermitian_unit_states(sectors):
+    """The packed state of each unit vector of the M real Hermitian coordinates:
+    Re rho_rc on r <= c and Im rho_rc in the (c, r) slot."""
+    upper, lower = sectors.pairs
+    for unit in np.eye(len(sectors.rows)):
+        rho = unit.astype(complex)
+        rho[upper] += 1j * unit[lower]
+        rho[lower] = rho[upper].conj()
+        yield rho
+
+
+def hermitian_coordinates(sectors, rho):
+    upper, lower = sectors.pairs
+    real = rho.real.copy()
+    real[lower] = rho[upper].imag
+    return real
+
+
 @pytest.mark.parametrize("config", STEP_MAP_CHAINS, ids=["pumped", "pumped_exciton", "phonons"])
 def test_step_map_is_the_blocked_step(config):
     chain = assemble(config)
@@ -217,12 +237,28 @@ def test_step_map_is_the_blocked_step(config):
     engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
     step = step_map(engine)
     m = sum(b * b for b in sectors.sizes)
-    assert step.shape == (m, m)
-    for j, unit in enumerate(np.eye(m, dtype=complex)):
-        assert np.abs(step[:, j] - engine.step(unit)).max() <= 1e-15
+    assert step.shape == (m, m) and step.dtype == float
+    for j, rho in enumerate(hermitian_unit_states(sectors)):
+        stepped = engine.step(rho)
+        assert hermiticity_defect(sectors.unpack(stepped)) <= 1e-15
+        assert np.abs(step[:, j] - hermitian_coordinates(sectors, stepped)).max() <= 1e-15
     # the step keeps the trace: the trace row is a left fixed point of S
     trace_row = (sectors.rows == sectors.cols).astype(float)
     assert np.abs(trace_row @ step - trace_row).max() <= 1e-14
+
+
+def test_step_map_refuses_a_step_that_breaks_hermiticity():
+    chain = assemble(STEP_MAP_CHAINS[0])
+    sectors = chain.basis.sectors
+    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
+    destination, source, coefficient = engine.transfers[0]
+    # the transfer of one off-diagonal element takes a phase that the
+    # transfer of its transpose does not
+    broken = coefficient.copy()
+    broken[np.argmax(sectors.rows[source] < sectors.cols[source])] *= 1j
+    engine.transfers[0] = (destination, source, broken)
+    with pytest.raises(ArithmeticError, match="does not keep states Hermitian"):
+        step_map(engine)
 
 
 def test_step_map_allocates_about_one_map():
@@ -235,9 +271,19 @@ def test_step_map_allocates_about_one_map():
     finally:
         tracemalloc.stop()
     assert step.shape == (288, 288)
-    # S itself, one block's Kronecker product and index temporaries; a
-    # batch of M unit states would take several times S
-    assert peak <= 3 * step.nbytes
+    # the complex map, one block's Kronecker product, the column and row
+    # pairs of the coordinate change and index temporaries; a batch of M
+    # unit states would take several times the complex map
+    assert peak <= 3 * 16 * 288**2
+
+
+@pytest.mark.parametrize(
+    "m,n_steps,length",
+    [(18, 5000, 256), (18, 100, 64), (18, 1, CHUNK_STEPS), (140, 40000, CHUNK_STEPS)],
+    ids=["dat_grid", "dat_grid_100_steps", "one_step", "bottleneck_row"],
+)
+def test_chunk_length_grows_on_small_maps(m, n_steps, length):
+    assert chunk_length(m, n_steps) == length
 
 
 def sweep_chain(**overrides):

@@ -6,7 +6,8 @@ sampled state must stay a trace-one Hermitian matrix.  Chains stay at
 dimension <= 32 and runs at <= 300 steps.  The blocked step itself is
 checked against the dense step of ``operator_oracles`` on chains up to
 dimension 128, and the chunked cell route against the stepped one on chains
-with up to 300 packed coordinates.
+with up to 300 packed coordinates (and, in one explicit example, over the
+600 steps that the chunks of 256 steps of a small chain need).
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cavitychain.evolution import (
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
+    chunk_length,
     chunked_cell_steps,
     diagonalize,
     evolve,
@@ -157,6 +159,11 @@ def sector_chains(draw):
 # benchmark (d = 32, M = 140: blocks of sizes 1, 4 and 6) over three chunks
 # or more
 PUMPED_PAIR = ChainConfig(n_atoms=2, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+# the dephasing chain of the dat benchmark (d = 6, M = 18), whose cells run
+# chunks of 256 steps once there are 512 or more
+DAT_PAIR = ChainConfig(
+    n_atoms=2, k=0.8, mu=0.2, g=0.3, rate_out=0.5, sink_coupling=SinkCoupling.LAST_EXCITON
+)
 
 
 @settings(max_examples=25)
@@ -354,8 +361,9 @@ def first_crossing(steps, target):
 def test_chunked_route_matches_stepped_route_to_target(
     config, dt, chunks, extra, where, short
 ):
-    """The sink crosses the target in the first or last step of a chunk, in
-    the run's last step, or never.
+    """The sink crosses the target in the first or last step of the run's
+    last whole chunk, chunks of the cell's own ``chunk_length``, in the
+    run's last step, or never.
 
     The target sits three quarters of the way up the sink's rise over the
     crossing step.  t_max is the last step's time or half a step before it,
@@ -364,13 +372,15 @@ def test_chunked_route_matches_stepped_route_to_target(
     chain = assemble(config)
     sectors = chain.basis.sectors
     n_steps = chunks * CHUNK_STEPS + extra
+    k = chunk_length(len(sectors.rows), n_steps)
+    last_chunk = n_steps // k
     sinks = step_rows(stepped_cell_steps(chain, dt, n_steps))[:, 1].tolist()
     if where == "never":
         target = (max(sinks) + 1.0) / 2
     else:
         step = {
-            "chunk_first": 1 + (chunks - 1) * CHUNK_STEPS,
-            "chunk_last": chunks * CHUNK_STEPS,
+            "chunk_first": 1 + (last_chunk - 1) * k,
+            "chunk_last": last_chunk * k,
             "run_end": n_steps,
         }[where]
         rise = sinks[step] - sinks[step - 1]
@@ -384,3 +394,20 @@ def test_chunked_route_matches_stepped_route_to_target(
     assert abs(chunked.value - stepped.value) <= ROUTE_TIME_MAX
     assert abs(chunked.trace_drift - stepped.trace_drift) <= ROUTE_VALUE_MAX
     assert abs(chunked.final_min_eig - stepped.final_min_eig) <= ROUTE_VALUE_MAX
+
+
+@settings(max_examples=30)
+@given(route_chains(), time_steps, st.integers(1, 3 * CHUNK_STEPS))
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4)
+@example(DAT_PAIR, 0.01, 600)
+def test_chunked_route_rebuilds_every_state_of_a_chunk(config, dt, n_steps):
+    """state(i), rebuilt from the powers of the step map, at every offset of
+    every chunk is the stepped state at step i."""
+    chain = assemble(config)
+    stepped = [rho for _, rho in iter_steps(chain, dt, n_steps)]
+    seen = 0
+    for first, values, state in chunked_cell_steps(chain, dt, n_steps):
+        for i in range(first, first + len(values)):
+            assert np.abs(state(i) - stepped[i]).max() <= ROUTE_VALUE_MAX
+            seen += 1
+    assert seen == n_steps + 1
