@@ -8,8 +8,12 @@ exact.  The state is stepped as one block per (excitation count, sink)
 sector of the basis, a structure the Hamiltonian and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
-real matrix on the Hermitian coordinates of packed states, K steps per
+real matrix S on the Hermitian coordinates of packed states, K steps per
 product, with K (``chunk_length``) sized from the number of coordinates.
+Every jump carries its rate as a prefactor, so S is a unitary half plus
+the squared rates times one jump half per rate: ``StepMaps`` builds the
+halves once per sweep, the unitary one again only when the Hamiltonian
+changes, and sums them per cell.
 A trajectory reads its samples CHUNK_STEPS at a time (``SampleReader``):
 populations, Hermiticity and positivity in one pass per chunk, positivity
 by a shifted Cholesky screen that leaves the exact eigenvalues to the
@@ -22,12 +26,20 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AssembledChain, ChainConfig, LindbladTerm, assemble
+from .model import (
+    FIELD_KINDS,
+    AssembledChain,
+    ChainConfig,
+    LindbladTerm,
+    assemble,
+    hamiltonian,
+    unit_terms,
+)
 from .modes import (
     HERMITIAN_TOL,
     DensityMatrix,
@@ -121,32 +133,10 @@ class StepEngine:
     """
 
     def __init__(self, propagator: Propagator, terms: list[LindbladTerm], dt: float) -> None:
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {dt}")
-        self.dt = float(dt)
+        self.dt = _checked_dt(dt)
         sectors = self.sectors = propagator.basis.sectors
-        unitary = sectors.blocks(sectors.pack(propagator.unitary(dt)))
-        rows, cols = sectors.rows, sectors.cols
-        rates = np.zeros(sectors.dim)  # diagonal of sum(L^dag L)
-        gained = np.zeros(rows.shape, dtype=complex)  # diagonal jumps, in-block pairs
-        self.transfers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for term in terms:
-            sources, targets = _monomial_map(sectors, term)
-            amplitude = np.zeros(sectors.dim, dtype=complex)
-            amplitude[sources] = term.operator[targets, sources]
-            rates += np.abs(amplitude) ** 2
-            if np.array_equal(sources, targets):
-                gained += amplitude[rows] * amplitude[cols].conj()
-                continue
-            target = np.full(sectors.dim, -1)
-            target[sources] = targets
-            kept = (target[rows] >= 0) & (target[cols] >= 0)
-            self.transfers.append((
-                sectors.index(target[rows[kept]], target[cols[kept]]),
-                np.flatnonzero(kept),
-                self.dt * amplitude[rows[kept]] * amplitude[cols[kept]].conj(),
-            ))
-        self.weight = self.dt * (gained - 0.5 * (rates[rows] + rates[cols]))
+        unitary = _unitary_blocks(propagator, self.dt)
+        self.weight, self.transfers = _dissipator(sectors, terms, self.dt)
         self.unitary: list[tuple[slice, np.ndarray, np.ndarray]] = []
         for (size, span), u in zip(sectors.groups, unitary):
             if size == 1:  # |u|**2 as Re(u conj(u)): abs(u)**2 rounds twice more
@@ -158,7 +148,7 @@ class StepEngine:
     def step(self, rho: np.ndarray) -> np.ndarray:
         """One step of a packed state, as a fresh vector.
 
-        ``step_map`` writes the same terms, in the same order, as a matrix.
+        ``unitary_map`` and ``jump_map`` write the same terms as matrices.
         """
         out = rho * self.weight
         for span, u, u_dag in self.unitary:
@@ -167,6 +157,58 @@ class StepEngine:
         for destination, source, coefficient in self.transfers:
             out[destination] += coefficient * rho[source]
         return out
+
+
+def _checked_dt(dt: float) -> float:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return float(dt)
+
+
+def _unitary_blocks(propagator: Propagator, dt: float) -> list[np.ndarray]:
+    """U = exp(-i*H*dt) packed, as one (count, size, size) stack per block size.
+
+    Packing raises ArithmeticError if U leaks out of the sectors.
+    """
+    sectors = propagator.basis.sectors
+    return sectors.blocks(sectors.pack(propagator.unitary(dt)))
+
+
+Transfer = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _dissipator(
+    sectors: Sectors, terms: Sequence[LindbladTerm], dt: float
+) -> tuple[np.ndarray, list[Transfer]]:
+    """(weight, transfers): dt times the terms' dissipator on packed states.
+
+    Every jump must be monomial and send each block into a single block
+    (``_monomial_map``), so sum(L^dag L) is diagonal: the anticommutator and
+    the diagonal (dephasing) jumps fold into the packed weight, and each
+    other jump's L rho L^dag is a (destination, source, coefficient) map
+    over packed coordinates.
+    """
+    rows, cols = sectors.rows, sectors.cols
+    rates = np.zeros(sectors.dim)  # diagonal of sum(L^dag L)
+    gained = np.zeros(rows.shape, dtype=complex)  # diagonal jumps, in-block pairs
+    transfers: list[Transfer] = []
+    for term in terms:
+        sources, targets = _monomial_map(sectors, term)
+        amplitude = np.zeros(sectors.dim, dtype=complex)
+        amplitude[sources] = term.operator[targets, sources]
+        rates += np.abs(amplitude) ** 2
+        if np.array_equal(sources, targets):
+            gained += amplitude[rows] * amplitude[cols].conj()
+            continue
+        target = np.full(sectors.dim, -1)
+        target[sources] = targets
+        kept = (target[rows] >= 0) & (target[cols] >= 0)
+        transfers.append((
+            sectors.index(target[rows[kept]], target[cols[kept]]),
+            np.flatnonzero(kept),
+            dt * amplitude[rows[kept]] * amplitude[cols[kept]].conj(),
+        ))
+    return dt * (gained - 0.5 * (rates[rows] + rates[cols])), transfers
 
 
 def _monomial_map(sectors: Sectors, term: LindbladTerm) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +230,7 @@ def _monomial_map(sectors: Sectors, term: LindbladTerm) -> tuple[np.ndarray, np.
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps covering [0, t_end]; tolerant of t_end/dt roundoff."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _checked_dt(dt)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be >= 0 and finite, got {t_end}")
     return max(0, math.ceil(t_end / dt - 1e-9))
@@ -261,32 +302,45 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
     return basis.occupations[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
 
 
-def step_map(engine: StepEngine) -> np.ndarray:
-    """The step as a real M x M matrix on Hermitian coordinates, M = sum of size**2.
+def unitary_map(propagator: Propagator, dt: float) -> np.ndarray:
+    """S_H, the unitary half of the step, as a real M x M matrix on Hermitian coordinates.
 
-    The complex matrix S of the step on packed coordinates is written from
-    the engine's terms: each block's packed coordinates are one contiguous
-    range, its size**2 entries in row-major order, on which the unitary part
-    of the step acts as U_b kron conj(U_b); then the packed ``engine.weight``
-    on the diagonal and each transfer's coefficients at their (destination,
-    source) pairs.  These are the terms of ``engine.step``, summed in the same
-    order, with no state pushed through.  The step keeps a state Hermitian,
-    so on the M real coordinates of a Hermitian state
-    (``_hermitian_coordinates``) it acts as a real matrix, which
-    ``_real_map`` takes from S.
+    Each block's packed coordinates are one contiguous range, its size**2
+    entries in row-major order, on which u rho u^dag acts as U_b kron
+    conj(U_b); a 1 x 1 block's is |u|**2 on the diagonal.  ``_real_map``
+    takes the real matrix from this complex one.
     """
-    m = len(engine.weight)
+    sectors = propagator.basis.sectors
+    m = len(sectors.rows)
     step = np.zeros((m, m), dtype=complex)
-    for span, group, _ in engine.unitary:
+    diagonal = step.reshape(-1)[:: m + 1]
+    for (size, span), group in zip(sectors.groups, _unitary_blocks(propagator, dt)):
+        if size == 1:  # as StepEngine folds it into its weight
+            diagonal[span] = (group * group.conj()).real.reshape(-1)
+            continue
         start = span.start
         for u in group:
             stop = start + u.size
             step[start:stop, start:stop] = np.kron(u, u.conj())
             start = stop
-    step.reshape(-1)[:: m + 1] += engine.weight
-    for destination, source, coefficient in engine.transfers:
-        np.add.at(step, (destination, source), coefficient)
-    return _real_map(step, engine.sectors)
+    return _real_map(step, sectors)
+
+
+def jump_map(sectors: Sectors, terms: Sequence[LindbladTerm], dt: float) -> np.ndarray:
+    """dt times the terms' dissipator as a real M x M matrix on Hermitian coordinates.
+
+    The packed weight of ``_dissipator`` on the diagonal and each transfer's
+    coefficients at its (destination, source) pairs, then ``_real_map``.
+    With ``unitary_map``, these are the terms of ``StepEngine.step``: the
+    step map of a chain is ``unitary_map`` plus ``jump_map`` of its terms.
+    """
+    weight, transfers = _dissipator(sectors, terms, dt)
+    m = len(weight)
+    step = np.zeros((m, m), dtype=complex)
+    step.reshape(-1)[:: m + 1] = weight
+    for destination, source, coefficient in transfers:
+        step[destination, source] += coefficient  # a monomial jump's pairs are distinct
+    return _real_map(step, sectors)
 
 
 def _hermitian_coordinates(sectors: Sectors, packed: np.ndarray) -> np.ndarray:
@@ -369,10 +423,12 @@ def chunk_length(m: int, n_steps: int) -> int:
     K starts at CHUNK_STEPS and doubles while one more doubling, a squaring
     of the step map (M**3 real multiply-adds) and a doubling of the 2K
     readout rows (2K M**2), costs no more than the fixed overhead of one
-    product, STEP_OVERHEAD_MACS, and while the 2K steps fit in n_steps.
+    product, STEP_OVERHEAD_MACS, and while the 2K steps fit in n_steps.  As
+    in ``cell_route``, a real multiply-add counts as a quarter of a complex
+    one.
     """
     k = CHUNK_STEPS
-    while 2 * k <= n_steps and m**3 + 2 * k * m * m <= STEP_OVERHEAD_MACS:
+    while 2 * k <= n_steps and (m**3 + 2 * k * m * m) / 4 <= STEP_OVERHEAD_MACS:
         k *= 2
     return k
 
@@ -391,7 +447,10 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
     K = ``chunk_length``: log2 K squarings (M**3 each), the 2K readout rows
     from one product and log2 K doublings (2K M**2 in all), one
     (2K + M) x M product per chunk, and the stopping state rebuilt by at
-    most log2 K products with powers of S (M**2 each).
+    most log2 K products with powers of S (M**2 each).  That prices a cell
+    that builds its own S, as the first chunked cell of a sweep does; later
+    cells only sum the halves of ``StepMaps``, so the rule errs toward
+    stepping.
     """
     m = sum(b * b for b in sizes)
     blocks = [b for b in sizes if b > 1]
@@ -424,27 +483,83 @@ def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
         yield i, values, state
 
 
-def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
+class StepMaps:
+    """The step maps of a sweep's chunked cells, S = S_H + sum_f rate_f**2 D_f.
+
+    Every jump is L = rate * A, so a cell's step is affine in its squared
+    rates.  The cells of a sweep share their basis, initial state and dt and
+    differ only in swept config values, so what does not depend on those
+    values is built once, at the first chunked cell: the sink and trace
+    readout rows, the initial state's Hermitian coordinates, and for each
+    rate field f (``LindbladTerm.rate``), D_f, the ``jump_map`` of the
+    field's terms at unit rate.  Those are the ``unit_terms`` of ``widest``,
+    a cell that sets positive every rate that any cell does (the last cell
+    of a grid, whose axes increase).  S_H, the ``unitary_map`` of a cell's
+    Hamiltonian, is built at the first ``step_map``, kept for the cells
+    after it and rebuilt only when a cell's Hamiltonian inputs, its config
+    fields other than the rate fields, change; a cell with the inputs of
+    ``widest`` takes the Hamiltonian of ``chain``, and any other builds its
+    own (``model.hamiltonian``).  Each half passes its checks when it is built: those of
+    ``diagonalize``, of ``Sectors.pack``, of ``_monomial_map`` and of
+    ``_real_map``.
+    """
+
+    def __init__(self, chain: AssembledChain, widest: ChainConfig, dt: float) -> None:
+        """``chain`` is assembled from ``widest``."""
+        self.dt = _checked_dt(dt)
+        basis = chain.basis
+        sectors = self.sectors = basis.sectors
+        m = len(sectors.rows)
+        self.readout = np.zeros((2, m))
+        self.readout[0, sectors.diagonal] = sink_column(basis)
+        self.readout[1, sectors.diagonal] = 1.0
+        self.start = _hermitian_coordinates(sectors, sectors.pack(chain.initial.elements))
+        terms = unit_terms(widest, basis)
+        self.rates = list(dict.fromkeys(term.rate for term in terms))
+        self.jumps = np.empty((len(self.rates), m * m))  # D_f, one flat row per field
+        for row, field in zip(self.jumps, self.rates):
+            field_terms = [term for term in terms if term.rate == field]
+            row[:] = jump_map(sectors, field_terms, self.dt).reshape(-1)
+        self._inputs = [name for name in FIELD_KINDS if name not in self.rates]
+        self._widest = self._hamiltonian_key(widest), chain
+        self._key: tuple | None = None  # of the cell whose S_H is held
+        self._unitary: np.ndarray | None = None
+
+    def _hamiltonian_key(self, config: ChainConfig) -> tuple:
+        return tuple(getattr(config, name) for name in self._inputs)
+
+    def step_map(self, config: ChainConfig) -> np.ndarray:
+        """S of one cell, a fresh real M x M matrix, summed under ``_quiet_overflow``."""
+        key = self._hamiltonian_key(config)
+        if key != self._key:
+            widest_key, chain = self._widest
+            h = chain.hamiltonian if key == widest_key else hamiltonian(config, chain.basis)
+            self._key, self._unitary = key, unitary_map(diagonalize(h), self.dt)
+        squares = np.array([getattr(config, field) for field in self.rates]) ** 2
+        with _quiet_overflow():
+            step = (squares @ self.jumps).reshape(self._unitary.shape)
+            step += self._unitary
+        return step
+
+
+def chunked_cell_steps(maps: StepMaps, step: np.ndarray, n_steps: int) -> CellSteps:
     """Sink and trace at steps 0..n_steps, K = ``chunk_length`` steps per product.
 
-    The state runs in Hermitian coordinates, where the ``step_map`` S is
-    real.  With R the sink and trace rows over them, one product of the
-    stacked rows R S^1 .. R S^K and S^K with the state at a chunk's start
-    gives every value inside the chunk and the state at the next start.
-    The rows come by doubling alongside the squarings: with R S^1 .. R S^n
-    stacked, one product with S^n appends R S^(n+1) .. R S^2n.  Step 0 comes
-    as its own one-row chunk.  A state is rebuilt only when asked for, from
-    its chunk's start by the powers S^(2^j) of the binary digits of its
-    offset, at most log2 K products, and returned as a packed state.
+    The state runs in Hermitian coordinates, where the cell's step map S
+    (``StepMaps.step_map``) is real; the readout rows R and the initial
+    state come from ``maps``.  One product of the stacked rows R S^1 ..
+    R S^K and S^K with the state at a chunk's start gives every value inside
+    the chunk and the state at the next start.  The rows come by doubling
+    alongside the squarings: with R S^1 .. R S^n stacked, one product with
+    S^n appends R S^(n+1) .. R S^2n.  Step 0 comes as its own one-row chunk.
+    A state is rebuilt only when asked for, from its chunk's start by the
+    powers S^(2^j) of the binary digits of its offset, at most log2 K
+    products, and returned as a packed state.
     """
-    sectors = chain.basis.sectors
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
-    power = step_map(engine)
+    sectors, readout = maps.sectors, maps.readout
+    power = step
     m = len(power)
     k = chunk_length(m, n_steps)
-    readout = np.zeros((2, m))
-    readout[0, sectors.diagonal] = sink_column(chain.basis)
-    readout[1, sectors.diagonal] = 1.0
     # R S^1 .. R S^K, two rows per step, over S^K
     chunk = np.empty((2 * k + m, m))
     _matmul(readout, power, out=chunk[:2])
@@ -464,7 +579,7 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
         return _packed_state(sectors, real)
 
     start = 0
-    start_state = _hermitian_coordinates(sectors, sectors.pack(chain.initial.elements))
+    start_state = maps.start
     yield 0, (readout @ start_state).reshape(1, 2), state
     next_state = start_state
     for start in range(0, n_steps, k):
@@ -474,7 +589,7 @@ def chunked_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
         yield start + 1, out[: 2 * k].reshape(k, 2)[: n_steps - start], state
 
 
-CELL_ROUTES = {"chunked": chunked_cell_steps, "stepped": stepped_cell_steps}
+CELL_ROUTES = ("chunked", "stepped")
 
 
 class SampleReader:

@@ -4,18 +4,31 @@ The two reproduced effects are the quantum bottleneck (time to fill the sink
 is non-monotone in the output rate: past an optimum, faster runoff slows the
 transfer) and dephasing-assisted transport (at a non-optimal output rate,
 nonzero dephasing strength can raise the sink population reached by a fixed
-time).  Sweep cells are independent pure computations, evaluated one after
-another in grid order.
+time).  Sweep cells are evaluated one after another in grid order.  Each
+cell's outcome depends on its own config alone, but the cells of a sweep
+share their basis, so all take one route, and chunked cells share the
+halves of their step maps (``evolution.StepMaps``), whose unitary half
+is rebuilt only where a cell's Hamiltonian differs from the cell before.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import CELL_ROUTES, DEFAULT_DT, CellSteps, cell_route, step_count
+from .evolution import (
+    CELL_ROUTES,
+    DEFAULT_DT,
+    CellSteps,
+    StepMaps,
+    cell_route,
+    chunked_cell_steps,
+    step_count,
+    stepped_cell_steps,
+)
 from .model import ChainConfig, DephasingModel, InitialState, assemble
 from .modes import Sectors
 
@@ -156,16 +169,33 @@ class _CellOutcome:
     final_min_eig: float
 
 
-def _cell_outcome(
-    config: ChainConfig, objective: TimeToReach | SinkAtTime, dt: float
-) -> tuple[str, _CellOutcome]:
-    """(route, outcome) of one cell, on the route ``cell_route`` picks for it."""
-    chain = assemble(config)
-    sectors = chain.basis.sectors
+def _cell_outcomes(
+    configs: Sequence[ChainConfig], objective: TimeToReach | SinkAtTime, dt: float
+) -> Iterator[tuple[str, _CellOutcome]]:
+    """(route, outcome) of each cell in turn, on the route ``cell_route`` picks.
+
+    The cells share their basis, so the route, which depends on the sector
+    sizes and the step count alone, is the same for all.  It is read off
+    the chain of the last cell, whose rates are the largest (a grid's axes
+    increase).  Stepped cells each assemble their own chain.  Chunked cells
+    sum their step maps from one ``StepMaps``, built from the last cell's
+    chain at the first cell.
+    """
     t_end = objective.t_max if isinstance(objective, TimeToReach) else objective.t
     n_steps = step_count(t_end, dt)
+    last = assemble(configs[-1])
+    sectors = last.basis.sectors
     route = cell_route(sectors.sizes, n_steps)
-    return route, _read_cell(CELL_ROUTES[route](chain, dt, n_steps), sectors, objective, dt)
+    if route == "stepped":
+        for i, config in enumerate(configs):
+            chain = last if i == len(configs) - 1 else assemble(config)
+            steps = stepped_cell_steps(chain, dt, n_steps)
+            yield route, _read_cell(steps, sectors, objective, dt)
+        return
+    maps = StepMaps(last, configs[-1], dt)
+    for config in configs:
+        steps = chunked_cell_steps(maps, maps.step_map(config), n_steps)
+        yield route, _read_cell(steps, sectors, objective, dt)
 
 
 def _read_cell(
@@ -240,27 +270,36 @@ def time_to_reach(
     dt: float = DEFAULT_DT,
 ) -> ReachTime:
     """First time the sink population reaches target, capped at t_max."""
-    _, outcome = _cell_outcome(config, TimeToReach(target, t_max), dt)
+    [(_, outcome)] = _cell_outcomes([config], TimeToReach(target, t_max), dt)
     return ReachTime(outcome.value, outcome.capped)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the objective over the full axis grid, cell by cell."""
+    """Evaluate the objective over the full axis grid, cell by cell.
+
+    The cells run in grid order through one ``_cell_outcomes``, so chunked
+    cells build the basis, the readout, the jump halves of their step maps
+    and the first unitary half once, and a cell after one with the same
+    Hamiltonian inputs (every swept jump rate, in any axis order) only sums
+    them.  A cell that fails raises ArithmeticError naming its axis values.
+    """
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
-    routes, outcomes = [], []
+    cells = []
     for v1 in spec.axis1.values:
         for v2 in axis2_values:
             overrides = {spec.axis1.param: v1}
             if spec.axis2 is not None:
                 overrides[spec.axis2.param] = v2
-            config = replace(spec.base, **overrides)
-            try:
-                route, outcome = _cell_outcome(config, spec.objective, spec.dt)
-            except ArithmeticError as exc:
-                cell = " ".join(f"{param}={value!r}" for param, value in overrides.items())
-                raise ArithmeticError(f"cell {cell}: {exc}") from exc
+            cells.append(overrides)
+    configs = [replace(spec.base, **overrides) for overrides in cells]
+    routes, outcomes = [], []
+    try:
+        for route, outcome in _cell_outcomes(configs, spec.objective, spec.dt):
             routes.append(route)
             outcomes.append(outcome)
+    except ArithmeticError as exc:
+        cell = " ".join(f"{param}={value!r}" for param, value in cells[len(outcomes)].items())
+        raise ArithmeticError(f"cell {cell}: {exc}") from exc
 
     shape = (len(spec.axis1.values), len(axis2_values))
     grid = np.array([o.value for o in outcomes]).reshape(shape)

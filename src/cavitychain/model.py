@@ -166,10 +166,14 @@ def _normalized(name: str, kind: type, value: object) -> object:
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """One jump operator, rate already folded in (L = rate * A)."""
+    """One jump operator, rate already folded in (L = rate * A).
+
+    ``rate`` names the config field whose value is that rate.
+    """
 
     label: str
     operator: np.ndarray
+    rate: str
 
 
 def build_basis(config: ChainConfig) -> ProjectedBasis:
@@ -186,7 +190,7 @@ def build_basis(config: ChainConfig) -> ProjectedBasis:
     return enumerate_basis(layout, config.max_quanta, config.phonon_cap)
 
 
-def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
+def hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     """Chain Hamiltonian: mode energies, photon tunnelling, photon-atom
     exchange, and (unitary dephasing only) phonon-excitation coupling."""
     layout = basis.layout
@@ -222,28 +226,38 @@ def _hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     return Operator(basis, h)
 
 
-def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[LindbladTerm]:
+def _lindblad_terms(
+    config: ChainConfig, basis: ProjectedBasis, unit: bool = False
+) -> list[LindbladTerm]:
     """Jump operators in deterministic order: input, output, dephasing, loss.
 
     Terms with zero rate are omitted.  Rates are folded into the operators
-    (L = rate * A), so the effective jump rate is rate**2.
+    (L = rate * A), so the effective jump rate is rate**2; with ``unit``,
+    every term kept carries rate 1 (L = A) instead, and a pump into a
+    saturated window does not warn, as the assembly of ``config`` itself
+    does.  Each term names the config field of its rate, the one table from
+    jump to field.
     """
     layout = basis.layout
     n = config.n_atoms
     terms: list[LindbladTerm] = []
 
+    def add(label: str, field: str, jump: np.ndarray) -> None:
+        rate = 1.0 if unit else getattr(config, field)
+        terms.append(LindbladTerm(label, rate * jump, field))
+
     if config.rate_in > 0:
         initial_quanta = (
             1 if config.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY else 0
         )
-        if initial_quanta >= config.max_quanta:
+        if initial_quanta >= config.max_quanta and not unit:
             warnings.warn(
                 "max_quanta is saturated by the initial state; "
                 "the pump acts as a projected-out zero on saturated states",
                 stacklevel=3,
             )
         pump = transfer_op(basis, None, layout.index(ModeKind.PHOTON, 1))
-        terms.append(LindbladTerm("input", config.rate_in * pump))
+        add("input", "rate_in", pump)
 
     if config.rate_out > 0:
         source_kind = (
@@ -254,7 +268,7 @@ def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lindblad
         drain = transfer_op(
             basis, layout.index(source_kind, n), layout.index(ModeKind.SINK, n)
         )
-        terms.append(LindbladTerm("output", config.rate_out * drain))
+        add("output", "rate_out", drain)
 
     if config.dephasing is DephasingModel.LINDBLAD_LIKE and config.g > 0:
         target_kind = (
@@ -266,14 +280,23 @@ def _lindblad_terms(config: ChainConfig, basis: ProjectedBasis) -> list[Lindblad
             num = np.diag(
                 basis.occupations[:, layout.index(target_kind, site)].astype(complex)
             )
-            terms.append(LindbladTerm(f"dephasing_{site}", config.g * num))
+            add(f"dephasing_{site}", "g", num)
 
     if config.cavity_loss > 0:
         for site in range(1, n + 1):
             leak = transfer_op(basis, layout.index(ModeKind.PHOTON, site), None)
-            terms.append(LindbladTerm(f"loss_{site}", config.cavity_loss * leak))
+            add(f"loss_{site}", "cavity_loss", leak)
 
     return terms
+
+
+def unit_terms(config: ChainConfig, basis: ProjectedBasis) -> tuple[LindbladTerm, ...]:
+    """The jump terms of ``config`` at unit rate: L = A for every rate it sets positive.
+
+    A cell of a sweep has the terms of these whose rates it sets positive,
+    each A scaled by the value of its ``rate`` field.
+    """
+    return tuple(_lindblad_terms(config, basis, unit=True))
 
 
 def _initial_state(config: ChainConfig, basis: ProjectedBasis) -> DensityMatrix:
@@ -302,7 +325,7 @@ def assemble(config: ChainConfig) -> AssembledChain:
     basis = build_basis(config)
     return AssembledChain(
         basis=basis,
-        hamiltonian=_hamiltonian(config, basis),
+        hamiltonian=hamiltonian(config, basis),
         lindblad_terms=tuple(_lindblad_terms(config, basis)),
         initial=_initial_state(config, basis),
     )

@@ -3,7 +3,9 @@
 Each operator is built straight from the basis occupation table, not from
 ``transfer_op``, the operator builder under test.  ``dense_step`` steps a
 full d x d density matrix with one matmul per jump, the route the blocked
-``StepEngine`` replaced.
+``StepEngine`` replaced.  ``engine_step_map`` writes a step map column by
+column, from the engine's step of each Hermitian unit state, the oracle of
+the step-map halves.
 """
 
 import numpy as np
@@ -106,3 +108,31 @@ def validate_state(
     lowest = min_eigenvalue(rho.elements)
     if lowest < eig_floor:
         raise ValueError(f"min eigenvalue {lowest:.3e} below {eig_floor}")
+
+
+def hermitian_unit_states(sectors):
+    """The packed state of each unit vector of the M real Hermitian coordinates:
+    Re rho_rc on r <= c and Im rho_rc in the (c, r) slot."""
+    upper, lower = sectors.pairs
+    for unit in np.eye(len(sectors.rows)):
+        rho = unit.astype(complex)
+        rho[upper] += 1j * unit[lower]
+        rho[lower] = rho[upper].conj()
+        yield rho
+
+
+def hermitian_coordinates(sectors, rho):
+    upper, lower = sectors.pairs
+    real = rho.real.copy()
+    real[lower] = rho[upper].imag
+    return real
+
+
+def engine_step_map(engine) -> np.ndarray:
+    """The real M x M map of ``engine.step`` on Hermitian coordinates, one
+    column per Hermitian unit state."""
+    sectors = engine.sectors
+    return np.column_stack([
+        hermitian_coordinates(sectors, engine.step(rho))
+        for rho in hermitian_unit_states(sectors)
+    ])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitychain import evolution
+from cavitychain import evolution, experiments
 from cavitychain.evolution import (
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
@@ -14,13 +14,15 @@ from cavitychain.evolution import (
     StepEngine,
     TrajectoryRecord,
     _expm_taylor,
+    _real_map,
     cell_route,
     chunk_length,
     diagonalize,
     evolve,
+    jump_map,
     step_count,
-    step_map,
     superoperator_oracle,
+    unitary_map,
 )
 from cavitychain.experiments import (
     SinkAtTime,
@@ -49,7 +51,15 @@ from cavitychain.modes import (
     hermiticity_defect,
     transfer_op,
 )
-from operator_oracles import identity_op, number_op, observable, total_quanta_op, trace
+from operator_oracles import (
+    hermitian_coordinates,
+    hermitian_unit_states,
+    identity_op,
+    number_op,
+    observable,
+    total_quanta_op,
+    trace,
+)
 
 
 def two_site_basis():
@@ -186,7 +196,7 @@ PHOTON_1, EXCITON_1, PHOTON_2, EXCITON_2 = 0, 1, 2, 3
 )
 def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
     basis = two_site_basis()
-    term = LindbladTerm("mixer", sum(transfer_op(basis, a, b) for a, b in moves))
+    term = LindbladTerm("mixer", sum(transfer_op(basis, a, b) for a, b in moves), "rate_out")
     prop = diagonalize(Operator(basis, np.zeros((basis.dim, basis.dim))))
     with pytest.raises(ValueError, match=f"^mixer: .*{match}"):
         StepEngine(prop, [term], 0.01)
@@ -212,30 +222,14 @@ STEP_MAP_CHAINS = [
 ]
 
 
-def hermitian_unit_states(sectors):
-    """The packed state of each unit vector of the M real Hermitian coordinates:
-    Re rho_rc on r <= c and Im rho_rc in the (c, r) slot."""
-    upper, lower = sectors.pairs
-    for unit in np.eye(len(sectors.rows)):
-        rho = unit.astype(complex)
-        rho[upper] += 1j * unit[lower]
-        rho[lower] = rho[upper].conj()
-        yield rho
-
-
-def hermitian_coordinates(sectors, rho):
-    upper, lower = sectors.pairs
-    real = rho.real.copy()
-    real[lower] = rho[upper].imag
-    return real
-
-
 @pytest.mark.parametrize("config", STEP_MAP_CHAINS, ids=["pumped", "pumped_exciton", "phonons"])
 def test_step_map_is_the_blocked_step(config):
+    """The unitary half plus the jump half of a chain's terms is its step."""
     chain = assemble(config)
     sectors = chain.basis.sectors
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
-    step = step_map(engine)
+    propagator = diagonalize(chain.hamiltonian)
+    engine = StepEngine(propagator, list(chain.lindblad_terms), 0.01)
+    step = unitary_map(propagator, 0.01) + jump_map(sectors, chain.lindblad_terms, 0.01)
     m = sum(b * b for b in sectors.sizes)
     assert step.shape == (m, m) and step.dtype == float
     for j, rho in enumerate(hermitian_unit_states(sectors)):
@@ -247,39 +241,58 @@ def test_step_map_is_the_blocked_step(config):
     assert np.abs(trace_row @ step - trace_row).max() <= 1e-14
 
 
-def test_step_map_refuses_a_step_that_breaks_hermiticity():
+def test_step_map_refuses_a_step_that_breaks_hermiticity(monkeypatch):
     chain = assemble(STEP_MAP_CHAINS[0])
     sectors = chain.basis.sectors
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
-    destination, source, coefficient = engine.transfers[0]
-    # the transfer of one off-diagonal element takes a phase that the
-    # transfer of its transpose does not
-    broken = coefficient.copy()
-    broken[np.argmax(sectors.rows[source] < sectors.cols[source])] *= 1j
-    engine.transfers[0] = (destination, source, broken)
+    dissipator = evolution._dissipator
+
+    def broken(*args):
+        weight, transfers = dissipator(*args)
+        destination, source, coefficient = transfers[0]
+        # the transfer of one off-diagonal element takes a phase that the
+        # transfer of its transpose does not
+        coefficient = coefficient.copy()
+        coefficient[np.argmax(sectors.rows[source] < sectors.cols[source])] *= 1j
+        return weight, [(destination, source, coefficient)] + transfers[1:]
+
+    monkeypatch.setattr(evolution, "_dissipator", broken)
     with pytest.raises(ArithmeticError, match="does not keep states Hermitian"):
-        step_map(engine)
+        jump_map(sectors, chain.lindblad_terms, 0.01)
+    # the change of coordinates refuses any complex map that turns element
+    # (r, c) by a phase and leaves its transpose (c, r)
+    m = len(sectors.rows)
+    upper = sectors.pairs[0][0]
+    step = np.eye(m, dtype=complex)
+    step[upper, upper] = 1j
+    with pytest.raises(ArithmeticError, match="does not keep states Hermitian"):
+        _real_map(step, sectors)
 
 
 def test_step_map_allocates_about_one_map():
+    """Each half holds under about three complex maps while it is built."""
     chain = assemble(STEP_MAP_CHAINS[-1])
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
-    tracemalloc.start()
-    try:
-        step = step_map(engine)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert step.shape == (288, 288)
-    # the complex map, one block's Kronecker product, the column and row
-    # pairs of the coordinate change and index temporaries; a batch of M
-    # unit states would take several times the complex map
-    assert peak <= 3 * 16 * 288**2
+    sectors = chain.basis.sectors
+    propagator = diagonalize(chain.hamiltonian)
+    for build in (
+        lambda: unitary_map(propagator, 0.01),
+        lambda: jump_map(sectors, chain.lindblad_terms, 0.01),
+    ):
+        tracemalloc.start()
+        try:
+            half = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert half.shape == (288, 288)
+        # the complex map, one block's Kronecker product, the column and row
+        # pairs of the coordinate change and index temporaries; a batch of M
+        # unit states would take several times the complex map
+        assert peak <= 3 * 16 * 288**2
 
 
 @pytest.mark.parametrize(
     "m,n_steps,length",
-    [(18, 5000, 256), (18, 100, 64), (18, 1, CHUNK_STEPS), (140, 40000, CHUNK_STEPS)],
+    [(18, 5000, 1024), (18, 100, 64), (18, 1, CHUNK_STEPS), (140, 40000, CHUNK_STEPS)],
     ids=["dat_grid", "dat_grid_100_steps", "one_step", "bottleneck_row"],
 )
 def test_chunk_length_grows_on_small_maps(m, n_steps, length):
@@ -318,9 +331,11 @@ def test_route_rule_steps_large_pumped_cells(n_atoms):
 
 def test_stepped_cell_never_builds_the_step_map(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the step map was built")
+        raise AssertionError("a half of the step map was built")
 
-    monkeypatch.setattr(evolution, "step_map", refuse)
+    for name in ("unitary_map", "jump_map", "StepMaps"):
+        monkeypatch.setattr(evolution, name, refuse)
+    monkeypatch.setattr(experiments, "StepMaps", refuse)
     config = ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
     spec = SweepSpec(
         base=config,

@@ -1,5 +1,7 @@
 """Sweep harness: time-to-target, optimal rates, bottleneck and dephasing scans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,46 @@ def test_run_sweep_rerun_is_identical():
     again = run_sweep(spec)
     np.testing.assert_array_equal(first.grid, again.grid)
     np.testing.assert_array_equal(first.cap_mask, again.cap_mask)
+
+
+# (base, objective) of a chunked 2 x 2 sweep over k and rate_out: a pumped
+# time-to-target whose cells cross at 9.8 to 11.6 or run to the cap, and an
+# undriven dephasing chain read at a fixed time
+ORDER_SWEEPS = [
+    (transport_config(), TimeToReach(0.99, 12.0)),
+    (
+        ChainConfig(n_atoms=2, k=0.8, mu=0.2, g=0.3, sink_coupling=SinkCoupling.LAST_EXCITON),
+        SinkAtTime(5.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("base,objective", ORDER_SWEEPS, ids=["time_to_reach", "sink_at_time"])
+def test_sweep_in_either_axis_order_matches_each_cell_alone(base, objective):
+    """A sweep over (k, rate_out) rebuilds the unitary half per row, one over
+    (rate_out, k) at every cell; both agree with each cell run on its own."""
+    ks, rates = (0.8, 1.0), (1.0, 2.5)
+    alone = {}
+    for k in ks:
+        for rate in rates:
+            config = replace(base, k=k, rate_out=rate)
+            if isinstance(objective, TimeToReach):
+                alone[k, rate] = time_to_reach(config, objective.target, objective.t_max)
+            else:
+                spec = SweepSpec(config, SweepAxis("rate_out", (rate,)), objective)
+                alone[k, rate] = ReachTime(float(run_sweep(spec).grid[0, 0]), False)
+    bound = 1e-9 if isinstance(objective, TimeToReach) else 1e-12
+    for axis1, axis2 in [(SweepAxis("k", ks), SweepAxis("rate_out", rates)),
+                         (SweepAxis("rate_out", rates), SweepAxis("k", ks))]:
+        result = run_sweep(SweepSpec(base, axis1, objective, axis2=axis2))
+        assert result.cell_routes == {"chunked": 4, "stepped": 0}
+        for i, v1 in enumerate(axis1.values):
+            for j, v2 in enumerate(axis2.values):
+                cell = alone[(v1, v2) if axis1.param == "k" else (v2, v1)]
+                assert abs(result.grid[i, j] - cell.time) <= bound
+                assert result.cap_mask[i, j] == cell.capped
+    capped = [cell.capped for cell in alone.values()]
+    assert isinstance(objective, SinkAtTime) or 0 < sum(capped) < len(capped)
 
 
 def test_bottleneck_scan_validates_axes():

@@ -7,8 +7,12 @@ dimension <= 32 and runs at <= 300 steps.  The blocked step itself is
 checked against the dense step of ``operator_oracles`` on chains up to
 dimension 128, and the chunked cell route against the stepped one on chains
 with up to 300 packed coordinates (and, in one explicit example, over the
-600 steps that the chunks of 256 steps of a small chain need).
+600 steps that the chunks of 256 steps of a small chain need).  On the same
+chains, the step maps that one ``StepMaps`` sums for the cells of a sweep
+are checked against the step of each cell's own engine.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from hypothesis import strategies as st
 from cavitychain.evolution import (
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
+    StepEngine,
+    StepMaps,
     chunk_length,
     chunked_cell_steps,
     diagonalize,
@@ -45,7 +51,7 @@ from cavitychain.model import (
     build_basis,
 )
 from cavitychain.modes import SECTOR_LEAK_TOL, ModeKind, hermiticity_defect
-from operator_oracles import dense_step
+from operator_oracles import dense_step, engine_step_map
 
 MAX_DIM = 32
 # with run times up to 3.0, every dt here keeps a run at <= 300 steps
@@ -291,7 +297,19 @@ def test_chunked_sample_diagnostics_match_exact_per_sample_ones(
 # one step, to a looser bound.
 ROUTE_VALUE_MAX = 1e-12
 ROUTE_TIME_MAX = 1e-9
-ROUTES = (chunked_cell_steps, stepped_cell_steps)
+
+
+def chunked_cell(config, dt, n_steps):
+    """The chunked route of one cell, on the step map of its own ``StepMaps``."""
+    maps = StepMaps(assemble(config), config, dt)
+    return chunked_cell_steps(maps, maps.step_map(config), n_steps)
+
+
+def stepped_cell(config, dt, n_steps):
+    return stepped_cell_steps(assemble(config), dt, n_steps)
+
+
+ROUTES = (chunked_cell, stepped_cell)
 
 
 def step_rows(steps):
@@ -333,11 +351,11 @@ def route_chains(draw):
 def test_chunked_route_matches_stepped_route_at_fixed_time(config, dt, n_steps):
     chain = assemble(config)
     sectors = chain.basis.sectors
-    streams = [step_rows(route(chain, dt, n_steps)) for route in ROUTES]
+    streams = [step_rows(route(config, dt, n_steps)) for route in ROUTES]
     assert streams[0][:, 0].tolist() == list(range(n_steps + 1))
     assert np.abs(np.subtract(*streams)).max() <= ROUTE_VALUE_MAX
     objective = SinkAtTime(n_steps * dt)
-    chunked, stepped = (_read_cell(r(chain, dt, n_steps), sectors, objective, dt) for r in ROUTES)
+    chunked, stepped = (_read_cell(r(config, dt, n_steps), sectors, objective, dt) for r in ROUTES)
     assert abs(chunked.value - stepped.value) <= ROUTE_VALUE_MAX
     assert abs(chunked.trace_drift - stepped.trace_drift) <= ROUTE_VALUE_MAX
     assert abs(chunked.final_min_eig - stepped.final_min_eig) <= ROUTE_VALUE_MAX
@@ -387,9 +405,9 @@ def test_chunked_route_matches_stepped_route_to_target(
         target = sinks[step - 1] + 0.75 * rise
         assume(rise > 1e-9 and max(sinks[:step]) < target < 1.0)
     objective = TimeToReach(target, (n_steps - short) * dt)
-    crossings = [first_crossing(r(chain, dt, n_steps), target) for r in ROUTES]
+    crossings = [first_crossing(r(config, dt, n_steps), target) for r in ROUTES]
     assert crossings[0] == crossings[1]
-    chunked, stepped = (_read_cell(r(chain, dt, n_steps), sectors, objective, dt) for r in ROUTES)
+    chunked, stepped = (_read_cell(r(config, dt, n_steps), sectors, objective, dt) for r in ROUTES)
     assert chunked.capped == stepped.capped
     assert abs(chunked.value - stepped.value) <= ROUTE_TIME_MAX
     assert abs(chunked.trace_drift - stepped.trace_drift) <= ROUTE_VALUE_MAX
@@ -406,8 +424,42 @@ def test_chunked_route_rebuilds_every_state_of_a_chunk(config, dt, n_steps):
     chain = assemble(config)
     stepped = [rho for _, rho in iter_steps(chain, dt, n_steps)]
     seen = 0
-    for first, values, state in chunked_cell_steps(chain, dt, n_steps):
+    for first, values, state in chunked_cell(config, dt, n_steps):
         for i in range(first, first + len(values)):
             assert np.abs(state(i) - stepped[i]).max() <= ROUTE_VALUE_MAX
             seen += 1
     assert seen == n_steps + 1
+
+
+# The halves of a sweep's step maps sum the terms of a cell's own step in
+# another order: each entry agrees to roundoff of the largest.
+STEP_MAP_MAX = 1e-14
+
+
+@settings(max_examples=30)
+@given(route_chains(), time_steps)
+@example(PUMPED_PAIR, 0.01)
+@example(replace(DAT_PAIR, cavity_loss=0.2), 0.01)
+def test_shared_halves_give_each_cell_its_own_step_map(config, dt):
+    """Over the cells of one sweep, ``StepMaps.step_map`` is the step map of
+    each cell's own assemble, diagonalize and StepEngine.
+
+    The first cell has every rate of the sweep; the others change k, then
+    mu, which rebuild the unitary half, and set each rate to zero in turn,
+    whose term the cell's own chain then omits.
+    """
+    cells = [
+        config,
+        replace(config, k=config.k + 0.5),
+        replace(config, k=config.k + 0.5, rate_out=0.0),
+        replace(config, mu=config.mu + 0.5, g=0.0),
+        replace(config, rate_in=0.0, cavity_loss=0.0),
+        config,
+    ]
+    maps = StepMaps(assemble(config), config, dt)
+    for cell in cells:
+        chain = assemble(cell)
+        engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
+        own = engine_step_map(engine)
+        shared = maps.step_map(cell)
+        assert np.abs(shared - own).max() <= STEP_MAP_MAX * np.abs(own).max(), cell
