@@ -82,47 +82,34 @@ def _quiet_overflow() -> np.errstate:
 _matmul = _quiet_overflow()(np.matmul)
 
 
-class Propagator:
-    """Eigendecomposition of a Hamiltonian, the source of unitary steps."""
+def diagonalize(hamiltonian: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hamiltonian by a dense eigh, checked.
 
-    def __init__(
-        self, basis: ProjectedBasis, eigenvalues: np.ndarray, eigenvectors: np.ndarray
-    ) -> None:
-        self.basis = basis
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = np.ascontiguousarray(eigenvectors, dtype=complex)
-        gram = self.eigenvectors.conj().T @ self.eigenvectors
-        defect = np.abs(gram - np.eye(basis.dim)).max()
-        if not defect <= ORTHONORMALITY_TOL:
-            raise ValueError(f"eigenvector columns not orthonormal: defect {defect:.3e}")
-
-    def unitary(self, dt: float) -> np.ndarray:
-        """U = V diag(exp(-i*lambda*dt)) V^dag, checked for unitarity."""
-        phases = np.exp(-1j * self.eigenvalues * float(dt))
-        unitary = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
-        check = unitary @ unitary.conj().T
-        defect = np.abs(check - np.eye(self.basis.dim)).max()
-        if not defect <= UNITARITY_TOL:
-            raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
-        return unitary
-
-
-def diagonalize(hamiltonian: Operator) -> Propagator:
-    """Eigendecompose a Hamiltonian into a step propagator."""
-    w, v = np.linalg.eigh(hamiltonian.elements)
+    The eigenvector columns must be orthonormal (ValueError) and rebuild H
+    (ArithmeticError), each to its tolerance; a NaN fails either check.
+    Where LAPACK's eigh does not converge on H read by its lower triangle
+    (OpenBLAS 0.3.31 on one three-site chain), it reads the upper one.
+    """
+    try:
+        w, v = np.linalg.eigh(hamiltonian.elements)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(hamiltonian.elements, UPLO="U")
+    defect = np.abs(v.conj().T @ v - np.eye(len(w))).max()
+    if not defect <= ORTHONORMALITY_TOL:
+        raise ValueError(f"eigenvector columns not orthonormal: defect {defect:.3e}")
     rebuilt = (v * w) @ v.conj().T
     scale = max(1.0, float(np.abs(hamiltonian.elements).max()))
     err = np.abs(rebuilt - hamiltonian.elements).max() / scale
     if not err <= RECONSTRUCTION_TOL:
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:.3e}")
-    return Propagator(hamiltonian.basis, w, v)
+    return w, v
 
 
 class StepEngine:
     """Precomputed sector-blocked arrays for repeated steps at one fixed dt.
 
-    States are packed vectors of the basis's ``sectors``.  The unitary is
-    packed once, and must not leak out of the sectors.  Every jump must be
+    States are packed vectors of the basis's ``sectors``.  ``_unitary_blocks``
+    packs U once, and it must not leak out of the sectors.  Every jump must be
     monomial (one nonzero per row and column) and send each block into a
     single block, so sum(L^dag L) is diagonal: the anticommutator and the
     diagonal (dephasing) jumps fold into one packed weight, and each other
@@ -132,10 +119,10 @@ class StepEngine:
     of larger blocks, U and U^dag as (count, size, size) stacks.
     """
 
-    def __init__(self, propagator: Propagator, terms: list[LindbladTerm], dt: float) -> None:
+    def __init__(self, hamiltonian: Operator, terms: Sequence[LindbladTerm], dt: float) -> None:
         self.dt = _checked_dt(dt)
-        sectors = self.sectors = propagator.basis.sectors
-        unitary = _unitary_blocks(propagator, self.dt)
+        sectors = self.sectors = hamiltonian.basis.sectors
+        unitary = _unitary_blocks(hamiltonian, self.dt)
         self.weight, self.transfers = _dissipator(sectors, terms, self.dt)
         self.unitary: list[tuple[slice, np.ndarray, np.ndarray]] = []
         for (size, span), u in zip(sectors.groups, unitary):
@@ -165,13 +152,21 @@ def _checked_dt(dt: float) -> float:
     return float(dt)
 
 
-def _unitary_blocks(propagator: Propagator, dt: float) -> list[np.ndarray]:
+def _unitary_blocks(hamiltonian: Operator, dt: float) -> list[np.ndarray]:
     """U = exp(-i*H*dt) packed, as one (count, size, size) stack per block size.
 
-    Packing raises ArithmeticError if U leaks out of the sectors.
+    U = V diag(exp(-i*lambda*dt)) V^dag from ``diagonalize``.  It raises
+    ArithmeticError if U is not unitary to UNITARITY_TOL (a NaN included),
+    and packing raises it if U leaks out of the sectors.
     """
-    sectors = propagator.basis.sectors
-    return sectors.blocks(sectors.pack(propagator.unitary(dt)))
+    eigenvalues, eigenvectors = diagonalize(hamiltonian)
+    phases = np.exp(-1j * eigenvalues * float(dt))
+    unitary = (eigenvectors * phases) @ eigenvectors.conj().T
+    defect = np.abs(unitary @ unitary.conj().T - np.eye(len(phases))).max()
+    if not defect <= UNITARITY_TOL:
+        raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
+    sectors = hamiltonian.basis.sectors
+    return sectors.blocks(sectors.pack(unitary))
 
 
 Transfer = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -288,7 +283,7 @@ def iter_steps(
     state is a fresh packed vector of ``chain.basis.sectors`` that later
     steps never write to.
     """
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
+    engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, dt)
     rho = chain.basis.sectors.pack(chain.initial.elements)
     yield 0, rho
     for i in range(1, n_steps + 1):
@@ -302,7 +297,7 @@ def sink_column(basis: ProjectedBasis) -> np.ndarray:
     return basis.occupations[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
 
 
-def unitary_map(propagator: Propagator, dt: float) -> np.ndarray:
+def unitary_map(hamiltonian: Operator, dt: float) -> np.ndarray:
     """S_H, the unitary half of the step, as a real M x M matrix on Hermitian coordinates.
 
     Each block's packed coordinates are one contiguous range, its size**2
@@ -310,11 +305,11 @@ def unitary_map(propagator: Propagator, dt: float) -> np.ndarray:
     conj(U_b); a 1 x 1 block's is |u|**2 on the diagonal.  ``_real_map``
     takes the real matrix from this complex one.
     """
-    sectors = propagator.basis.sectors
+    sectors = hamiltonian.basis.sectors
     m = len(sectors.rows)
     step = np.zeros((m, m), dtype=complex)
     diagonal = step.reshape(-1)[:: m + 1]
-    for (size, span), group in zip(sectors.groups, _unitary_blocks(propagator, dt)):
+    for (size, span), group in zip(sectors.groups, _unitary_blocks(hamiltonian, dt)):
         if size == 1:  # as StepEngine folds it into its weight
             diagonal[span] = (group * group.conj()).real.reshape(-1)
             continue
@@ -500,8 +495,8 @@ class StepMaps:
     fields other than the rate fields, change; a cell with the inputs of
     ``widest`` takes the Hamiltonian of ``chain``, and any other builds its
     own (``model.hamiltonian``).  Each half passes its checks when it is built: those of
-    ``diagonalize``, of ``Sectors.pack``, of ``_monomial_map`` and of
-    ``_real_map``.
+    ``_unitary_blocks`` (``diagonalize``'s among them), of ``_monomial_map``
+    and of ``_real_map``.
     """
 
     def __init__(self, chain: AssembledChain, widest: ChainConfig, dt: float) -> None:
@@ -534,7 +529,7 @@ class StepMaps:
         if key != self._key:
             widest_key, chain = self._widest
             h = chain.hamiltonian if key == widest_key else hamiltonian(config, chain.basis)
-            self._key, self._unitary = key, unitary_map(diagonalize(h), self.dt)
+            self._key, self._unitary = key, unitary_map(h, self.dt)
         squares = np.array([getattr(config, field) for field in self.rates]) ** 2
         with _quiet_overflow():
             step = (squares @ self.jumps).reshape(self._unitary.shape)

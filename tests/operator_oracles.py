@@ -3,9 +3,9 @@
 Each operator is built straight from the basis occupation table, not from
 ``transfer_op``, the operator builder under test.  ``dense_step`` steps a
 full d x d density matrix with one matmul per jump, the route the blocked
-``StepEngine`` replaced.  ``engine_step_map`` writes a step map column by
-column, from the engine's step of each Hermitian unit state, the oracle of
-the step-map halves.
+``StepEngine`` replaced, with a unitary from its own eigendecomposition.
+``engine_step_map`` writes a step map column by column, from the engine's
+step of each Hermitian unit state, the oracle of the step-map halves.
 """
 
 import numpy as np
@@ -55,15 +55,18 @@ def observable(rho: DensityMatrix, op: Operator) -> float:
     return value.real
 
 
-def dense_step(propagator, terms, dt: float):
+def dense_step(hamiltonian: Operator, terms, dt: float):
     """The step map rho -> U rho U^dag + dt * D(rho) on dense d x d arrays.
 
-    Every jump is a dense matmul, so this costs about (4 + 2J) d^3 per step
-    and makes no use of sectors or of the jumps' monomial shape.
+    U = exp(-i*H*dt) comes from a plain ``np.linalg.eigh`` of the dense H,
+    so no unitary code is shared with ``StepEngine``.  Every jump is a dense
+    matmul, so this costs about (4 + 2J) d^3 per step and makes no use of
+    sectors or of the jumps' monomial shape.
     """
-    unitary = propagator.unitary(dt)
+    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian.elements)
+    unitary = (eigenvectors * np.exp(-1j * dt * eigenvalues)) @ eigenvectors.conj().T
     unitary_dag = unitary.conj().T.copy()
-    dim = propagator.basis.dim
+    dim = hamiltonian.basis.dim
     if terms:
         jumps = np.stack([t.operator for t in terms])
         jumps_dag = jumps.conj().transpose(0, 2, 1).copy()

@@ -1,4 +1,4 @@
-"""Step scheme, propagator, observables, and the superoperator oracle."""
+"""Step scheme, unitary, observables, and the superoperator oracle."""
 
 import tracemalloc
 
@@ -9,12 +9,12 @@ from cavitychain import evolution, experiments
 from cavitychain.evolution import (
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
-    Propagator,
     SampleReader,
     StepEngine,
     TrajectoryRecord,
     _expm_taylor,
     _real_map,
+    _unitary_blocks,
     cell_route,
     chunk_length,
     diagonalize,
@@ -68,16 +68,16 @@ def two_site_basis():
 
 def test_diagonalize_diagonal_hamiltonian():
     config = ChainConfig(n_atoms=1)
-    prop = diagonalize(assemble(config).hamiltonian)
-    np.testing.assert_allclose(sorted(prop.eigenvalues), [0.0, 0.0, 0.1, 0.1])
+    eigenvalues, _ = diagonalize(assemble(config).hamiltonian)
+    np.testing.assert_allclose(sorted(eigenvalues), [0.0, 0.0, 0.1, 0.1])
 
 
 def test_diagonalize_coupling_block_spectrum():
     config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, max_quanta=1)
-    prop = diagonalize(assemble(config).hamiltonian)
+    eigenvalues, _ = diagonalize(assemble(config).hamiltonian)
     # photon hopping block contributes a +-k pair
-    assert prop.eigenvalues.min() == pytest.approx(-0.7, abs=1e-12)
-    assert prop.eigenvalues.max() == pytest.approx(0.7, abs=1e-12)
+    assert eigenvalues.min() == pytest.approx(-0.7, abs=1e-12)
+    assert eigenvalues.max() == pytest.approx(0.7, abs=1e-12)
 
 
 def test_diagonalize_reconstructs_random_hermitian():
@@ -85,8 +85,8 @@ def test_diagonalize_reconstructs_random_hermitian():
     basis = two_site_basis()
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = Operator(basis, a + a.conj().T)
-    prop = diagonalize(h)
-    rebuilt = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
+    eigenvalues, eigenvectors = diagonalize(h)
+    rebuilt = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
     np.testing.assert_allclose(rebuilt, h.elements, atol=1e-9)
 
 
@@ -98,25 +98,47 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(Operator(basis, skew))
 
 
-def test_propagator_rejects_bad_eigenvectors():
-    basis = two_site_basis()
-    with pytest.raises(ValueError):
-        Propagator(basis, np.zeros(6), 2.0 * np.eye(6))
+def test_diagonalize_rejects_bad_eigenvectors(monkeypatch):
+    # an eigensolver whose columns rebuild H = 0 but are not orthonormal
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.zeros(6), 2.0 * np.eye(6)))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        diagonalize(Operator(two_site_basis(), np.zeros((6, 6))))
 
 
-def test_propagator_unitary_cached_and_unitary():
-    config = ChainConfig(n_atoms=2, k=1.0, mu=0.5)
-    basis = build_basis(config)
-    prop = diagonalize(assemble(config).hamiltonian)
-    u1 = prop.unitary(0.01)
-    np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(basis.dim), atol=1e-10)
+# OpenBLAS 0.3.31's eigh does not converge on this chain's Hamiltonian read by
+# its lower triangle (numpy's default), and does by its upper one
+EIGH_FAILURE_CHAIN = ChainConfig(
+    n_atoms=3, k=0.5425841069070236, mu=1.192092896e-07, rate_out=1.0, max_quanta=2
+)
+
+
+def test_diagonalize_reads_the_upper_triangle_where_eigh_fails(monkeypatch):
+    h = assemble(EIGH_FAILURE_CHAIN).hamiltonian
+    expected = np.linalg.eigvalsh(h.elements)
+    np.testing.assert_allclose(diagonalize(h)[0], expected, atol=1e-12)
+    # the same on any LAPACK: an eigh that fails by the lower triangle
+    eigh = np.linalg.eigh
+
+    def lower_fails(a, UPLO="L"):
+        if UPLO == "L":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", lower_fails)
+    np.testing.assert_allclose(diagonalize(h)[0], expected, atol=1e-12)
+
+
+def test_unitary_blocks_are_unitary():
+    chain = assemble(ChainConfig(n_atoms=2, k=1.0, mu=0.5))
+    for group in _unitary_blocks(chain.hamiltonian, 0.01):
+        identity = np.eye(group.shape[-1])
+        assert np.abs(group @ group.conj().swapaxes(-1, -2) - identity).max() <= 1e-10
 
 
 def test_unitary_step_preserves_spectrum():
     chain = assemble(ChainConfig(n_atoms=2, k=1.0, mu=0.7))
-    prop = diagonalize(chain.hamiltonian)
     rho = chain.initial
-    engine = StepEngine(prop, [], 0.05)
+    engine = StepEngine(chain.hamiltonian, [], 0.05)
     sectors = rho.basis.sectors
     before = np.linalg.eigvalsh(rho.elements)
     for _ in range(50):
@@ -143,7 +165,7 @@ def test_single_jump_hand_computed_step():
     sink_idx = basis.state_index((0, 0, 1))
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho[exciton_idx, exciton_idx] = 1.0
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
+    engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, 0.01)
     stepped = DensityMatrix(
         basis, basis.sectors.unpack(engine.step(basis.sectors.pack(rho)))
     )
@@ -167,18 +189,16 @@ def test_step_convergence_under_dt_halving():
 
 def test_step_engine_validates_dt():
     chain = assemble(ChainConfig(n_atoms=1))
-    prop = diagonalize(chain.hamiltonian)
     with pytest.raises(ValueError):
-        StepEngine(prop, [], 0.0)
+        StepEngine(chain.hamiltonian, [], 0.0)
 
 
 def test_step_engine_rejects_hamiltonian_coupling_sectors():
     rng = np.random.default_rng(3)
     basis = two_site_basis()
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    prop = diagonalize(Operator(basis, a + a.conj().T))
     with pytest.raises(ArithmeticError, match="sectors"):
-        StepEngine(prop, [], 0.01)
+        StepEngine(Operator(basis, a + a.conj().T), [], 0.01)
 
 
 # mode positions on the two-site layout: photon_1, exciton_1, photon_2, exciton_2, sink
@@ -197,9 +217,9 @@ PHOTON_1, EXCITON_1, PHOTON_2, EXCITON_2 = 0, 1, 2, 3
 def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
     basis = two_site_basis()
     term = LindbladTerm("mixer", sum(transfer_op(basis, a, b) for a, b in moves), "rate_out")
-    prop = diagonalize(Operator(basis, np.zeros((basis.dim, basis.dim))))
+    h = Operator(basis, np.zeros((basis.dim, basis.dim)))
     with pytest.raises(ValueError, match=f"^mixer: .*{match}"):
-        StepEngine(prop, [term], 0.01)
+        StepEngine(h, [term], 0.01)
 
 
 # Pumped with loss and photon or exciton dephasing: the pump, the drain and
@@ -227,9 +247,8 @@ def test_step_map_is_the_blocked_step(config):
     """The unitary half plus the jump half of a chain's terms is its step."""
     chain = assemble(config)
     sectors = chain.basis.sectors
-    propagator = diagonalize(chain.hamiltonian)
-    engine = StepEngine(propagator, list(chain.lindblad_terms), 0.01)
-    step = unitary_map(propagator, 0.01) + jump_map(sectors, chain.lindblad_terms, 0.01)
+    engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, 0.01)
+    step = unitary_map(chain.hamiltonian, 0.01) + jump_map(sectors, chain.lindblad_terms, 0.01)
     m = sum(b * b for b in sectors.sizes)
     assert step.shape == (m, m) and step.dtype == float
     for j, rho in enumerate(hermitian_unit_states(sectors)):
@@ -272,9 +291,8 @@ def test_step_map_allocates_about_one_map():
     """Each half holds under about three complex maps while it is built."""
     chain = assemble(STEP_MAP_CHAINS[-1])
     sectors = chain.basis.sectors
-    propagator = diagonalize(chain.hamiltonian)
     for build in (
-        lambda: unitary_map(propagator, 0.01),
+        lambda: unitary_map(chain.hamiltonian, 0.01),
         lambda: jump_map(sectors, chain.lindblad_terms, 0.01),
     ):
         tracemalloc.start()
@@ -360,20 +378,26 @@ def test_step_count():
 NAN, INF = float("nan"), float("inf")
 
 
-def _propagator():
-    return diagonalize(assemble(ChainConfig(n_atoms=1, mu=0.8)).hamiltonian)
+def _hamiltonian():
+    return assemble(ChainConfig(n_atoms=1, mu=0.8)).hamiltonian
+
+
+def _diagonalize_with_nan_at(*pairs):
+    # past the Hermiticity check of construction, so diagonalize meets the NaN
+    h = Operator(two_site_basis(), np.eye(6, dtype=complex))
+    for pair in pairs:
+        h.elements[pair] = NAN
+    return diagonalize(h)
 
 
 def _nan_eigenvectors():
-    basis = two_site_basis()
-    return Propagator(basis, np.zeros(6), np.full((6, 6), NAN))
+    # eigh returns NaN columns for the coupled pair
+    return _diagonalize_with_nan_at((0, 1), (1, 0))
 
 
 def _nan_diagonal():
-    # past the Hermiticity check of construction, so diagonalize meets the NaN
-    h = Operator(two_site_basis(), np.eye(6, dtype=complex))
-    h.elements[1, 1] = NAN
-    return diagonalize(h)
+    # eigh returns a NaN eigenvalue with orthonormal (unit) columns
+    return _diagonalize_with_nan_at((1, 1))
 
 
 def _nan_off_diagonal():
@@ -402,7 +426,7 @@ def _sweep_with_dt(dt):
             lambda: _sweep_with_dt(INF), ValueError, "^dt must", id="SweepSpec-dt-inf"
         ),
         pytest.param(
-            lambda: StepEngine(_propagator(), [], INF),
+            lambda: StepEngine(_hamiltonian(), [], INF),
             ValueError,
             "^dt must",
             id="StepEngine-dt-inf",
@@ -423,7 +447,7 @@ def _sweep_with_dt(dt):
             lambda: SinkAtTime(NAN), ValueError, "^observation time", id="SinkAtTime-nan"
         ),
         pytest.param(
-            lambda: _propagator().unitary(NAN),
+            lambda: unitary_map(_hamiltonian(), NAN),
             ArithmeticError,
             "not unitary",
             id="unitarity-nan",
@@ -683,7 +707,7 @@ def test_conservation_short_run_all_terms():
 def test_quanta_conserved_without_input():
     config = ChainConfig(n_atoms=2, k=1.0, mu=0.8, g=0.3, rate_out=1.2)
     chain = assemble(config)
-    engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), 0.01)
+    engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, 0.01)
     n_quanta = total_quanta_op(chain.basis)
     rho = chain.initial
     sectors = rho.basis.sectors

@@ -5,7 +5,8 @@ reports must agree with what ``evolve`` samples on the same chain, and every
 sampled state must stay a trace-one Hermitian matrix.  Chains stay at
 dimension <= 32 and runs at <= 300 steps.  The blocked step itself is
 checked against the dense step of ``operator_oracles`` on chains up to
-dimension 128, and the chunked cell route against the stepped one on chains
+dimension 128, its packed unitary against a Taylor-series exp(-i*dt*H) on
+the same chains, and the chunked cell route against the stepped one on chains
 with up to 300 packed coordinates (and, in one explicit example, over the
 600 steps that the chunks of 256 steps of a small chain need).  On the same
 chains, the step maps that one ``StepMaps`` sums for the cells of a sweep
@@ -24,9 +25,10 @@ from cavitychain.evolution import (
     POSITIVITY_FLOOR,
     StepEngine,
     StepMaps,
+    _expm_taylor,
+    _unitary_blocks,
     chunk_length,
     chunked_cell_steps,
-    diagonalize,
     evolve,
     evolve_assembled,
     iter_steps,
@@ -186,7 +188,7 @@ DAT_PAIR = ChainConfig(
 def test_blocked_step_matches_dense_step(config, dt, n_steps):
     chain = assemble(config)
     sectors = chain.basis.sectors
-    step = dense_step(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
+    step = dense_step(chain.hamiltonian, chain.lindblad_terms, dt)
     rho = chain.initial.elements
     for i, blocks in iter_steps(chain, dt, n_steps):
         if i:
@@ -195,6 +197,26 @@ def test_blocked_step_matches_dense_step(config, dt, n_steps):
         leak = rho.copy()
         leak[sectors.rows, sectors.cols] = 0
         assert np.abs(leak).max() <= DENSE_SECTOR_LEAK_MAX
+
+
+# The engine's U comes from an eigendecomposition, the oracle's from a
+# Taylor series of -i*dt*H: they differ by roundoff and the series' tail.
+UNITARY_VS_TAYLOR_MAX = 1e-12
+
+
+@settings(max_examples=25)
+@given(sector_chains(), time_steps)
+@example(PUMPED_PAIR, 0.01)
+def test_packed_unitary_is_the_exponential_of_the_hamiltonian(config, dt):
+    """Every size group of the engine's packed U, 1 x 1 blocks included, is
+    the packed exp(-i*dt*H) of a route that shares no eigendecomposition."""
+    h = assemble(config).hamiltonian
+    sectors = h.basis.sectors
+    expected = sectors.blocks(sectors.pack(_expm_taylor(-1j * dt * h.elements)))
+    groups = _unitary_blocks(h, dt)
+    assert [g.shape for g in groups] == [g.shape for g in expected]
+    for (size, _), got, want in zip(sectors.groups, groups, expected):
+        assert np.abs(got - want).max() <= UNITARY_VS_TAYLOR_MAX, size
 
 
 @settings(max_examples=25)
@@ -442,7 +464,7 @@ STEP_MAP_MAX = 1e-14
 @example(replace(DAT_PAIR, cavity_loss=0.2), 0.01)
 def test_shared_halves_give_each_cell_its_own_step_map(config, dt):
     """Over the cells of one sweep, ``StepMaps.step_map`` is the step map of
-    each cell's own assemble, diagonalize and StepEngine.
+    each cell's own assembled chain and StepEngine.
 
     The first cell has every rate of the sweep; the others change k, then
     mu, which rebuild the unitary half, and set each rate to zero in turn,
@@ -459,7 +481,7 @@ def test_shared_halves_give_each_cell_its_own_step_map(config, dt):
     maps = StepMaps(assemble(config), config, dt)
     for cell in cells:
         chain = assemble(cell)
-        engine = StepEngine(diagonalize(chain.hamiltonian), list(chain.lindblad_terms), dt)
+        engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, dt)
         own = engine_step_map(engine)
         shared = maps.step_map(cell)
         assert np.abs(shared - own).max() <= STEP_MAP_MAX * np.abs(own).max(), cell
