@@ -30,6 +30,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import __version__
 from .evolution import DEFAULT_DT, TrajectoryRecord, evolve
 from .experiments import (
@@ -224,16 +226,15 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
         + [f"exciton_{i}" for i in range(1, n + 1)]
         + ["trace", "min_eig_flag"]
     )
-    flags = record.positivity_flags
+    # "%.12g" writes what _format does; the flag column is written as an integer
+    template = "%.12g," * (len(header) - 1) + "%d\n"
+    rows = np.column_stack([
+        record.times, record.sink, record.photon, record.exciton, record.trace,
+        record.positivity_flags,
+    ]).tolist()
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in range(record.times.shape[0]):
-            cells = [_format(record.times[row]), _format(record.sink[row])]
-            cells += [_format(x) for x in record.photon[row]]
-            cells += [_format(x) for x in record.exciton[row]]
-            cells.append(_format(record.trace[row]))
-            cells.append(str(int(flags[row])))
-            handle.write(",".join(cells) + "\n")
+        handle.writelines(template % tuple(row) for row in rows)
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:

@@ -9,11 +9,13 @@ sector of the basis, a structure the Hamiltonian and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
 real matrix S on the Hermitian coordinates of packed states, K steps per
-product, with K (``chunk_length``) sized from the number of coordinates.
+product, with K (``chunk_length``) sized from the number of coordinates,
+and reads them a block of J (``block_length``) products at a time.
 Every jump carries its rate as a prefactor, so S is a unitary half plus
 the squared rates times one jump half per rate: ``StepMaps`` builds the
 halves once per sweep, the unitary one again only when the Hamiltonian
-changes, and sums them per cell.
+changes, and sums them per cell; it also keeps the route's work arrays
+for the whole sweep.
 A trajectory reads its samples CHUNK_STEPS at a time (``SampleReader``):
 populations, Hermiticity and positivity in one pass per chunk, positivity
 by a shifted Cholesky screen that leaves the exact eigenvalues to the
@@ -406,9 +408,11 @@ CHUNK_STEPS = 32
 # acceptance tests (timed on a 2-core Xeon VM).
 STEP_OVERHEAD_MACS = 100_000
 
-# (first step, values, state): values is a (k, 2) array holding the sink
-# population and the trace at steps first .. first + k - 1, and state(i)
-# builds the packed state at step i of the chunk yielded last, only when called
+# (first step, values, state): values is a (n, 2) array holding the sink
+# population and the trace at steps first .. first + n - 1, one chunk of
+# steps or a block of them, and state(i) builds the packed state at a step i
+# of the item yielded last, only when called; it raises ValueError for any
+# other step.  values may be a view that the next item overwrites.
 CellSteps = Iterator[tuple[int, np.ndarray, Callable[[int], np.ndarray]]]
 
 
@@ -426,6 +430,22 @@ def chunk_length(m: int, n_steps: int) -> int:
     while 2 * k <= n_steps and (m**3 + 2 * k * m * m) / 4 <= STEP_OVERHEAD_MACS:
         k *= 2
     return k
+
+
+def block_length(m: int, k: int) -> int:
+    """Chunks J per block of the chunked route, with K steps per chunk on M coordinates.
+
+    A block runs its J chunk products back to back and is read in one pass,
+    so a cell that stops at a crossing may have run up to J - 1 products past
+    it.  J starts at 1 and doubles while the products of a block of 2J, each
+    (2K + M) x M real multiply-adds, cost no more than the fixed overhead of
+    one product, STEP_OVERHEAD_MACS, a real multiply-add counting a quarter
+    of a complex one as in ``chunk_length``.
+    """
+    j = 1
+    while 2 * j * (2 * k + m) * m / 4 <= STEP_OVERHEAD_MACS:
+        j *= 2
+    return j
 
 
 def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
@@ -469,13 +489,19 @@ def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
     sink_col = sink_column(chain.basis)
 
     def state(i: int) -> np.ndarray:
+        if i != step:
+            raise ValueError(_stale_step(i, step, step))
         return rho
 
-    for i, rho in iter_steps(chain, dt, n_steps):
+    for step, rho in iter_steps(chain, dt, n_steps):
         populations = sectors.populations(rho)
         with _quiet_overflow():
             values = np.array([[populations @ sink_col, populations.sum()]])
-        yield i, values, state
+        yield step, values, state
+
+
+def _stale_step(i: int, first: int, last: int) -> str:
+    return f"no state at step {i}: the item yielded last holds steps {first}..{last}"
 
 
 class StepMaps:
@@ -496,7 +522,9 @@ class StepMaps:
     ``widest`` takes the Hamiltonian of ``chain``, and any other builds its
     own (``model.hamiltonian``).  Each half passes its checks when it is built: those of
     ``_unitary_blocks`` (``diagonalize``'s among them), of ``_monomial_map``
-    and of ``_real_map``.
+    and of ``_real_map``.  The work arrays of ``chunked_cell_steps`` are
+    kept here too (``_claim_buffers``), allocated at the first chunked cell and
+    written in place by every later one.
     """
 
     def __init__(self, chain: AssembledChain, widest: ChainConfig, dt: float) -> None:
@@ -519,6 +547,29 @@ class StepMaps:
         self._widest = self._hamiltonian_key(widest), chain
         self._key: tuple | None = None  # of the cell whose S_H is held
         self._unitary: np.ndarray | None = None
+        self._buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cell: object | None = None  # the token of the cell the buffers serve
+
+    def _claim_buffers(self, k: int) -> tuple:
+        """(cell, chunk, squares, block, start): the work arrays of a chunked cell.
+
+        chunk is the (2K + M) x M stack of readout rows over S^K, squares the
+        log2 K - 1 powers S^2 .. S^(K/2), block the rows of ``block_length``
+        chunk products and start the coordinates at the block's first step.
+        They are allocated for the first K asked for and kept while K stays.
+        Each call hands them to a new cell, whose token ``cell`` is then
+        ``self._cell``; the cell before can no longer use them.
+        """
+        m = len(self.start)
+        if self._buffers is None or len(self._buffers[0]) != 2 * k + m:
+            self._buffers = (
+                np.empty((2 * k + m, m)),
+                np.empty((k.bit_length() - 2, m, m)),
+                np.empty((block_length(m, k), 2 * k + m)),
+                np.empty(m),
+            )
+        self._cell = object()
+        return (self._cell, *self._buffers)
 
     def _hamiltonian_key(self, config: ChainConfig) -> tuple:
         return tuple(getattr(config, name) for name in self._inputs)
@@ -538,50 +589,71 @@ class StepMaps:
 
 
 def chunked_cell_steps(maps: StepMaps, step: np.ndarray, n_steps: int) -> CellSteps:
-    """Sink and trace at steps 0..n_steps, K = ``chunk_length`` steps per product.
+    """Sink and trace at steps 0..n_steps, a block of J chunks of K steps per item.
 
-    The state runs in Hermitian coordinates, where the cell's step map S
+    K is ``chunk_length`` and J ``block_length``.  The state runs in
+    Hermitian coordinates, where the cell's step map S
     (``StepMaps.step_map``) is real; the readout rows R and the initial
     state come from ``maps``.  One product of the stacked rows R S^1 ..
     R S^K and S^K with the state at a chunk's start gives every value inside
     the chunk and the state at the next start.  The rows come by doubling
     alongside the squarings: with R S^1 .. R S^n stacked, one product with
-    S^n appends R S^(n+1) .. R S^2n.  Step 0 comes as its own one-row chunk.
-    A state is rebuilt only when asked for, from its chunk's start by the
-    powers S^(2^j) of the binary digits of its offset, at most log2 K
-    products, and returned as a packed state.
+    S^n appends R S^(n+1) .. R S^2n.  A block runs its J products back to
+    back, under one ``_quiet_overflow``, into the rows of one array, and is
+    yielded as one item of J K steps, trimmed to n_steps; step 0 comes as
+    its own one-row item.  Every array is a buffer of ``maps``, written in
+    place.  A state is rebuilt only when asked for, from its chunk's start
+    by the powers S^(2^j) of the binary digits of its offset, at most
+    log2 K products, and returned as a packed state.  It must lie in the
+    item yielded last, and the cell must still hold the buffers of
+    ``maps``: ``state`` raises ValueError otherwise, and the generator
+    RuntimeError if another cell took the buffers before it ended.
     """
     sectors, readout = maps.sectors, maps.readout
-    power = step
-    m = len(power)
+    m = len(step)
     k = chunk_length(m, n_steps)
+    cell, chunk, squares, block, start = maps._claim_buffers(k)
     # R S^1 .. R S^K, two rows per step, over S^K
-    chunk = np.empty((2 * k + m, m))
-    _matmul(readout, power, out=chunk[:2])
-    powers = [power]  # S^(2^j) for j = 0 .. log2 K
+    _matmul(readout, step, out=chunk[:2])
+    powers = [step, *squares, chunk[2 * k :]]  # S^(2^j) for j = 0 .. log2 K
     n = 1
-    while n < k:  # chunk holds R S^1 .. R S^n, and power is S^n
+    for power, square in zip(powers, powers[1:]):  # chunk holds R S^1 .. R S^n
         _matmul(chunk[: 2 * n], power, out=chunk[2 * n : 4 * n])
-        power = _matmul(power, power, out=chunk[2 * k :] if 2 * n == k else None)
-        powers.append(power)
+        _matmul(power, power, out=square)
         n *= 2
 
     def state(i: int) -> np.ndarray:
-        real, offset = start_state, i - start
+        if maps._cell is not cell:
+            raise ValueError(f"no state at step {i}: another cell holds the step map's buffers")
+        if not first <= i <= last:
+            raise ValueError(_stale_step(i, first, last))
+        if i == 0:
+            return _packed_state(sectors, maps.start)
+        row = (i - first) // k  # the chunk of step i in the block
+        real = start if row == 0 else block[row - 1, 2 * k :]
+        offset = i - (first - 1 + row * k)  # 1 .. K steps past the chunk's start
         for j, square in enumerate(powers):
             if offset >> j & 1:
                 real = square @ real
         return _packed_state(sectors, real)
 
-    start = 0
-    start_state = maps.start
-    yield 0, (readout @ start_state).reshape(1, 2), state
-    next_state = start_state
-    for start in range(0, n_steps, k):
-        start_state = next_state
-        out = _matmul(chunk, start_state)
-        next_state = out[2 * k :]
-        yield start + 1, out[: 2 * k].reshape(k, 2)[: n_steps - start], state
+    first = last = 0
+    yield 0, (readout @ maps.start).reshape(1, 2), state
+    real = maps.start
+    chunks = -(-n_steps // k)
+    for head in range(0, chunks, len(block)):
+        if maps._cell is not cell:
+            raise RuntimeError("another cell took the step map's buffers")
+        start[:] = real
+        real = start
+        rows = block[: min(len(block), chunks - head)]
+        with _quiet_overflow():
+            for row in rows:
+                np.matmul(chunk, real, out=row)
+                real = row[2 * k :]
+        first = head * k + 1
+        last = min(head * k + len(rows) * k, n_steps)
+        yield first, rows[:, : 2 * k].reshape(-1, 2)[: last - first + 1], state
 
 
 CELL_ROUTES = ("chunked", "stepped")
@@ -590,16 +662,17 @@ CELL_ROUTES = ("chunked", "stepped")
 class SampleReader:
     """Diagnostics of sampled states, gathered CHUNK_STEPS at a time and read in one pass.
 
-    ``add`` copies a packed state into the chunk and takes its Hermiticity
-    defect max |a_rc - conj(a_cr)| over the off-diagonal pairs.  ``read``
-    then reads the chunk:
+    ``add`` copies a packed state into the chunk, and ``read`` then reads
+    the chunk:
 
     * One gather of the diagonal gives every population.  The sink, photon
       and exciton columns come from one stacked product with their weights:
       each state's row is its own vector product, the one a stepped sweep
       cell takes (``stepped_cell_steps``), so a value does not depend on the
       chunk it is read in.  The trace is the sum of the populations.
-    * The defect of the diagonal, 2 |Im a_ii|, joins the pairs'.
+    * Each state's Hermiticity defect is the largest of max |a_rc -
+      conj(a_cr)| over the off-diagonal pairs and 2 |Im a_ii| over the
+      diagonal, one pass over the chunk each.
     * Positivity is screened.  With ``seen`` the exact minimum eigenvalue
       of the chunks before, every block of every state less c*I, where
       c = max(seen, POSITIVITY_FLOOR) + SCREEN_MARGIN, goes through a
@@ -620,16 +693,11 @@ class SampleReader:
             for kind in (ModeKind.PHOTON, ModeKind.EXCITON)
         )
         self.steps: list[int] = []
-        self.defects = np.empty(CHUNK_STEPS)
         self.seen = math.inf  # the exact minimum eigenvalue of every chunk read
 
-    @_quiet_overflow()
     def add(self, step: int, packed: np.ndarray) -> None:
         """Copy the packed state at ``step`` into the chunk, which must not be full."""
-        row = len(self.steps)
-        self.chunk[row] = packed
-        pairs = packed[self.sectors.pairs]
-        self.defects[row] = np.abs(pairs[0] - pairs[1].conj()).max(initial=0.0)
+        self.chunk[len(self.steps)] = packed
         self.steps.append(step)
 
     def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -644,6 +712,7 @@ class SampleReader:
         diagonal = np.take(chunk, self.sectors.diagonal, axis=1)
         populations = diagonal.real
         rows = populations[:, None, :]
+        upper, lower = self.sectors.pairs
         with _quiet_overflow():
             values = np.column_stack([
                 rows @ self.sink,
@@ -651,9 +720,8 @@ class SampleReader:
                 (rows @ self.exciton)[:, 0],
                 populations.sum(axis=1),
             ])
-        hermiticity = np.maximum(
-            self.defects[: len(steps)], 2 * np.abs(diagonal.imag).max(axis=1)
-        )
+            pairs = np.abs(chunk[:, upper] - chunk[:, lower].conj()).max(axis=1, initial=0.0)
+        hermiticity = np.maximum(pairs, 2 * np.abs(diagonal.imag).max(axis=1))
         # every element reaches the trace column or the defect
         finite = np.isfinite(values).all(axis=1) & np.isfinite(hermiticity)
         if not finite.all():

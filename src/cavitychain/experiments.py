@@ -201,12 +201,14 @@ def _cell_outcomes(
 def _read_cell(
     steps: CellSteps, sectors: Sectors, objective: TimeToReach | SinkAtTime, dt: float
 ) -> _CellOutcome:
-    """Read one cell's objective off its chunks of per-step values, tracking trace drift.
+    """Read one cell's objective off its items of per-step values, tracking trace drift.
 
-    A TimeToReach cell stops at the first step whose sink population meets the
-    target and interpolates the crossing time from the step before it, which
-    may end the previous chunk; a crossing past t_max (the last step may
-    overshoot it) is capped.  A SinkAtTime cell reads the sink at its last
+    An item is a block of chunks on the chunked route and one step on the
+    stepped route; each takes one crossing search and one drift check.  A
+    TimeToReach cell stops at the first step whose sink population meets
+    the target and interpolates the crossing time from the step before it,
+    which may end the previous item; a crossing past t_max (the last step
+    may overshoot it) is capped.  A SinkAtTime cell reads the sink at its last
     step.  Trace drift is the largest |trace - 1| over the steps up to where
     the cell stops.  Only the state where the cell stops is built, for its
     minimum eigenvalue.  A non-finite trace among those steps, or a
@@ -249,7 +251,7 @@ def _read_cell(
 
 
 def _drift(traces: np.ndarray, first: int) -> float:
-    """Largest |trace - 1| over a chunk's steps from ``first`` on; a non-finite trace raises."""
+    """Largest |trace - 1| over an item's steps from ``first`` on; a non-finite trace raises."""
     drift = float(np.abs(traces - 1.0).max())  # nan or inf if any trace is
     if not drift < math.inf:
         row = int(np.argmin(np.isfinite(traces)))

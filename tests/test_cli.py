@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from cavitychain.cli import (
     main,
     parse_config,
     serialize_run,
+    write_trajectory_csv,
 )
+from cavitychain.evolution import evolve
 from cavitychain.experiments import SweepAxis
 from cavitychain.model import (
     ChainConfig,
@@ -197,6 +200,35 @@ def test_evolve_sampling_row_count(tmp_path):
     )
     _, rows = read_rows(tmp_path / "sampled.csv")
     assert len(rows) == 11
+
+
+def test_trajectory_csv_rows_are_the_per_cell_format(tmp_path):
+    """The writer's one row template writes every cell as format(x, ".12g")
+    and the flag as an integer, -0.0 and values of 12 or more digits too."""
+    record = evolve(ChainConfig(n_atoms=2, k=1.0, mu=1.0, rate_in=1.5), 0.03, 0.01)
+    awkward = [-0.0, 1 / 3, 123456789012.375, 9.87654321098765e-17, -2.5e300, 1e16 + 2]
+    record = replace(
+        record,
+        times=np.array([0.0, 1 / 3, 123456789012.375, 1e16 + 2]),
+        sink=np.array(awkward[:4]),
+        photon=np.array([awkward[2:4], awkward[4:], awkward[:2], awkward[1:3]]),
+        exciton=-np.array([awkward[:2], awkward[2:4], awkward[4:], awkward[3:5]]),
+        trace=np.array(awkward[2:]),
+        positivity_flags=np.array([0, 1, 1, 0]),
+    )
+    path = tmp_path / "awkward.csv"
+    write_trajectory_csv(record, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "time,sink,photon_1,photon_2,exciton_1,exciton_2,trace,min_eig_flag"
+    expected = []
+    for row in range(4):
+        cells = [record.times[row], record.sink[row], *record.photon[row], *record.exciton[row]]
+        cells.append(record.trace[row])
+        expected.append(",".join(
+            [format(float(x), ".12g") for x in cells] + [str(int(record.positivity_flags[row]))]
+        ))
+    assert lines[1:] == expected
+    assert lines[1].startswith("0,-0,")
 
 
 def test_manifest_round_trips(tmp_path):

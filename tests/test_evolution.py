@@ -15,6 +15,7 @@ from cavitychain.evolution import (
     _expm_taylor,
     _real_map,
     _unitary_blocks,
+    block_length,
     cell_route,
     chunk_length,
     diagonalize,
@@ -315,6 +316,15 @@ def test_step_map_allocates_about_one_map():
 )
 def test_chunk_length_grows_on_small_maps(m, n_steps, length):
     assert chunk_length(m, n_steps) == length
+
+
+@pytest.mark.parametrize(
+    "m,k,length",
+    [(18, 1024, 8), (140, CHUNK_STEPS, 8), (288, CHUNK_STEPS, 2), (1848, CHUNK_STEPS, 1)],
+    ids=["dat_grid", "bottleneck_row", "m_288", "pumped_n3"],
+)
+def test_block_length_shrinks_on_large_products(m, k, length):
+    assert block_length(m, k) == length
 
 
 def sweep_chain(**overrides):

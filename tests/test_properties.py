@@ -10,9 +10,12 @@ the same chains, and the chunked cell route against the stepped one on chains
 with up to 300 packed coordinates (and, in one explicit example, over the
 600 steps that the chunks of 256 steps of a small chain need).  On the same
 chains, the step maps that one ``StepMaps`` sums for the cells of a sweep
-are checked against the step of each cell's own engine.
+are checked against the step of each cell's own engine, and on two rows of
+cells, the outcomes of cells that share its buffers against those of cells
+with buffers of their own.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +30,13 @@ from cavitychain.evolution import (
     StepMaps,
     _expm_taylor,
     _unitary_blocks,
+    block_length,
     chunk_length,
     chunked_cell_steps,
     evolve,
     evolve_assembled,
     iter_steps,
+    step_count,
     stepped_cell_steps,
 )
 from cavitychain.experiments import (
@@ -451,6 +456,84 @@ def test_chunked_route_rebuilds_every_state_of_a_chunk(config, dt, n_steps):
             assert np.abs(state(i) - stepped[i]).max() <= ROUTE_VALUE_MAX
             seen += 1
     assert seen == n_steps + 1
+
+
+def test_chunked_state_outside_the_item_yielded_last_raises():
+    """Items of the pumped pair are step 0, then blocks of 8 chunks of 32
+    steps; a state is built only inside the item yielded last, and only while
+    no other cell holds the buffers of the ``StepMaps``."""
+    n_steps = 600
+    chain = assemble(PUMPED_PAIR)
+    stepped = [rho for _, rho in iter_steps(chain, 0.01, n_steps)]
+    maps = StepMaps(chain, PUMPED_PAIR, 0.01)
+    steps = chunked_cell_steps(maps, maps.step_map(PUMPED_PAIR), n_steps)
+    items = [next(steps)[:2] for _ in range(2)]
+    first, values, state = next(steps)
+    items.append((first, values))
+    assert [(f, len(v)) for f, v in items] == [(0, 1), (1, 256), (257, 256)]
+    for i in (257, 300, 512):
+        assert np.abs(state(i) - stepped[i]).max() <= ROUTE_VALUE_MAX
+    for i in (0, 10, 256, 513):
+        with pytest.raises(ValueError, match=f"^no state at step {i}: .* steps 257..512$"):
+            state(i)
+    [(first, values, state)] = list(steps)
+    assert (first, len(values)) == (513, 88)
+    assert np.abs(state(n_steps) - stepped[n_steps]).max() <= ROUTE_VALUE_MAX
+    # the next cell takes the buffers: the finished cell's states are gone,
+    # and a cell still running fails at its next block
+    running = chunked_cell_steps(maps, maps.step_map(PUMPED_PAIR), n_steps)
+    next(running)
+    with pytest.raises(ValueError, match="^no state at step 600: another cell holds"):
+        state(n_steps)
+    next(chunked_cell_steps(maps, maps.step_map(PUMPED_PAIR), n_steps))
+    with pytest.raises(RuntimeError, match="another cell took"):
+        next(running)
+
+
+def test_stepped_state_outside_the_step_yielded_last_raises():
+    steps = stepped_cell_steps(assemble(PUMPED_PAIR), 0.01, 5)
+    for _ in range(3):
+        i, _, state = next(steps)
+    assert i == 2
+    assert state(2) is not None
+    for stale in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"^no state at step {stale}: .* steps 2..2$"):
+            state(stale)
+
+
+@pytest.mark.parametrize(
+    "base,axis,objective",
+    [
+        (PUMPED_PAIR, (0.5, 1.0, 1.5, 2.0, 3.0), TimeToReach(0.995, 400.0)),
+        (DAT_PAIR, (0.3, 0.5, 1.0, 2.0), SinkAtTime(50.0)),
+    ],
+    ids=["pumped_pair", "dat_pair"],
+)
+def test_shared_buffers_give_each_cell_the_outcome_of_fresh_ones(base, axis, objective):
+    """One ``StepMaps`` serving a sweep's cells in turn gives each cell, bit
+    for bit, the outcome of a ``StepMaps`` of its own.  The pumped pair's
+    crossings fall in different chunks of their blocks, a late crossing
+    before early ones."""
+    dt = 0.01
+    configs = [replace(base, rate_out=rate) for rate in axis]
+    last = assemble(configs[-1])
+    sectors = last.basis.sectors
+    n_steps = step_count(objective.t_max if isinstance(objective, TimeToReach) else objective.t, dt)
+    shared = StepMaps(last, configs[-1], dt)
+    chunks_in_block = set()
+    for config in configs:
+        outcomes = [
+            _read_cell(
+                chunked_cell_steps(maps, maps.step_map(config), n_steps), sectors, objective, dt
+            )
+            for maps in (shared, StepMaps(last, configs[-1], dt))
+        ]
+        assert outcomes[0] == outcomes[1], config
+        k = chunk_length(len(sectors.rows), n_steps)
+        step = math.ceil(outcomes[0].value / dt - 1e-9)
+        chunks_in_block.add((step - 1) // k % block_length(len(sectors.rows), k))
+    if isinstance(objective, TimeToReach):
+        assert len(chunks_in_block) >= 3
 
 
 # The halves of a sweep's step maps sum the terms of a cell's own step in
