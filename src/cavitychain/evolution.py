@@ -8,14 +8,17 @@ exact.  The state is stepped as one block per (excitation count, sink)
 sector of the basis, a structure the Hamiltonian and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
-real matrix S on the Hermitian coordinates of packed states, K steps per
-product, with K (``chunk_length``) sized from the number of coordinates,
-and reads them a block of J (``block_length``) products at a time.
+real matrix S on the Hermitian coordinates of packed states, K
+(``chunk_length``) steps per product, a block of J (``block_length``)
+products at a time.  Cells run in stacks of B (``stack_length``, sized
+from the bytes of their work arrays), each product one stacked matmul
+over the stack, so K and J weigh a product's fixed overhead shared by B
+cells.
 Every jump carries its rate as a prefactor, so S is a unitary half plus
 the squared rates times one jump half per rate: ``StepMaps`` builds the
 halves once per sweep, the unitary one again only when the Hamiltonian
-changes, and sums them per cell; it also keeps the route's work arrays
-for the whole sweep.
+changes, and sums them per cell into the stack; it also keeps the route's
+work arrays for the whole sweep.
 A trajectory reads its samples CHUNK_STEPS at a time (``SampleReader``):
 populations, Hermiticity and positivity in one pass per chunk, positivity
 by a shifted Cholesky screen that leaves the exact eigenvalues to the
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,11 +356,11 @@ def _hermitian_coordinates(sectors: Sectors, packed: np.ndarray) -> np.ndarray:
 
 
 def _packed_state(sectors: Sectors, real: np.ndarray) -> np.ndarray:
-    """The Hermitian packed state of its real coordinates."""
+    """The Hermitian packed state of its real coordinates, or of each of a stack of them."""
     upper, lower = sectors.pairs
     packed = real.astype(complex)
-    packed[upper] += 1j * real[lower]
-    packed[lower] = packed[upper].conj()
+    packed[..., upper] += 1j * real[..., lower]
+    packed[..., lower] = packed[..., upper].conj()
     return packed
 
 
@@ -408,44 +411,87 @@ CHUNK_STEPS = 32
 # acceptance tests (timed on a 2-core Xeon VM).
 STEP_OVERHEAD_MACS = 100_000
 
-# (first step, values, state): values is a (n, 2) array holding the sink
-# population and the trace at steps first .. first + n - 1, one chunk of
-# steps or a block of them, and state(i) builds the packed state at a step i
-# of the item yielded last, only when called; it raises ValueError for any
-# other step.  values may be a view that the next item overwrites.
-CellSteps = Iterator[tuple[int, np.ndarray, Callable[[int], np.ndarray]]]
+# Bytes of the work arrays of one stack of chunked cells (``stack_length``).
+# Stacking shares each product's fixed overhead among the cells, which pays
+# while the stack's arrays stay in one core's cache.  Measured on a 2-core
+# Xeon VM (2 MiB of L2 per core), in-process sweeps of dat's 1 640-cell
+# grid at M = 18 took 71-77 us per cell for stacks of 0.47 to 1.68 MB
+# (B = 10 to 60) and 77, 85 and 97 us at 2.1, 3.2 and 4.2 MB.  1.5 MB sits
+# inside that flat range.  At M = 140 it keeps one cell, 1.03 MB, per
+# stack: a bottleneck row ran two to a stack (2.04 MB) 1% slower per cell
+# in one session and 7% faster in another, and four to a stack slower in
+# both.
+STACK_BYTES = 1_500_000
+
+# (first step, values, state) items, each for the cells of one stack still
+# running: values is a (B, n, 2) array holding each cell's sink population
+# and trace at steps first .. first + n - 1, one step, or a block of chunks
+# of steps, and state(rows, steps) builds the packed states of the cells at
+# those rows of the stack, each at its own step of the item yielded last,
+# only when called; it raises ValueError for any other step.  values may be
+# a view that the next item overwrites.  Sending the generator a boolean
+# mask over the rows keeps only the cells it marks for the items after.
+CellSteps = Generator[
+    tuple[int, np.ndarray, Callable[[Sequence[int], Sequence[int]], np.ndarray]],
+    np.ndarray | None,
+    None,
+]
 
 
-def chunk_length(m: int, n_steps: int) -> int:
+def chunk_length(m: int, n_steps: int, cells: int = 1) -> int:
     """Steps K per product of the chunked route on M packed coordinates.
 
-    K starts at CHUNK_STEPS and doubles while one more doubling, a squaring
-    of the step map (M**3 real multiply-adds) and a doubling of the 2K
-    readout rows (2K M**2), costs no more than the fixed overhead of one
-    product, STEP_OVERHEAD_MACS, and while the 2K steps fit in n_steps.  As
-    in ``cell_route``, a real multiply-add counts as a quarter of a complex
-    one.
+    K starts at CHUNK_STEPS and doubles while one more doubling for a stack
+    of ``cells`` cells, a squaring of each step map (M**3 real multiply-adds)
+    and a doubling of its 2K readout rows (2K M**2), costs no more than the
+    fixed overhead of one product, STEP_OVERHEAD_MACS, which the stack
+    shares, and while the 2K steps fit in n_steps.  As in ``cell_route``, a
+    real multiply-add counts as a quarter of a complex one.
     """
     k = CHUNK_STEPS
-    while 2 * k <= n_steps and (m**3 + 2 * k * m * m) / 4 <= STEP_OVERHEAD_MACS:
+    while 2 * k <= n_steps and cells * (m**3 + 2 * k * m * m) / 4 <= STEP_OVERHEAD_MACS:
         k *= 2
     return k
 
 
-def block_length(m: int, k: int) -> int:
+def block_length(m: int, k: int, cells: int = 1) -> int:
     """Chunks J per block of the chunked route, with K steps per chunk on M coordinates.
 
     A block runs its J chunk products back to back and is read in one pass,
     so a cell that stops at a crossing may have run up to J - 1 products past
-    it.  J starts at 1 and doubles while the products of a block of 2J, each
-    (2K + M) x M real multiply-adds, cost no more than the fixed overhead of
-    one product, STEP_OVERHEAD_MACS, a real multiply-add counting a quarter
-    of a complex one as in ``chunk_length``.
+    it.  J starts at 1 and doubles while the products of a block of 2J for a
+    stack of ``cells`` cells, each (2K + M) x M real multiply-adds per cell,
+    cost no more than the fixed overhead of one product, STEP_OVERHEAD_MACS,
+    a real multiply-add counting a quarter of a complex one as in
+    ``chunk_length``.
     """
     j = 1
-    while 2 * j * (2 * k + m) * m / 4 <= STEP_OVERHEAD_MACS:
+    while cells * 2 * j * (2 * k + m) * m / 4 <= STEP_OVERHEAD_MACS:
         j *= 2
     return j
+
+
+def _cell_bytes(m: int, k: int, j: int) -> int:
+    """Bytes of one chunked cell's work arrays (``StepMaps._claim_buffers``)."""
+    # S to S^(K/2), the chunk stack with S^K, and the block with its start row
+    return 8 * ((k.bit_length() - 1) * m * m + (2 * k + m) * m + (j + 1) * (2 * k + m))
+
+
+def stack_length(m: int, n_steps: int, n_cells: int) -> int:
+    """Cells B per stack of a sweep's chunked cells on M coordinates.
+
+    B is the largest number of cells, at least one and at most n_cells,
+    whose work arrays, at the K of ``chunk_length`` and the J of
+    ``block_length`` for a stack of B, fit in STACK_BYTES.  A cell's arrays
+    are smallest at K = CHUNK_STEPS and J = 1, which bounds B from above.
+    """
+    b = max(1, min(n_cells, STACK_BYTES // _cell_bytes(m, CHUNK_STEPS, 1)))
+    while b > 1:
+        k = chunk_length(m, n_steps, b)
+        if b * _cell_bytes(m, k, block_length(m, k, b)) <= STACK_BYTES:
+            break
+        b -= 1
+    return b
 
 
 def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
@@ -484,19 +530,23 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
 
 
 def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
-    """Sink and trace at steps 0..n_steps through ``iter_steps``, one step per chunk."""
+    """Sink and trace at steps 0..n_steps through ``iter_steps``, as a stack of one.
+
+    Each item is one step, and the cell's arithmetic is that of ``iter_steps``.
+    """
     sectors = chain.basis.sectors
     sink_col = sink_column(chain.basis)
 
-    def state(i: int) -> np.ndarray:
-        if i != step:
-            raise ValueError(_stale_step(i, step, step))
-        return rho
+    def state(rows: Sequence[int], steps: Sequence[int]) -> np.ndarray:
+        for i in steps:
+            if i != step:
+                raise ValueError(_stale_step(i, step, step))
+        return np.broadcast_to(rho, (len(rows), len(rho)))
 
     for step, rho in iter_steps(chain, dt, n_steps):
         populations = sectors.populations(rho)
         with _quiet_overflow():
-            values = np.array([[populations @ sink_col, populations.sum()]])
+            values = np.array([[[populations @ sink_col, populations.sum()]]])
         yield step, values, state
 
 
@@ -520,11 +570,13 @@ class StepMaps:
     after it and rebuilt only when a cell's Hamiltonian inputs, its config
     fields other than the rate fields, change; a cell with the inputs of
     ``widest`` takes the Hamiltonian of ``chain``, and any other builds its
-    own (``model.hamiltonian``).  Each half passes its checks when it is built: those of
-    ``_unitary_blocks`` (``diagonalize``'s among them), of ``_monomial_map``
-    and of ``_real_map``.  The work arrays of ``chunked_cell_steps`` are
-    kept here too (``_claim_buffers``), allocated at the first chunked cell and
-    written in place by every later one.
+    own (``model.hamiltonian``).  Each half passes its checks when it is
+    built: those of ``_unitary_blocks`` (``diagonalize``'s among them), of
+    ``_monomial_map`` and of ``_real_map``.  The work arrays of
+    ``chunked_cell_steps`` are kept here too (``_claim_buffers``), the
+    stack of the cells' step maps among them: allocated at the first stack
+    of chunked cells and written in place by every later one of the same
+    shape, each S by ``step_map``.
     """
 
     def __init__(self, chain: AssembledChain, widest: ChainConfig, dt: float) -> None:
@@ -547,35 +599,38 @@ class StepMaps:
         self._widest = self._hamiltonian_key(widest), chain
         self._key: tuple | None = None  # of the cell whose S_H is held
         self._unitary: np.ndarray | None = None
-        self._buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._cell: object | None = None  # the token of the cell the buffers serve
+        self._buffers: tuple[np.ndarray, ...] | None = None
+        self._stack: object | None = None  # the token of the stack the buffers serve
 
-    def _claim_buffers(self, k: int) -> tuple:
-        """(cell, chunk, squares, block, start): the work arrays of a chunked cell.
+    def _claim_buffers(self, cells: int, k: int, j: int) -> tuple:
+        """(token, maps, chunk, squares, block): the work arrays of a stack of cells.
 
-        chunk is the (2K + M) x M stack of readout rows over S^K, squares the
-        log2 K - 1 powers S^2 .. S^(K/2), block the rows of ``block_length``
-        chunk products and start the coordinates at the block's first step.
-        They are allocated for the first K asked for and kept while K stays.
-        Each call hands them to a new cell, whose token ``cell`` is then
-        ``self._cell``; the cell before can no longer use them.
+        maps holds each cell's S, chunk each cell's (2K + M) x M stack of
+        readout rows over S^K, squares the log2 K - 1 powers S^2 ..
+        S^(K/2) of every cell, one (cells, M, M) stack per power, and block
+        each cell's coordinates at the block's first step, in the last M
+        entries of its row 0, and the rows of its J chunk products after it.
+        They are allocated for the first shape asked for and kept while it
+        stays.  Each call hands them to a new stack, whose ``token`` is then
+        ``self._stack``; the stack before can no longer use them.
         """
         m = len(self.start)
-        if self._buffers is None or len(self._buffers[0]) != 2 * k + m:
-            self._buffers = (
-                np.empty((2 * k + m, m)),
-                np.empty((k.bit_length() - 2, m, m)),
-                np.empty((block_length(m, k), 2 * k + m)),
-                np.empty(m),
-            )
-        self._cell = object()
-        return (self._cell, *self._buffers)
+        shapes = (
+            (cells, m, m),
+            (cells, 2 * k + m, m),
+            (k.bit_length() - 2, cells, m, m),
+            (cells, j + 1, 2 * k + m),
+        )
+        if self._buffers is None or [b.shape for b in self._buffers] != list(shapes):
+            self._buffers = tuple(_aligned_empty(shape) for shape in shapes)
+        self._stack = object()
+        return (self._stack, *self._buffers)
 
     def _hamiltonian_key(self, config: ChainConfig) -> tuple:
         return tuple(getattr(config, name) for name in self._inputs)
 
-    def step_map(self, config: ChainConfig) -> np.ndarray:
-        """S of one cell, a fresh real M x M matrix, summed under ``_quiet_overflow``."""
+    def step_map(self, config: ChainConfig, out: np.ndarray) -> np.ndarray:
+        """S of one cell, a real M x M matrix summed into out under ``_quiet_overflow``."""
         key = self._hamiltonian_key(config)
         if key != self._key:
             widest_key, chain = self._widest
@@ -583,77 +638,134 @@ class StepMaps:
             self._key, self._unitary = key, unitary_map(h, self.dt)
         squares = np.array([getattr(config, field) for field in self.rates]) ** 2
         with _quiet_overflow():
-            step = (squares @ self.jumps).reshape(self._unitary.shape)
-            step += self._unitary
-        return step
+            np.matmul(squares, self.jumps, out=out.reshape(-1))
+            out += self._unitary
+        return out
 
 
-def chunked_cell_steps(maps: StepMaps, step: np.ndarray, n_steps: int) -> CellSteps:
-    """Sink and trace at steps 0..n_steps, a block of J chunks of K steps per item.
+# Alignment of the work arrays of a stack, a cache line.  numpy's allocations
+# are aligned to 16 bytes only, and the bottleneck benchmark ran 32.0 and
+# 32.4 ms on 16-byte-aligned arrays against 29.3 to 30.5 ms on arrays aligned
+# to 32, 64, 128 or 4 096 bytes (2-core Xeon VM, OpenBLAS 0.3.31).
+BUFFER_ALIGN = 64
 
-    K is ``chunk_length`` and J ``block_length``.  The state runs in
-    Hermitian coordinates, where the cell's step map S
-    (``StepMaps.step_map``) is real; the readout rows R and the initial
-    state come from ``maps``.  One product of the stacked rows R S^1 ..
-    R S^K and S^K with the state at a chunk's start gives every value inside
-    the chunk and the state at the next start.  The rows come by doubling
-    alongside the squarings: with R S^1 .. R S^n stacked, one product with
-    S^n appends R S^(n+1) .. R S^2n.  A block runs its J products back to
-    back, under one ``_quiet_overflow``, into the rows of one array, and is
-    yielded as one item of J K steps, trimmed to n_steps; step 0 comes as
-    its own one-row item.  Every array is a buffer of ``maps``, written in
-    place.  A state is rebuilt only when asked for, from its chunk's start
-    by the powers S^(2^j) of the binary digits of its offset, at most
-    log2 K products, and returned as a packed state.  It must lie in the
-    item yielded last, and the cell must still hold the buffers of
-    ``maps``: ``state`` raises ValueError otherwise, and the generator
-    RuntimeError if another cell took the buffers before it ended.
+
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float array whose data start on a BUFFER_ALIGN boundary."""
+    size = math.prod(shape)
+    raw = np.empty(size + BUFFER_ALIGN // 8)
+    start = -raw.ctypes.data % BUFFER_ALIGN // 8
+    return raw[start : start + size].reshape(shape)
+
+
+def chunked_cell_steps(
+    maps: StepMaps, configs: Sequence[ChainConfig], n_steps: int, k: int
+) -> CellSteps:
+    """Sink and trace at steps 0..n_steps of a stack of cells, J chunks of K steps per item.
+
+    J is ``block_length`` for the stack.  Each cell's state runs in
+    Hermitian coordinates, where its step map S (``StepMaps.step_map``) is
+    real; the readout rows R and the initial state come from ``maps``.  One
+    product of the stacked rows R S^1 .. R S^K and S^K with the state at a
+    chunk's start gives every value inside the chunk and the state at the
+    next start.  The rows come by doubling alongside the squarings: with
+    R S^1 .. R S^n stacked, one product with S^n appends R S^(n+1) ..
+    R S^2n.  Every product runs once for the whole stack, a (B, ., M)
+    stacked matmul, whose per-cell products are those of a stack of one.
+    A block runs its J products back to back, under one
+    ``_quiet_overflow``, into the rows of one array, and is yielded as one
+    item of J K steps, trimmed to n_steps; step 0 comes as its own one-step
+    item.  A mask sent back keeps only the cells it marks: the others leave
+    the stack, and the later products run without them.  Every array is a
+    buffer of ``maps``, written in place.  States are rebuilt only when
+    asked for, each from its chunk's start by the powers S^(2^j) of the
+    binary digits of its offset, at most log2 K stacked products, and
+    returned as packed states.  Each must lie in the item yielded last, and
+    the stack must still hold the buffers of ``maps``: ``state`` raises
+    ValueError otherwise, and the generator RuntimeError if another stack
+    took the buffers before it ended.
     """
     sectors, readout = maps.sectors, maps.readout
-    m = len(step)
-    k = chunk_length(m, n_steps)
-    cell, chunk, squares, block, start = maps._claim_buffers(k)
-    # R S^1 .. R S^K, two rows per step, over S^K
-    _matmul(readout, step, out=chunk[:2])
-    powers = [step, *squares, chunk[2 * k :]]  # S^(2^j) for j = 0 .. log2 K
+    m = len(maps.start)
+    cells = len(configs)
+    token, step_maps, chunk, squares, block = maps._claim_buffers(
+        cells, k, block_length(m, k, cells)
+    )
+    for config, step in zip(configs, step_maps):
+        maps.step_map(config, out=step)
+    # R S^1 .. R S^K, two rows per step, over S^K, for every cell
+    _matmul(readout, step_maps, out=chunk[:, :2])
+    powers = [step_maps, *squares, chunk[:, 2 * k :]]  # S^(2^j) for j = 0 .. log2 K
     n = 1
     for power, square in zip(powers, powers[1:]):  # chunk holds R S^1 .. R S^n
-        _matmul(chunk[: 2 * n], power, out=chunk[2 * n : 4 * n])
+        _matmul(chunk[:, : 2 * n], power, out=chunk[:, 2 * n : 4 * n])
         _matmul(power, power, out=square)
         n *= 2
 
-    def state(i: int) -> np.ndarray:
-        if maps._cell is not cell:
-            raise ValueError(f"no state at step {i}: another cell holds the step map's buffers")
-        if not first <= i <= last:
-            raise ValueError(_stale_step(i, first, last))
-        if i == 0:
-            return _packed_state(sectors, maps.start)
-        row = (i - first) // k  # the chunk of step i in the block
-        real = start if row == 0 else block[row - 1, 2 * k :]
-        offset = i - (first - 1 + row * k)  # 1 .. K steps past the chunk's start
-        for j, square in enumerate(powers):
-            if offset >> j & 1:
-                real = square @ real
+    def state(rows: Sequence[int], steps: Sequence[int]) -> np.ndarray:
+        rows, steps = [int(r) for r in rows], [int(i) for i in steps]
+        if maps._stack is not token:
+            raise ValueError(
+                f"no state at step {steps[0]}: another cell holds the step map's buffers"
+            )
+        for i in steps:
+            if not first <= i <= last:
+                raise ValueError(_stale_step(i, first, last))
+        if last == 0:
+            return _packed_state(sectors, maps.start[None].repeat(len(rows), axis=0))
+        groups = {}  # the rows at each step of the block
+        for n, i in enumerate(steps):
+            groups.setdefault(i - first, []).append(n)
+        real = np.empty((len(rows), m)) if len(groups) > 1 else None
+        for into, group in groups.items():
+            members = [rows[n] for n in group]
+            if members == list(range(members[0], members[0] + len(members))):
+                members = slice(members[0], members[0] + len(members))  # views, not copies
+            row, past = divmod(into, k)  # its chunk, and 1 .. K steps past its start
+            x = block[members, row, 2 * k :, None]
+            for j, square in enumerate(powers):
+                if past + 1 >> j & 1:
+                    x = square[members] @ x
+            if real is None:
+                real = x[..., 0]
+            else:
+                real[group] = x[..., 0]
         return _packed_state(sectors, real)
 
     first = last = 0
-    yield 0, (readout @ maps.start).reshape(1, 2), state
-    real = maps.start
+    block[:cells, 0, 2 * k :] = maps.start
+    values = (readout @ maps.start)[None, None].repeat(cells, axis=0)
     chunks = -(-n_steps // k)
-    for head in range(0, chunks, len(block)):
-        if maps._cell is not cell:
+    heads = iter(range(0, chunks, block.shape[1] - 1))
+    rows = None
+    while True:
+        keep = yield first, values, state
+        if maps._stack is not token:
             raise RuntimeError("another cell took the step map's buffers")
-        start[:] = real
-        real = start
-        rows = block[: min(len(block), chunks - head)]
+        if keep is not None:  # the cells kept move to the front of every buffer
+            kept = np.flatnonzero(keep)
+            cells = len(kept)
+            for array in (step_maps, chunk, block, *squares):
+                array[:cells] = array[kept]
+            rows = None
+        head = next(heads, None)
+        if head is None:
+            return
+        if rows is None:
+            # row r + 1 of the block holds the product with the state that row
+            # r ends in, row 0's the state at the block's start
+            products = chunk[:cells]
+            rows = [(r[..., None], r[:, 2 * k :, None]) for r in block[:cells].swapaxes(0, 1)]
+        count = min(len(rows) - 1, chunks - head)
+        if head:
+            rows[0][1][:] = rows[-1][1]  # the state the last block ended in
         with _quiet_overflow():
-            for row in rows:
-                np.matmul(chunk, real, out=row)
-                real = row[2 * k :]
+            for (_, real), (out, _) in zip(rows, rows[1 : count + 1]):
+                np.matmul(products, real, out=out)
         first = head * k + 1
-        last = min(head * k + len(rows) * k, n_steps)
-        yield first, rows[:, : 2 * k].reshape(-1, 2)[: last - first + 1], state
+        last = min((head + count) * k, n_steps)
+        values = block[:cells, 1 : count + 1, : 2 * k].reshape(cells, -1, 2)
+        values = values[:, : last - first + 1]
 
 
 CELL_ROUTES = ("chunked", "stepped")

@@ -4,11 +4,13 @@ The two reproduced effects are the quantum bottleneck (time to fill the sink
 is non-monotone in the output rate: past an optimum, faster runoff slows the
 transfer) and dephasing-assisted transport (at a non-optimal output rate,
 nonzero dephasing strength can raise the sink population reached by a fixed
-time).  Sweep cells are evaluated one after another in grid order.  Each
-cell's outcome depends on its own config alone, but the cells of a sweep
-share their basis, so all take one route, and chunked cells share the
-halves of their step maps (``evolution.StepMaps``), whose unitary half
-is rebuilt only where a cell's Hamiltonian differs from the cell before.
+time).  Each cell's outcome depends on its own config alone, but the cells
+of a sweep share their basis, so all take one route.  Chunked cells run in
+stacks of cells in grid order (``evolution.stack_length``): each product
+of a stack is one stacked matmul over its cells' step maps, summed from
+shared halves (``evolution.StepMaps``) whose unitary half is rebuilt only
+where a cell's Hamiltonian differs from the cell before.  Stepped cells
+run as stacks of one.  One reader takes every stack (``_read_stack``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .evolution import (
     CellSteps,
     StepMaps,
     cell_route,
+    chunk_length,
     chunked_cell_steps,
+    stack_length,
     step_count,
     stepped_cell_steps,
 )
@@ -147,8 +151,9 @@ class SweepResult:
 
     grid and cap_mask have shape (len(axis1), len(axis2) or 1).  Capped cells
     carry the cap value itself.  trace and positivity diagnostics are collected
-    across all cells: trace is tracked every step, eigenvalues only on each
-    cell's final state (a full spectrum per step would dwarf the sweep cost).
+    across all cells: trace is tracked every step, eigenvalues only on the
+    state where each cell stops (a full spectrum per step would dwarf the
+    sweep cost), taken for a whole stack of cells at once.
     cell_routes counts the cells each route of ``evolution.cell_route`` ran,
     ``{"chunked": n, "stepped": m}``.
     """
@@ -172,14 +177,18 @@ class _CellOutcome:
 def _cell_outcomes(
     configs: Sequence[ChainConfig], objective: TimeToReach | SinkAtTime, dt: float
 ) -> Iterator[tuple[str, _CellOutcome]]:
-    """(route, outcome) of each cell in turn, on the route ``cell_route`` picks.
+    """(route, outcome) of each cell in grid order, on the route ``cell_route`` picks.
 
     The cells share their basis, so the route, which depends on the sector
     sizes and the step count alone, is the same for all.  It is read off
     the chain of the last cell, whose rates are the largest (a grid's axes
-    increase).  Stepped cells each assemble their own chain.  Chunked cells
-    sum their step maps from one ``StepMaps``, built from the last cell's
-    chain at the first cell.
+    increase).  Stepped cells each assemble their own chain and run as
+    stacks of one.  Chunked cells run in stacks of ``stack_length`` cells
+    in grid order, all at the K of a stack that long, and sum their step
+    maps from one ``StepMaps``, built from the last cell's chain.  The
+    first cell in grid order that fails raises its ArithmeticError after
+    the outcomes of the cells before it, once its stack has run; the stacks
+    after it do not run.
     """
     t_end = objective.t_max if isinstance(objective, TimeToReach) else objective.t
     n_steps = step_count(t_end, dt)
@@ -187,76 +196,149 @@ def _cell_outcomes(
     sectors = last.basis.sectors
     route = cell_route(sectors.sizes, n_steps)
     if route == "stepped":
-        for i, config in enumerate(configs):
-            chain = last if i == len(configs) - 1 else assemble(config)
-            steps = stepped_cell_steps(chain, dt, n_steps)
-            yield route, _read_cell(steps, sectors, objective, dt)
-        return
-    maps = StepMaps(last, configs[-1], dt)
-    for config in configs:
-        steps = chunked_cell_steps(maps, maps.step_map(config), n_steps)
-        yield route, _read_cell(steps, sectors, objective, dt)
+        stacks = (
+            stepped_cell_steps(last if i == len(configs) - 1 else assemble(config), dt, n_steps)
+            for i, config in enumerate(configs)
+        )
+    else:
+        maps = StepMaps(last, configs[-1], dt)
+        m = len(sectors.rows)
+        b = stack_length(m, n_steps, len(configs))
+        k = chunk_length(m, n_steps, b)
+        stacks = (
+            chunked_cell_steps(maps, configs[head : head + b], n_steps, k)
+            for head in range(0, len(configs), b)
+        )
+    for steps in stacks:
+        for outcome in _read_stack(steps, sectors, objective, dt):
+            if isinstance(outcome, ArithmeticError):
+                raise outcome
+            yield route, outcome
 
 
-def _read_cell(
+def _read_stack(
     steps: CellSteps, sectors: Sectors, objective: TimeToReach | SinkAtTime, dt: float
-) -> _CellOutcome:
-    """Read one cell's objective off its items of per-step values, tracking trace drift.
+) -> list[_CellOutcome | ArithmeticError]:
+    """Each cell's outcome, or the error it failed with, read off its stack's items.
 
-    An item is a block of chunks on the chunked route and one step on the
-    stepped route; each takes one crossing search and one drift check.  A
-    TimeToReach cell stops at the first step whose sink population meets
-    the target and interpolates the crossing time from the step before it,
-    which may end the previous item; a crossing past t_max (the last step
-    may overshoot it) is capped.  A SinkAtTime cell reads the sink at its last
-    step.  Trace drift is the largest |trace - 1| over the steps up to where
-    the cell stops.  Only the state where the cell stops is built, for its
-    minimum eigenvalue.  A non-finite trace among those steps, or a
-    non-finite sink the objective reads, raises ArithmeticError naming the
-    step.
+    An item holds the per-step values of every cell still in the stack: a
+    block of chunks on the chunked route and one step on the stepped route.
+    Each takes one crossing search, one drift check and one finiteness
+    check across the stack.  A TimeToReach cell stops at the first step
+    whose sink population meets the target and interpolates the crossing
+    time from the step before it, which may end the previous item; a
+    crossing past t_max (the last step may overshoot it) is capped.  A
+    SinkAtTime cell reads the sink at its last step.  Trace drift is the
+    largest |trace - 1| over the steps up to where the cell stops.  A
+    non-finite trace among those steps, or a non-finite sink the objective
+    reads, fails the cell with an ArithmeticError naming the step.  A cell
+    that stops or fails leaves the stack at that item: the mask sent back
+    keeps the others.  Only the states where cells stop are built, and
+    their minimum eigenvalues come from one ``Sectors.min_eigenvalue`` call.
     """
     reach = isinstance(objective, TimeToReach)
-    drift = 0.0
-    for first, values, state in steps:
-        sinks, traces = values[:, 0], values[:, 1]
+    first, values, state = next(steps)
+    n_cells = len(values)
+    cells = np.arange(n_cells)  # the cell of each row still in the stack
+    drift = np.zeros(n_cells)  # of each row
+    prev = np.zeros(n_cells)  # of each row: its sink at the step before the item
+    ends: list = [None] * n_cells  # of each cell: (value, capped, drift) or its error
+    stopped, states = [], []  # the cells that stopped, and their states there
+
+    def stop(rows: list[int], at: list[int]) -> None:
+        if rows:
+            stopped.extend(cells[rows].tolist())
+            states.append(state(rows, at))
+
+    while True:
+        sinks, traces = values[..., 0], values[..., 1]
+        deviation = np.abs(traces - 1.0)
+        crossings = ()
+        if reach and not sinks.max() < objective.target:  # a crossing, or a NaN
+            met = sinks >= objective.target
+            if met.any():
+                crossings = np.flatnonzero(met.any(axis=1))
+                hits = met.argmax(axis=1)
+                for row in crossings:  # the steps past a crossing are never read
+                    deviation[row, hits[row] + 1 :] = 0.0
+        block_drift = deviation.max(axis=1)  # nan or inf if a trace read is
+        np.maximum(drift, block_drift, out=drift)
+        finite = block_drift.max() < math.inf
+        keep = None
+        if len(crossings) or not finite:
+            leaving = np.zeros(len(cells), dtype=bool)
+            if not finite:
+                leaving = ~(block_drift < math.inf)
+                for row in np.flatnonzero(leaving):
+                    col = int(np.argmin(np.isfinite(deviation[row])))
+                    ends[cells[row]] = ArithmeticError(
+                        f"trace not finite at step {first + col}: {traces[row, col]}"
+                    )
+            stopping, at = [], []
+            for row in crossings:
+                if leaving[row]:
+                    continue
+                leaving[row] = True
+                hit = int(hits[row])
+                before = float(sinks[row, hit - 1] if hit else prev[row])
+                i = first + hit
+                try:
+                    value, capped = _crossing(objective, dt, i, float(sinks[row, hit]), before)
+                except ArithmeticError as exc:
+                    ends[cells[row]] = exc
+                    continue
+                ends[cells[row]] = (value, capped, drift[row])
+                stopping.append(row)
+                at.append(i)
+            stop(stopping, at)
+            keep = ~leaving
+            cells, drift = cells[keep], drift[keep]
+            if not len(cells):
+                break
         if reach:
-            hit = int(np.argmax(sinks >= objective.target))
-            if sinks[hit] >= objective.target:
-                i, current = first + hit, float(sinks[hit])
-                if hit:
-                    prev = float(sinks[hit - 1])
-                drift = max(drift, _drift(traces[: hit + 1], first))
-                _finite_sink(current, i)
-                if i:
-                    _finite_sink(prev, i - 1)
-                crossing = 0.0 if i == 0 else (
-                    (i - 1) * dt + dt * (objective.target - prev) / (current - prev)
-                )
-                # crossed only inside the step that overshoots t_max (within
-                # step_count's roundoff): the cell carries its cap
-                capped = crossing > objective.t_max + 1e-9 * dt
-                return _CellOutcome(
-                    objective.t_max if capped else crossing,
-                    capped,
-                    drift,
-                    sectors.min_eigenvalue(state(i)),
-                )
-            prev = float(sinks[-1])
-        drift = max(drift, _drift(traces, first))
-    last = first + len(values) - 1
-    final_min_eig = sectors.min_eigenvalue(state(last))
-    if reach:  # no crossing by t_max: the cell carries its cap
-        return _CellOutcome(objective.t_max, True, drift, final_min_eig)
-    return _CellOutcome(_finite_sink(float(sinks[-1]), last), False, drift, final_min_eig)
+            prev = (sinks[:, -1] if keep is None else sinks[keep, -1]).copy()
+        try:
+            first, values, state = steps.send(keep)
+        except StopIteration:
+            break
+    # the cells still in the stack ran to the last step
+    last = first + values.shape[1] - 1
+    ending = []
+    for row, cell in enumerate(cells.tolist()):
+        if reach:  # no crossing by t_max: the cell carries its cap
+            ends[cell] = (objective.t_max, True, drift[row])
+        else:
+            try:
+                ends[cell] = (_finite_sink(float(values[row, -1, 0]), last), False, drift[row])
+            except ArithmeticError as exc:
+                ends[cell] = exc
+                continue
+        ending.append(row)
+    stop(ending, [last] * len(ending))
+    if states:
+        lowest = sectors.min_eigenvalue(states[0] if len(states) == 1 else np.concatenate(states))
+        for cell, eigenvalue in zip(stopped, lowest):
+            value, capped, cell_drift = ends[cell]
+            ends[cell] = _CellOutcome(value, capped, float(cell_drift), float(eigenvalue))
+    return ends
 
 
-def _drift(traces: np.ndarray, first: int) -> float:
-    """Largest |trace - 1| over an item's steps from ``first`` on; a non-finite trace raises."""
-    drift = float(np.abs(traces - 1.0).max())  # nan or inf if any trace is
-    if not drift < math.inf:
-        row = int(np.argmin(np.isfinite(traces)))
-        raise ArithmeticError(f"trace not finite at step {first + row}: {traces[row]}")
-    return drift
+def _crossing(
+    objective: TimeToReach, dt: float, i: int, current: float, before: float
+) -> tuple[float, bool]:
+    """(time, capped) of a crossing at step i, interpolated from the sink at the step before.
+
+    A non-finite sink at either step raises ArithmeticError naming it.
+    """
+    _finite_sink(current, i)
+    if i == 0:
+        return 0.0, False
+    _finite_sink(before, i - 1)
+    crossing = (i - 1) * dt + dt * (objective.target - before) / (current - before)
+    # crossed only inside the step that overshoots t_max (within step_count's
+    # roundoff): the cell carries its cap
+    capped = crossing > objective.t_max + 1e-9 * dt
+    return (objective.t_max if capped else crossing), capped
 
 
 def _finite_sink(sink: float, step: int) -> float:
@@ -277,13 +359,14 @@ def time_to_reach(
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the objective over the full axis grid, cell by cell.
+    """Evaluate the objective over the full axis grid, in stacks of cells.
 
     The cells run in grid order through one ``_cell_outcomes``, so chunked
     cells build the basis, the readout, the jump halves of their step maps
     and the first unitary half once, and a cell after one with the same
     Hamiltonian inputs (every swept jump rate, in any axis order) only sums
-    them.  A cell that fails raises ArithmeticError naming its axis values.
+    them.  The first cell in grid order that fails raises ArithmeticError
+    naming its axis values.
     """
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
     cells = []

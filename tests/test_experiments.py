@@ -14,7 +14,7 @@ from cavitychain.experiments import (
     SweepSpec,
     TimeToReach,
     _CellOutcome,
-    _read_cell,
+    _read_stack,
     bottleneck_scan,
     dat_scan,
     default_g_grid,
@@ -139,27 +139,35 @@ def test_time_to_reach_interpolates_decay():
 
 
 class StopStep:
-    """Stands in for ``Sectors`` in ``_read_cell``: with each chunk's state(i)
-    returning i, an outcome's minimum eigenvalue is minus the step whose state
-    the reader built."""
+    """Stands in for ``Sectors`` in ``_read_stack``: with each chunk's
+    state(rows, steps) returning the steps, an outcome's minimum eigenvalue
+    is minus the step whose state the reader built."""
 
     @staticmethod
-    def min_eigenvalue(step):
-        return -float(step)
+    def min_eigenvalue(steps):
+        return -np.asarray(steps, dtype=float)
 
 
 def chunk_stream(*chunks):
-    """A cell route's stream from lists of (sink, trace) rows, from step 0 on."""
+    """A stack of one cell's stream from lists of (sink, trace) rows, from step 0 on."""
     first = 0
     for rows in chunks:
-        yield first, np.array(rows, dtype=float), lambda i: i
+        yield first, np.array([rows], dtype=float), lambda rows, steps: np.array(steps)
         first += len(rows)
+
+
+def read_cell(steps, objective):
+    """The outcome of a stack of one, raising the error it failed with."""
+    [outcome] = _read_stack(steps, StopStep, objective, 0.1)
+    if isinstance(outcome, ArithmeticError):
+        raise outcome
+    return outcome
 
 
 def test_reader_interpolates_from_the_chunk_before():
     # the crossing is row 0 of the third chunk, and its previous sink ends the second
     steps = chunk_stream([(0.0, 1.0)], [(0.2, 1.0), (0.4, 1.0)], [(0.8, 1.0), (0.9, 1.0)])
-    outcome = _read_cell(steps, StopStep, TimeToReach(0.6, 10.0), 0.1)
+    outcome = read_cell(steps, TimeToReach(0.6, 10.0))
     crossing = (3 - 1) * 0.1 + 0.1 * (0.6 - 0.4) / (0.8 - 0.4)
     assert outcome == _CellOutcome(crossing, False, 0.0, -3.0)
 
@@ -169,7 +177,7 @@ def test_reader_drift_stops_at_the_crossing():
     steps = chunk_stream(
         [(0.0, 1.0)], [(0.2, 1.0 + 1e-10), (0.7, 1.0 - 2e-10), (0.9, 1.5), (0.95, 0.5)]
     )
-    outcome = _read_cell(steps, StopStep, TimeToReach(0.6, 10.0), 0.1)
+    outcome = read_cell(steps, TimeToReach(0.6, 10.0))
     assert outcome.trace_drift == abs((1.0 - 2e-10) - 1.0)
     assert outcome.final_min_eig == -2.0
 
@@ -179,14 +187,14 @@ def test_reader_caps_a_last_step_crossing_past_t_max(t_max, capped):
     # four steps of 0.1 cross 0.8 at t = 0.38: half a step short of t = 0.4
     # caps it, and t_max at the last step keeps it
     steps = chunk_stream([(0.0, 1.0)], [(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), (0.9, 1.0)])
-    outcome = _read_cell(steps, StopStep, TimeToReach(0.8, t_max), 0.1)
+    outcome = read_cell(steps, TimeToReach(0.8, t_max))
     crossing = (4 - 1) * 0.1 + 0.1 * (0.8 - 0.3) / (0.9 - 0.3)
     assert outcome == _CellOutcome(t_max if capped else crossing, capped, 0.0, -4.0)
 
 
 def test_reader_sink_at_time_reads_the_last_step():
     steps = chunk_stream([(0.0, 1.0)], [(0.3, 1.0 + 3e-12), (0.5, 1.0)], [(0.6, 1.0 - 1e-12)])
-    outcome = _read_cell(steps, StopStep, SinkAtTime(0.3), 0.1)
+    outcome = read_cell(steps, SinkAtTime(0.3))
     assert outcome == _CellOutcome(0.6, False, abs((1.0 + 3e-12) - 1.0), -3.0)
 
 
@@ -196,13 +204,13 @@ def test_reader_fails_on_a_non_finite_trace_naming_its_step(objective):
         [(0.0, 1.0)], [(0.1, 1.0), (0.2, float("nan")), (0.3, 1.0)], [(0.9, 1.0)]
     )
     with pytest.raises(ArithmeticError, match="^trace not finite at step 2: nan$"):
-        _read_cell(steps, StopStep, objective, 0.1)
+        read_cell(steps, objective)
 
 
 def test_reader_fails_on_a_non_finite_sink_it_reads():
     steps = chunk_stream([(0.0, 1.0)], [(0.1, 1.0), (float("inf"), 1.0)])
     with pytest.raises(ArithmeticError, match="^sink not finite at step 2: inf$"):
-        _read_cell(steps, StopStep, SinkAtTime(0.2), 0.1)
+        read_cell(steps, SinkAtTime(0.2))
 
 
 def test_sweep_cell_that_blows_up_fails_naming_the_cell():
@@ -211,12 +219,41 @@ def test_sweep_cell_that_blows_up_fails_naming_the_cell():
     spec = SweepSpec(base=base, axis1=SweepAxis("rate_out", (1e160,)), objective=SinkAtTime(1.0))
     with pytest.raises(ValueError, match="^rate_out: must be at most"):
         run_sweep(spec)
-    # 1e100 squares to a finite rate, and the Euler step overflows within steps
-    spec = SweepSpec(
-        base=base, axis1=SweepAxis("rate_out", (0.5, 1e100)), objective=SinkAtTime(1.0)
+    # 1e100 squares to a finite rate, and the Euler step overflows within steps;
+    # the cells of each sweep share one stack, and the first cell to fail in
+    # grid order is named, whether cells before or after it in the stack run
+    # to the end
+    rows = (
+        (SweepAxis("rate_out", (0.5, 1e100)), None, SinkAtTime(1.0), "rate_out=1e\\+100"),
+        # first in its stack; the cell after it fails too
+        (
+            SweepAxis("rate_out", (1e100,)),
+            SweepAxis("g", (0.0, 0.3)),
+            SinkAtTime(1.0),
+            "rate_out=1e\\+100 g=0.0",
+        ),
+        # in the middle: g=0.3 rate_out=0.5 after it runs to the end
+        (
+            SweepAxis("g", (0.0, 0.3)),
+            SweepAxis("rate_out", (0.5, 1e100)),
+            SinkAtTime(1.0),
+            "g=0.0 rate_out=1e\\+100",
+        ),
+        # a time-to-target row; its rate_out=1e100 cell would cross at its
+        # first step, so a dephasing rate overflows instead
+        (
+            SweepAxis("rate_out", (0.5, 2.0)),
+            SweepAxis("g", (0.0, 1e100)),
+            TimeToReach(0.5, 2.0),
+            "rate_out=0.5 g=1e\\+100",
+        ),
     )
-    with pytest.raises(ArithmeticError, match=r"^cell rate_out=1e\+100: trace not finite"):
-        run_sweep(spec)
+    for axis1, axis2, objective, cell in rows:
+        spec = SweepSpec(base=base, axis1=axis1, axis2=axis2, objective=objective)
+        with pytest.raises(
+            ArithmeticError, match=f"^cell {cell}: trace not finite at step 3: nan$"
+        ):
+            run_sweep(spec)
 
 
 def test_optimal_rate_single_candidate():

@@ -10,9 +10,10 @@ the same chains, and the chunked cell route against the stepped one on chains
 with up to 300 packed coordinates (and, in one explicit example, over the
 600 steps that the chunks of 256 steps of a small chain need).  On the same
 chains, the step maps that one ``StepMaps`` sums for the cells of a sweep
-are checked against the step of each cell's own engine, and on two rows of
-cells, the outcomes of cells that share its buffers against those of cells
-with buffers of their own.
+are checked against the step of each cell's own engine, the outcome of each
+cell of a stack of cells against its outcome in a stack of one, and on two
+rows of cells, the outcomes of cells that share its buffers against those
+of cells with buffers of their own.
 """
 
 import math
@@ -45,7 +46,7 @@ from cavitychain.experiments import (
     SweepAxis,
     SweepSpec,
     TimeToReach,
-    _read_cell,
+    _read_stack,
     run_sweep,
     time_to_reach,
 )
@@ -324,25 +325,50 @@ def test_chunked_sample_diagnostics_match_exact_per_sample_ones(
 # one step, to a looser bound.
 ROUTE_VALUE_MAX = 1e-12
 ROUTE_TIME_MAX = 1e-9
+# Output rates of the cells that share a chunked cell's stack, as multiples
+# of its own: a nearly undrained one, whose sink rises far more slowly, and
+# a faster and a slower drain.
+NEIGHBOUR_RATES = (0.01, 2.0, 0.5)
 
 
-def chunked_cell(config, dt, n_steps):
-    """The chunked route of one cell, on the step map of its own ``StepMaps``."""
-    maps = StepMaps(assemble(config), config, dt)
-    return chunked_cell_steps(maps, maps.step_map(config), n_steps)
+def stack_of(config, cells):
+    """The config and cells - 1 neighbours at other output rates, the config first."""
+    return [config] + [
+        replace(config, rate_out=config.rate_out * factor) for factor in NEIGHBOUR_RATES
+    ][: cells - 1]
 
 
-def stepped_cell(config, dt, n_steps):
+def stacked_steps(configs, dt, n_steps, k):
+    """The chunked route of a stack of cells at K steps per chunk, on their own ``StepMaps``."""
+    maps = StepMaps(assemble(configs[0]), configs[0], dt)
+    return chunked_cell_steps(maps, configs, n_steps, k)
+
+
+def chunked_cell(config, dt, n_steps, cells=1):
+    """The chunked route of the config at the top of a stack of cells, at that stack's K."""
+    m = sum(b * b for b in build_basis(config).sectors.sizes)
+    return stacked_steps(stack_of(config, cells), dt, n_steps, chunk_length(m, n_steps, cells))
+
+
+def stepped_cell(config, dt, n_steps, cells=1):
     return stepped_cell_steps(assemble(config), dt, n_steps)
 
 
 ROUTES = (chunked_cell, stepped_cell)
 
 
+def read_cell(steps, sectors, objective, dt):
+    """The outcome of the cell at the top of a stack, raising the error it failed with."""
+    outcome = _read_stack(steps, sectors, objective, dt)[0]
+    if isinstance(outcome, ArithmeticError):
+        raise outcome
+    return outcome
+
+
 def step_rows(steps):
-    """(step, sink, trace) of every step of a route's chunks, one row each."""
+    """(step, sink, trace) of every step of the top cell of a route's items, one row each."""
     return np.vstack([
-        np.column_stack([first + np.arange(len(values)), values])
+        np.column_stack([first + np.arange(values.shape[1]), values[0]])
         for first, values, _ in steps
     ])
 
@@ -372,17 +398,26 @@ def route_chains(draw):
     return config
 
 
+stack_sizes = st.integers(1, 1 + len(NEIGHBOUR_RATES))
+
+
 @settings(max_examples=30)
-@given(route_chains(), time_steps, st.integers(1, 5 * CHUNK_STEPS))
-@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4)
-def test_chunked_route_matches_stepped_route_at_fixed_time(config, dt, n_steps):
+@given(route_chains(), time_steps, st.integers(1, 5 * CHUNK_STEPS), stack_sizes)
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4, 1)
+# stacks of several cells over several blocks: 5 blocks of 4 chunks of 32
+# steps on the pumped pair, and 3 blocks of 8 chunks of 256 on the dat chain
+@example(PUMPED_PAIR, 0.01, 600, 3)
+@example(DAT_PAIR, 0.01, 5000, 4)
+def test_chunked_route_matches_stepped_route_at_fixed_time(config, dt, n_steps, cells):
     chain = assemble(config)
     sectors = chain.basis.sectors
-    streams = [step_rows(route(config, dt, n_steps)) for route in ROUTES]
+    streams = [step_rows(route(config, dt, n_steps, cells)) for route in ROUTES]
     assert streams[0][:, 0].tolist() == list(range(n_steps + 1))
     assert np.abs(np.subtract(*streams)).max() <= ROUTE_VALUE_MAX
     objective = SinkAtTime(n_steps * dt)
-    chunked, stepped = (_read_cell(r(config, dt, n_steps), sectors, objective, dt) for r in ROUTES)
+    chunked, stepped = (
+        read_cell(r(config, dt, n_steps, cells), sectors, objective, dt) for r in ROUTES
+    )
     assert abs(chunked.value - stepped.value) <= ROUTE_VALUE_MAX
     assert abs(chunked.trace_drift - stepped.trace_drift) <= ROUTE_VALUE_MAX
     assert abs(chunked.final_min_eig - stepped.final_min_eig) <= ROUTE_VALUE_MAX
@@ -401,14 +436,21 @@ def first_crossing(steps, target):
     st.integers(0, 2 * CHUNK_STEPS),
     st.sampled_from(("chunk_first", "chunk_last", "run_end", "never")),
     st.sampled_from((0.0, 0.5)),
+    stack_sizes,
 )
-@example(PUMPED_PAIR, 0.01, 3, 10, "chunk_last", 0.0)
+@example(PUMPED_PAIR, 0.01, 3, 10, "chunk_last", 0.0, 1)
+# stacks of several cells over several blocks, each with a nearly undrained
+# neighbour that is capped: the pumped pair crosses in the last step of its
+# 18th chunk (the fifth block of 4 chunks), and the dat chain in the first
+# step of the last chunk of 256 (the third block of 8)
+@example(PUMPED_PAIR, 0.01, 18, 10, "chunk_last", 0.0, 3)
+@example(DAT_PAIR, 0.01, 160, 20, "chunk_first", 0.5, 4)
 def test_chunked_route_matches_stepped_route_to_target(
-    config, dt, chunks, extra, where, short
+    config, dt, chunks, extra, where, short, cells
 ):
     """The sink crosses the target in the first or last step of the run's
-    last whole chunk, chunks of the cell's own ``chunk_length``, in the
-    run's last step, or never.
+    last whole chunk, chunks of the cell's own ``chunk_length`` in a stack of
+    ``cells``, in the run's last step, or never.
 
     The target sits three quarters of the way up the sink's rise over the
     crossing step.  t_max is the last step's time or half a step before it,
@@ -417,7 +459,7 @@ def test_chunked_route_matches_stepped_route_to_target(
     chain = assemble(config)
     sectors = chain.basis.sectors
     n_steps = chunks * CHUNK_STEPS + extra
-    k = chunk_length(len(sectors.rows), n_steps)
+    k = chunk_length(len(sectors.rows), n_steps, cells)
     last_chunk = n_steps // k
     sinks = step_rows(stepped_cell_steps(chain, dt, n_steps))[:, 1].tolist()
     if where == "never":
@@ -432,9 +474,11 @@ def test_chunked_route_matches_stepped_route_to_target(
         target = sinks[step - 1] + 0.75 * rise
         assume(rise > 1e-9 and max(sinks[:step]) < target < 1.0)
     objective = TimeToReach(target, (n_steps - short) * dt)
-    crossings = [first_crossing(r(config, dt, n_steps), target) for r in ROUTES]
+    crossings = [first_crossing(r(config, dt, n_steps, cells), target) for r in ROUTES]
     assert crossings[0] == crossings[1]
-    chunked, stepped = (_read_cell(r(config, dt, n_steps), sectors, objective, dt) for r in ROUTES)
+    chunked, stepped = (
+        read_cell(r(config, dt, n_steps, cells), sectors, objective, dt) for r in ROUTES
+    )
     assert chunked.capped == stepped.capped
     assert abs(chunked.value - stepped.value) <= ROUTE_TIME_MAX
     assert abs(chunked.trace_drift - stepped.trace_drift) <= ROUTE_VALUE_MAX
@@ -442,50 +486,56 @@ def test_chunked_route_matches_stepped_route_to_target(
 
 
 @settings(max_examples=30)
-@given(route_chains(), time_steps, st.integers(1, 3 * CHUNK_STEPS))
-@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4)
-@example(DAT_PAIR, 0.01, 600)
-def test_chunked_route_rebuilds_every_state_of_a_chunk(config, dt, n_steps):
-    """state(i), rebuilt from the powers of the step map, at every offset of
-    every chunk is the stepped state at step i."""
+@given(route_chains(), time_steps, st.integers(1, 3 * CHUNK_STEPS), stack_sizes)
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4, 1)
+@example(DAT_PAIR, 0.01, 600, 1)
+def test_chunked_route_rebuilds_every_state_of_a_chunk(config, dt, n_steps, cells):
+    """state(rows, steps), rebuilt from the powers of the step map, at every
+    offset of every chunk is the stepped state at that step, for the top
+    cell of a stack and for all its cells at once."""
     chain = assemble(config)
     stepped = [rho for _, rho in iter_steps(chain, dt, n_steps)]
     seen = 0
-    for first, values, state in chunked_cell(config, dt, n_steps):
-        for i in range(first, first + len(values)):
-            assert np.abs(state(i) - stepped[i]).max() <= ROUTE_VALUE_MAX
+    for first, values, state in chunked_cell(config, dt, n_steps, cells):
+        for i in range(first, first + values.shape[1]):
+            assert np.abs(state([0], [i])[0] - stepped[i]).max() <= ROUTE_VALUE_MAX
             seen += 1
+        # every cell at once, each at its own step of the item
+        rows = np.arange(len(values))
+        at = first + rows % values.shape[1]
+        assert np.array_equal(state(rows[:1], at[:1]), state(rows, at)[:1])
     assert seen == n_steps + 1
 
 
 def test_chunked_state_outside_the_item_yielded_last_raises():
     """Items of the pumped pair are step 0, then blocks of 8 chunks of 32
     steps; a state is built only inside the item yielded last, and only while
-    no other cell holds the buffers of the ``StepMaps``."""
+    no other stack holds the buffers of the ``StepMaps``."""
     n_steps = 600
     chain = assemble(PUMPED_PAIR)
     stepped = [rho for _, rho in iter_steps(chain, 0.01, n_steps)]
     maps = StepMaps(chain, PUMPED_PAIR, 0.01)
-    steps = chunked_cell_steps(maps, maps.step_map(PUMPED_PAIR), n_steps)
+    steps = chunked_cell_steps(maps, [PUMPED_PAIR], n_steps, CHUNK_STEPS)
     items = [next(steps)[:2] for _ in range(2)]
     first, values, state = next(steps)
     items.append((first, values))
-    assert [(f, len(v)) for f, v in items] == [(0, 1), (1, 256), (257, 256)]
+    shapes = [(f, v.shape) for f, v in items]
+    assert shapes == [(0, (1, 1, 2)), (1, (1, 256, 2)), (257, (1, 256, 2))]
     for i in (257, 300, 512):
-        assert np.abs(state(i) - stepped[i]).max() <= ROUTE_VALUE_MAX
+        assert np.abs(state([0], [i])[0] - stepped[i]).max() <= ROUTE_VALUE_MAX
     for i in (0, 10, 256, 513):
         with pytest.raises(ValueError, match=f"^no state at step {i}: .* steps 257..512$"):
-            state(i)
+            state([0], [i])
     [(first, values, state)] = list(steps)
-    assert (first, len(values)) == (513, 88)
-    assert np.abs(state(n_steps) - stepped[n_steps]).max() <= ROUTE_VALUE_MAX
-    # the next cell takes the buffers: the finished cell's states are gone,
-    # and a cell still running fails at its next block
-    running = chunked_cell_steps(maps, maps.step_map(PUMPED_PAIR), n_steps)
+    assert (first, values.shape) == (513, (1, 88, 2))
+    assert np.abs(state([0], [n_steps])[0] - stepped[n_steps]).max() <= ROUTE_VALUE_MAX
+    # the next stack takes the buffers: the finished stack's states are gone,
+    # and a stack still running fails at its next block
+    running = chunked_cell_steps(maps, [PUMPED_PAIR], n_steps, CHUNK_STEPS)
     next(running)
     with pytest.raises(ValueError, match="^no state at step 600: another cell holds"):
-        state(n_steps)
-    next(chunked_cell_steps(maps, maps.step_map(PUMPED_PAIR), n_steps))
+        state([0], [n_steps])
+    next(chunked_cell_steps(maps, [PUMPED_PAIR], n_steps, CHUNK_STEPS))
     with pytest.raises(RuntimeError, match="another cell took"):
         next(running)
 
@@ -495,10 +545,54 @@ def test_stepped_state_outside_the_step_yielded_last_raises():
     for _ in range(3):
         i, _, state = next(steps)
     assert i == 2
-    assert state(2) is not None
+    assert state([0], [2]) is not None
     for stale in (0, 1, 3):
         with pytest.raises(ValueError, match=f"^no state at step {stale}: .* steps 2..2$"):
-            state(stale)
+            state([0], [stale])
+
+
+def objective_steps(objective, dt):
+    return step_count(objective.t_max if isinstance(objective, TimeToReach) else objective.t, dt)
+
+
+def run_stack(configs, objective, dt, k):
+    """Each cell's outcome from one stack of the configs at K steps per chunk."""
+    n_steps = objective_steps(objective, dt)
+    steps = stacked_steps(configs, dt, n_steps, k)
+    return _read_stack(steps, assemble(configs[0]).basis.sectors, objective, dt)
+
+
+@settings(max_examples=25)
+@given(
+    route_chains(),
+    time_steps,
+    st.integers(2, 1 + len(NEIGHBOUR_RATES)),
+    st.sampled_from((CHUNK_STEPS, 2 * CHUNK_STEPS)),
+    st.one_of(
+        st.builds(TimeToReach, st.floats(0.001, 0.6), st.floats(0.5, 6.0)),
+        st.builds(SinkAtTime, st.floats(0.05, 6.0)),
+    ),
+)
+# a pumped-pair row whose cells cross at steps 1 598, 915 and 1 029, in the
+# 25th, 15th and 17th blocks of 2 chunks of 32 steps, a late crossing before
+# early ones, while its first cell runs to its cap at t = 20
+@example(
+    PUMPED_PAIR, 0.01, 1 + len(NEIGHBOUR_RATES), CHUNK_STEPS, TimeToReach(0.995, 20.0)
+)
+def test_stacked_cell_has_its_outcome_in_a_stack_of_one(config, dt, cells, k, objective):
+    """A cell's outcome in a stack of cells equals, bit for bit, its outcome
+    in a stack of one at the same K: the stacked products are each cell's
+    own, and cells that stop leave the stack without moving the others."""
+    row = config is PUMPED_PAIR  # the example: rates of the bottleneck benchmark's row
+    if row:
+        configs = [replace(config, rate_out=rate) for rate in (0.5, 3.0, 1.5, 2.0)]
+    else:
+        configs = stack_of(config, cells)
+    stacked = run_stack(configs, objective, dt, k)
+    for cell, outcome in zip(configs, stacked):
+        assert run_stack([cell], objective, dt, k) == [outcome], cell
+    if row:
+        assert [o.capped for o in stacked] == [True, False, False, False]
 
 
 @pytest.mark.parametrize(
@@ -510,28 +604,27 @@ def test_stepped_state_outside_the_step_yielded_last_raises():
     ids=["pumped_pair", "dat_pair"],
 )
 def test_shared_buffers_give_each_cell_the_outcome_of_fresh_ones(base, axis, objective):
-    """One ``StepMaps`` serving a sweep's cells in turn gives each cell, bit
-    for bit, the outcome of a ``StepMaps`` of its own.  The pumped pair's
-    crossings fall in different chunks of their blocks, a late crossing
-    before early ones."""
+    """One ``StepMaps`` serving a sweep's cells in turn, each as a stack of
+    one, gives each cell, bit for bit, the outcome of a ``StepMaps`` of its
+    own.  The pumped pair's crossings fall in different chunks of their
+    blocks, a late crossing before early ones."""
     dt = 0.01
     configs = [replace(base, rate_out=rate) for rate in axis]
     last = assemble(configs[-1])
     sectors = last.basis.sectors
-    n_steps = step_count(objective.t_max if isinstance(objective, TimeToReach) else objective.t, dt)
+    m = len(sectors.rows)
+    n_steps = objective_steps(objective, dt)
+    k = chunk_length(m, n_steps)
     shared = StepMaps(last, configs[-1], dt)
     chunks_in_block = set()
     for config in configs:
         outcomes = [
-            _read_cell(
-                chunked_cell_steps(maps, maps.step_map(config), n_steps), sectors, objective, dt
-            )
+            _read_stack(chunked_cell_steps(maps, [config], n_steps, k), sectors, objective, dt)
             for maps in (shared, StepMaps(last, configs[-1], dt))
         ]
         assert outcomes[0] == outcomes[1], config
-        k = chunk_length(len(sectors.rows), n_steps)
-        step = math.ceil(outcomes[0].value / dt - 1e-9)
-        chunks_in_block.add((step - 1) // k % block_length(len(sectors.rows), k))
+        step = math.ceil(outcomes[0][0].value / dt - 1e-9)
+        chunks_in_block.add((step - 1) // k % block_length(m, k))
     if isinstance(objective, TimeToReach):
         assert len(chunks_in_block) >= 3
 
@@ -566,5 +659,5 @@ def test_shared_halves_give_each_cell_its_own_step_map(config, dt):
         chain = assemble(cell)
         engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, dt)
         own = engine_step_map(engine)
-        shared = maps.step_map(cell)
+        shared = maps.step_map(cell, np.empty_like(own))
         assert np.abs(shared - own).max() <= STEP_MAP_MAX * np.abs(own).max(), cell
