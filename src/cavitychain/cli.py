@@ -214,8 +214,13 @@ def serialize_run(setup: RunSetup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format(value: float) -> str:
-    return format(float(value), ".12g")
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write the header and a row per entry: "%.12g" cells, as format(x, ".12g"), then a flag."""
+    template = "%.12g," * (len(header) - 1) + "%d\n"
+    rows = np.column_stack(columns).tolist()
+    with open(path, "w", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(template % tuple(row) for row in rows)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
@@ -226,35 +231,20 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
         + [f"exciton_{i}" for i in range(1, n + 1)]
         + ["trace", "min_eig_flag"]
     )
-    # "%.12g" writes what _format does; the flag column is written as an integer
-    template = "%.12g," * (len(header) - 1) + "%d\n"
-    rows = np.column_stack([
+    _write_csv(path, header, [
         record.times, record.sink, record.photon, record.exciton, record.trace,
         record.positivity_flags,
-    ]).tolist()
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(template % tuple(row) for row in rows)
+    ])
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     spec = result.spec
-    two_axes = spec.axis2 is not None
-    header = ["axis1", "axis2", "value", "capped"] if two_axes else [
-        "axis1",
-        "value",
-        "capped",
-    ]
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for i, a1 in enumerate(spec.axis1.values):
-            for j in range(result.grid.shape[1]):
-                cells = [_format(a1)]
-                if two_axes:
-                    cells.append(_format(spec.axis2.values[j]))
-                cells.append(_format(result.grid[i, j]))
-                cells.append(str(int(result.cap_mask[i, j])))
-                handle.write(",".join(cells) + "\n")
+    rows, cols = result.grid.shape
+    columns = [np.repeat(spec.axis1.values, cols)]
+    if spec.axis2 is not None:
+        columns.append(np.tile(spec.axis2.values, rows))
+    header = ["axis1", "axis2"][: len(columns)] + ["value", "capped"]
+    _write_csv(path, header, [*columns, result.grid.reshape(-1), result.cap_mask.reshape(-1)])
 
 
 def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:

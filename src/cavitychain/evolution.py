@@ -79,12 +79,11 @@ def _quiet_overflow() -> np.errstate:
     until it overflows.  The steps, the chunked route's products and the
     readouts of their states then give non-finite values, which the readers
     raise on, naming the step, so a warning would only say the same thing
-    first.
+    first.  It is entered in two places, each around a reader and what it
+    drives, neither across a ``yield``: ``evolve_assembled``'s sample loop
+    and each stack's ``_read_stack`` in ``experiments._cell_outcomes``.
     """
     return np.errstate(over="ignore", invalid="ignore")
-
-
-_matmul = _quiet_overflow()(np.matmul)
 
 
 def diagonalize(hamiltonian: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +135,6 @@ class StepEngine:
             else:
                 self.unitary.append((span, u, u.conj().swapaxes(-1, -2).copy()))
 
-    @_quiet_overflow()
     def step(self, rho: np.ndarray) -> np.ndarray:
         """One step of a packed state, as a fresh vector.
 
@@ -545,8 +543,7 @@ def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSt
 
     for step, rho in iter_steps(chain, dt, n_steps):
         populations = sectors.populations(rho)
-        with _quiet_overflow():
-            values = np.array([[[populations @ sink_col, populations.sum()]]])
+        values = np.array([[[populations @ sink_col, populations.sum()]]])
         yield step, values, state
 
 
@@ -630,16 +627,15 @@ class StepMaps:
         return tuple(getattr(config, name) for name in self._inputs)
 
     def step_map(self, config: ChainConfig, out: np.ndarray) -> np.ndarray:
-        """S of one cell, a real M x M matrix summed into out under ``_quiet_overflow``."""
+        """S of one cell, a real M x M matrix summed into out."""
         key = self._hamiltonian_key(config)
         if key != self._key:
             widest_key, chain = self._widest
             h = chain.hamiltonian if key == widest_key else hamiltonian(config, chain.basis)
             self._key, self._unitary = key, unitary_map(h, self.dt)
         squares = np.array([getattr(config, field) for field in self.rates]) ** 2
-        with _quiet_overflow():
-            np.matmul(squares, self.jumps, out=out.reshape(-1))
-            out += self._unitary
+        np.matmul(squares, self.jumps, out=out.reshape(-1))
+        out += self._unitary
         return out
 
 
@@ -672,18 +668,18 @@ def chunked_cell_steps(
     R S^1 .. R S^n stacked, one product with S^n appends R S^(n+1) ..
     R S^2n.  Every product runs once for the whole stack, a (B, ., M)
     stacked matmul, whose per-cell products are those of a stack of one.
-    A block runs its J products back to back, under one
-    ``_quiet_overflow``, into the rows of one array, and is yielded as one
-    item of J K steps, trimmed to n_steps; step 0 comes as its own one-step
-    item.  A mask sent back keeps only the cells it marks: the others leave
-    the stack, and the later products run without them.  Every array is a
-    buffer of ``maps``, written in place.  States are rebuilt only when
-    asked for, each from its chunk's start by the powers S^(2^j) of the
-    binary digits of its offset, at most log2 K stacked products, and
-    returned as packed states.  Each must lie in the item yielded last, and
-    the stack must still hold the buffers of ``maps``: ``state`` raises
-    ValueError otherwise, and the generator RuntimeError if another stack
-    took the buffers before it ended.
+    A block runs its J products back to back into the rows of one array,
+    and is yielded as one item of J K steps, trimmed to n_steps; step 0
+    comes as its own one-step item.  Its reader turns numpy's overflow
+    warnings off while it reads the items.  A mask sent back keeps only the
+    cells it marks: the others leave the stack, and the later products run
+    without them.  Every array is a buffer of ``maps``, written in place.
+    States are rebuilt only when asked for, each from its chunk's start by
+    the powers S^(2^j) of the binary digits of its offset, at most log2 K
+    stacked products, and returned as packed states.  Each must lie in the
+    item yielded last, and the stack must still hold the buffers of
+    ``maps``: ``state`` raises ValueError otherwise, and the generator
+    RuntimeError if another stack took the buffers before it ended.
     """
     sectors, readout = maps.sectors, maps.readout
     m = len(maps.start)
@@ -694,12 +690,12 @@ def chunked_cell_steps(
     for config, step in zip(configs, step_maps):
         maps.step_map(config, out=step)
     # R S^1 .. R S^K, two rows per step, over S^K, for every cell
-    _matmul(readout, step_maps, out=chunk[:, :2])
+    np.matmul(readout, step_maps, out=chunk[:, :2])
     powers = [step_maps, *squares, chunk[:, 2 * k :]]  # S^(2^j) for j = 0 .. log2 K
     n = 1
     for power, square in zip(powers, powers[1:]):  # chunk holds R S^1 .. R S^n
-        _matmul(chunk[:, : 2 * n], power, out=chunk[:, 2 * n : 4 * n])
-        _matmul(power, power, out=square)
+        np.matmul(chunk[:, : 2 * n], power, out=chunk[:, 2 * n : 4 * n])
+        np.matmul(power, power, out=square)
         n *= 2
 
     def state(rows: Sequence[int], steps: Sequence[int]) -> np.ndarray:
@@ -759,9 +755,8 @@ def chunked_cell_steps(
         count = min(len(rows) - 1, chunks - head)
         if head:
             rows[0][1][:] = rows[-1][1]  # the state the last block ended in
-        with _quiet_overflow():
-            for (_, real), (out, _) in zip(rows, rows[1 : count + 1]):
-                np.matmul(products, real, out=out)
+        for (_, real), (out, _) in zip(rows, rows[1 : count + 1]):
+            np.matmul(products, real, out=out)
         first = head * k + 1
         last = min((head + count) * k, n_steps)
         values = block[:cells, 1 : count + 1, : 2 * k].reshape(cells, -1, 2)
@@ -825,14 +820,13 @@ class SampleReader:
         populations = diagonal.real
         rows = populations[:, None, :]
         upper, lower = self.sectors.pairs
-        with _quiet_overflow():
-            values = np.column_stack([
-                rows @ self.sink,
-                (rows @ self.photon)[:, 0],
-                (rows @ self.exciton)[:, 0],
-                populations.sum(axis=1),
-            ])
-            pairs = np.abs(chunk[:, upper] - chunk[:, lower].conj()).max(axis=1, initial=0.0)
+        values = np.column_stack([
+            rows @ self.sink,
+            (rows @ self.photon)[:, 0],
+            (rows @ self.exciton)[:, 0],
+            populations.sum(axis=1),
+        ])
+        pairs = np.abs(chunk[:, upper] - chunk[:, lower].conj()).max(axis=1, initial=0.0)
         hermiticity = np.maximum(pairs, 2 * np.abs(diagonal.imag).max(axis=1))
         # every element reaches the trace column or the defect
         finite = np.isfinite(values).all(axis=1) & np.isfinite(hermiticity)
@@ -883,13 +877,14 @@ def evolve_assembled(
     basis = chain.basis
     reader = SampleReader(basis)
     times, reads = [], []
-    for i, rho in iter_steps(chain, dt, n_steps):
-        if i % sample_every and i != n_steps:
-            continue
-        reader.add(i, rho)
-        times.append(i * dt)
-        if len(reader.steps) == CHUNK_STEPS or i == n_steps:
-            reads.append(reader.read())
+    with _quiet_overflow():
+        for i, rho in iter_steps(chain, dt, n_steps):
+            if i % sample_every and i != n_steps:
+                continue
+            reader.add(i, rho)
+            times.append(i * dt)
+            if len(reader.steps) == CHUNK_STEPS or i == n_steps:
+                reads.append(reader.read())
 
     values, hermiticity, flags = (np.concatenate(column) for column in zip(*reads))
     n = basis.layout.n_sites

@@ -26,6 +26,7 @@ from .evolution import (
     DEFAULT_DT,
     CellSteps,
     StepMaps,
+    _quiet_overflow,
     cell_route,
     chunk_length,
     chunked_cell_steps,
@@ -40,6 +41,11 @@ SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 
 DEFAULT_TARGET = 0.995
 DEFAULT_T_MAX = 400.0
+# A cell fails at the first step it reads whose trace is farther than this
+# from 1, NaN and inf included.  The Euler dissipator keeps the trace, so a
+# stable cell drifts by roundoff (about 2e-12 on a dat grid); at rate_out
+# 1e100 the sink is 1e198 and the trace 0 after one step.
+TRACE_TOL = 1e-6
 
 
 def default_rate_grid() -> tuple[float, ...]:
@@ -185,7 +191,10 @@ def _cell_outcomes(
     increase).  Stepped cells each assemble their own chain and run as
     stacks of one.  Chunked cells run in stacks of ``stack_length`` cells
     in grid order, all at the K of a stack that long, and sum their step
-    maps from one ``StepMaps``, built from the last cell's chain.  The
+    maps from one ``StepMaps``, built from the last cell's chain.  Each
+    stack is read with numpy's overflow and invalid-value warnings off,
+    over its generator's step-map builds and products too, and the
+    caller's error state holds again before any outcome is yielded.  The
     first cell in grid order that fails raises its ArithmeticError after
     the outcomes of the cells before it, once its stack has run; the stacks
     after it do not run.
@@ -210,7 +219,9 @@ def _cell_outcomes(
             for head in range(0, len(configs), b)
         )
     for steps in stacks:
-        for outcome in _read_stack(steps, sectors, objective, dt):
+        with _quiet_overflow():
+            outcomes = _read_stack(steps, sectors, objective, dt)
+        for outcome in outcomes:
             if isinstance(outcome, ArithmeticError):
                 raise outcome
             yield route, outcome
@@ -223,14 +234,14 @@ def _read_stack(
 
     An item holds the per-step values of every cell still in the stack: a
     block of chunks on the chunked route and one step on the stepped route.
-    Each takes one crossing search, one drift check and one finiteness
-    check across the stack.  A TimeToReach cell stops at the first step
-    whose sink population meets the target and interpolates the crossing
-    time from the step before it, which may end the previous item; a
-    crossing past t_max (the last step may overshoot it) is capped.  A
-    SinkAtTime cell reads the sink at its last step.  Trace drift is the
-    largest |trace - 1| over the steps up to where the cell stops.  A
-    non-finite trace among those steps, or a non-finite sink the objective
+    Each takes one crossing search and one trace check across the stack.
+    A TimeToReach cell stops at the first step whose sink population meets
+    the target and interpolates the crossing time from the step before it,
+    which may end the previous item; a crossing past t_max (the last step
+    may overshoot it) is capped.  A SinkAtTime cell reads the sink at its
+    last step.  Trace drift is the largest |trace - 1| over the steps up to
+    where the cell stops.  A trace among those steps farther than TRACE_TOL
+    from 1 (NaN and inf included), or a non-finite sink the objective
     reads, fails the cell with an ArithmeticError naming the step.  A cell
     that stops or fails leaves the stack at that item: the mask sent back
     keeps the others.  Only the states where cells stop are built, and
@@ -263,16 +274,17 @@ def _read_stack(
                     deviation[row, hits[row] + 1 :] = 0.0
         block_drift = deviation.max(axis=1)  # nan or inf if a trace read is
         np.maximum(drift, block_drift, out=drift)
-        finite = block_drift.max() < math.inf
+        held = block_drift.max() <= TRACE_TOL
         keep = None
-        if len(crossings) or not finite:
+        if len(crossings) or not held:
             leaving = np.zeros(len(cells), dtype=bool)
-            if not finite:
-                leaving = ~(block_drift < math.inf)
+            if not held:
+                leaving = ~(block_drift <= TRACE_TOL)
                 for row in np.flatnonzero(leaving):
-                    col = int(np.argmin(np.isfinite(deviation[row])))
+                    col = int(np.argmin(deviation[row] <= TRACE_TOL))
                     ends[cells[row]] = ArithmeticError(
-                        f"trace not finite at step {first + col}: {traces[row, col]}"
+                        f"trace not within {TRACE_TOL:g} of 1 at step {first + col}: "
+                        f"{traces[row, col]}"
                     )
             stopping, at = [], []
             for row in crossings:

@@ -14,10 +14,11 @@ from cavitychain.cli import (
     main,
     parse_config,
     serialize_run,
+    write_sweep_csv,
     write_trajectory_csv,
 )
 from cavitychain.evolution import evolve
-from cavitychain.experiments import SweepAxis
+from cavitychain.experiments import SinkAtTime, SweepAxis, SweepResult, SweepSpec
 from cavitychain.model import (
     ChainConfig,
     DephasingModel,
@@ -203,8 +204,9 @@ def test_evolve_sampling_row_count(tmp_path):
 
 
 def test_trajectory_csv_rows_are_the_per_cell_format(tmp_path):
-    """The writer's one row template writes every cell as format(x, ".12g")
-    and the flag as an integer, -0.0 and values of 12 or more digits too."""
+    """The writers' one row template writes every cell as format(x, ".12g")
+    and the flag as an integer, -0.0 and values of 12 or more digits too,
+    for trajectories and for sweeps over one axis and two."""
     record = evolve(ChainConfig(n_atoms=2, k=1.0, mu=1.0, rate_in=1.5), 0.03, 0.01)
     awkward = [-0.0, 1 / 3, 123456789012.375, 9.87654321098765e-17, -2.5e300, 1e16 + 2]
     record = replace(
@@ -229,6 +231,36 @@ def test_trajectory_csv_rows_are_the_per_cell_format(tmp_path):
         ))
     assert lines[1:] == expected
     assert lines[1].startswith("0,-0,")
+
+    # axis values of 12 to 17 significant digits, and -0.0 on an axis and in the grid
+    axis1 = SweepAxis("rate_out", (-0.0, 1e-7, 0.123456789012, 1.23456789123456))
+    axis2 = SweepAxis("g", (0.1, 1.2345678901234567, 98765.4321098765))
+    values = np.array(awkward * 2)
+    for axes, header in (
+        ((axis1, axis2), "axis1,axis2,value,capped"),
+        ((axis1, None), "axis1,value,capped"),
+    ):
+        spec = SweepSpec(
+            base=ChainConfig(n_atoms=1, mu=0.8), axis1=axes[0], axis2=axes[1],
+            objective=SinkAtTime(1.0),
+        )
+        shape = (len(axis1.values), len(axis2.values) if axes[1] else 1)
+        grid = values[: shape[0] * shape[1]].reshape(shape)
+        cap_mask = np.arange(grid.size).reshape(shape) % 3 == 1
+        result = SweepResult(spec, grid, cap_mask, 0.0, 0.0, {})
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(result, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == header
+        expected = []
+        for i, a1 in enumerate(axis1.values):
+            for j in range(shape[1]):
+                cells = [a1] + ([axis2.values[j]] if axes[1] else []) + [grid[i, j]]
+                expected.append(",".join(
+                    [format(float(x), ".12g") for x in cells] + [str(int(cap_mask[i, j]))]
+                ))
+        assert lines[1:] == expected
+        assert lines[1].startswith("-0,")
 
 
 def test_manifest_round_trips(tmp_path):
@@ -426,26 +458,40 @@ def test_exit_codes_on_bad_input(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,text,args",
+    "command,text,args,failure",
     [
-        ("evolve", "n_atoms=1 mu=0.8 rate_out=1e100\n", ("--t-max", "1")),
+        (
+            "evolve",
+            "n_atoms=1 mu=0.8 rate_out=1e100\n",
+            ("--t-max", "1"),
+            " not finite at step ",
+        ),
         (
             "sweep",
             "n_atoms=1 mu=0.8 axis1_param=rate_out axis1_values=0.5,1e100\n"
             "objective=sink_at_time objective_time=1\n",
             (),
+            "error: cell rate_out=1e+100: trace not within 1e-06 of 1 at step 1: 0.0\n",
+        ),
+        (
+            "sweep",
+            "n_atoms=1 mu=0.8 axis1_param=rate_out axis1_values=0.5,1e100\n",
+            ("--t-max", "1", "--target", "0.5"),
+            "error: cell rate_out=1e+100: trace not within 1e-06 of 1 at step 1: 0.0\n",
         ),
     ],
 )
-def test_run_that_blows_up_exits_2_naming_the_step(tmp_path, capsys, command, text, args):
-    # the rate's square is finite, yet the Euler step overflows within steps
+def test_run_that_blows_up_exits_2_naming_the_step(
+    tmp_path, capsys, command, text, args, failure
+):
+    # the rate's square is finite, yet the Euler step is unstable
     config = write_config(tmp_path, text)
     out = tmp_path / "blown"
     assert run_cli(command, "--config", config, "--out", str(out), *args) == 2
     err = capsys.readouterr().err
     # the error line alone: no numpy warning comes before it
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert " not finite at step " in err
+    assert failure in err
     assert not (tmp_path / "blown.csv").exists()
 
 

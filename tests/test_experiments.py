@@ -14,6 +14,7 @@ from cavitychain.experiments import (
     SweepSpec,
     TimeToReach,
     _CellOutcome,
+    _cell_outcomes,
     _read_stack,
     bottleneck_scan,
     dat_scan,
@@ -203,7 +204,7 @@ def test_reader_fails_on_a_non_finite_trace_naming_its_step(objective):
     steps = chunk_stream(
         [(0.0, 1.0)], [(0.1, 1.0), (0.2, float("nan")), (0.3, 1.0)], [(0.9, 1.0)]
     )
-    with pytest.raises(ArithmeticError, match="^trace not finite at step 2: nan$"):
+    with pytest.raises(ArithmeticError, match="^trace not within 1e-06 of 1 at step 2: nan$"):
         read_cell(steps, objective)
 
 
@@ -219,41 +220,82 @@ def test_sweep_cell_that_blows_up_fails_naming_the_cell():
     spec = SweepSpec(base=base, axis1=SweepAxis("rate_out", (1e160,)), objective=SinkAtTime(1.0))
     with pytest.raises(ValueError, match="^rate_out: must be at most"):
         run_sweep(spec)
-    # 1e100 squares to a finite rate, and the Euler step overflows within steps;
-    # the cells of each sweep share one stack, and the first cell to fail in
-    # grid order is named, whether cells before or after it in the stack run
-    # to the end
+    # 1e100 squares to a finite rate, and the Euler step is unstable: a
+    # rate_out of 1e100 loses the whole trace at step 1 (a sink of 1e198), a
+    # dephasing rate of 1e100 overflows by step 3; the cells of each sweep
+    # share one stack, and the first cell to fail in grid order is named,
+    # whether cells before or after it in the stack run to the end
     rows = (
-        (SweepAxis("rate_out", (0.5, 1e100)), None, SinkAtTime(1.0), "rate_out=1e\\+100"),
+        (
+            SweepAxis("rate_out", (0.5, 1e100)),
+            None,
+            SinkAtTime(1.0),
+            "rate_out=1e\\+100: trace not within 1e-06 of 1 at step 1: 0.0",
+        ),
         # first in its stack; the cell after it fails too
         (
             SweepAxis("rate_out", (1e100,)),
             SweepAxis("g", (0.0, 0.3)),
             SinkAtTime(1.0),
-            "rate_out=1e\\+100 g=0.0",
+            "rate_out=1e\\+100 g=0.0: trace not within 1e-06 of 1 at step 1: 0.0",
         ),
         # in the middle: g=0.3 rate_out=0.5 after it runs to the end
         (
             SweepAxis("g", (0.0, 0.3)),
             SweepAxis("rate_out", (0.5, 1e100)),
             SinkAtTime(1.0),
-            "g=0.0 rate_out=1e\\+100",
+            "g=0.0 rate_out=1e\\+100: trace not within 1e-06 of 1 at step 1: 0.0",
         ),
-        # a time-to-target row; its rate_out=1e100 cell would cross at its
-        # first step, so a dephasing rate overflows instead
+        # a time-to-target row that overflows before any crossing
         (
             SweepAxis("rate_out", (0.5, 2.0)),
             SweepAxis("g", (0.0, 1e100)),
             TimeToReach(0.5, 2.0),
-            "rate_out=0.5 g=1e\\+100",
+            "rate_out=0.5 g=1e\\+100: trace not within 1e-06 of 1 at step 3: nan",
+        ),
+        # a time-to-target cell whose blown-up sink passes the target at the
+        # step that loses the trace fails there; it does not report a crossing
+        (
+            SweepAxis("rate_out", (0.5, 1e100)),
+            None,
+            TimeToReach(0.5, 1.0),
+            "rate_out=1e\\+100: trace not within 1e-06 of 1 at step 1: 0.0",
         ),
     )
-    for axis1, axis2, objective, cell in rows:
+    for axis1, axis2, objective, failure in rows:
         spec = SweepSpec(base=base, axis1=axis1, axis2=axis2, objective=objective)
-        with pytest.raises(
-            ArithmeticError, match=f"^cell {cell}: trace not finite at step 3: nan$"
-        ):
+        with pytest.raises(ArithmeticError, match=f"^cell {failure}$"):
             run_sweep(spec)
+
+
+def test_numpy_error_state_never_leaks():
+    """The readers turn numpy's overflow warnings off only while they read:
+    the caller's error state holds again once each entry point returns or
+    raises, and while a sweep's outcome generator waits at a yield."""
+    before = np.geterr()
+    calm = ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5)
+    blown = replace(calm, rate_out=1e100)
+    axis = SweepAxis("rate_out", (0.5, 1e100))
+    runs = (
+        (lambda: evolve(calm, 1.0), None),
+        (lambda: evolve(blown, 1.0), "^state not finite at step "),
+        (lambda: run_sweep(SweepSpec(calm, replace(axis, values=(0.5,)), SinkAtTime(1.0))), None),
+        (lambda: run_sweep(SweepSpec(calm, axis, SinkAtTime(1.0))), "^cell rate_out=1e\\+100: "),
+        (lambda: time_to_reach(calm, 0.5, 1.0), None),
+        (lambda: time_to_reach(blown, 0.5, 1.0), "^trace not within 1e-06 of 1 at step 1: "),
+    )
+    for run, failure in runs:
+        if failure is None:
+            run()
+        else:
+            with pytest.raises(ArithmeticError, match=failure):
+                run()
+        assert np.geterr() == before
+    outcomes = _cell_outcomes([calm, calm], SinkAtTime(1.0), 0.01)
+    next(outcomes)
+    assert np.geterr() == before
+    outcomes.close()
+    assert np.geterr() == before
 
 
 def test_optimal_rate_single_candidate():
