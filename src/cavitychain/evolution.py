@@ -8,12 +8,12 @@ exact.  The state is stepped as one block per (excitation count, sink)
 sector of the basis, a structure the Hamiltonian and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
-real matrix S on the Hermitian coordinates of packed states, K
-(``chunk_length``) steps per product, a block of J (``block_length``)
-products at a time.  Cells run in stacks of B (``stack_length``, sized
-from the bytes of their work arrays), each product one stacked matmul
-over the stack, so K and J weigh a product's fixed overhead shared by B
-cells.
+real matrix S on the Hermitian coordinates of packed states, K steps per
+product, a block of J products at a time.  Cells run in stacks of B, each
+product one stacked matmul over the stack, so K and J weigh a product's
+fixed overhead shared by B cells, and B is sized from the bytes of their
+work arrays: one ``stack_shape`` per sweep.  ``cell_stacks`` picks a
+sweep's route and lays out its stacks.
 Every jump carries its rate as a prefactor, so S is a unitary half plus
 the squared rates times one jump half per rate: ``StepMaps`` builds the
 halves once per sweep, the unitary one again only when the Hamiltonian
@@ -409,7 +409,7 @@ CHUNK_STEPS = 32
 # acceptance tests (timed on a 2-core Xeon VM).
 STEP_OVERHEAD_MACS = 100_000
 
-# Bytes of the work arrays of one stack of chunked cells (``stack_length``).
+# Bytes of the work arrays of one stack of chunked cells (``stack_shape``).
 # Stacking shares each product's fixed overhead among the cells, which pays
 # while the stack's arrays stay in one core's cache.  Measured on a 2-core
 # Xeon VM (2 MiB of L2 per core), in-process sweeps of dat's 1 640-cell
@@ -436,60 +436,42 @@ CellSteps = Generator[
 ]
 
 
-def chunk_length(m: int, n_steps: int, cells: int = 1) -> int:
-    """Steps K per product of the chunked route on M packed coordinates.
+def stack_shape(m: int, n_steps: int, n_cells: int) -> tuple[int, int, int]:
+    """(B, K, J) of a sweep's n_cells chunked cells on M packed coordinates.
 
-    K starts at CHUNK_STEPS and doubles while one more doubling for a stack
-    of ``cells`` cells, a squaring of each step map (M**3 real multiply-adds)
-    and a doubling of its 2K readout rows (2K M**2), costs no more than the
-    fixed overhead of one product, STEP_OVERHEAD_MACS, which the stack
-    shares, and while the 2K steps fit in n_steps.  As in ``cell_route``, a
-    real multiply-add counts as a quarter of a complex one.
+    Cells run in stacks of B, each cell in chunks of K steps per product,
+    and J chunk products per block, which is read in one pass (a cell that
+    stops at a crossing may have run up to J - 1 products past it).  For a
+    stack of b cells, K starts at CHUNK_STEPS and doubles while one more
+    doubling, a squaring of each step map (M**3 real multiply-adds) and a
+    doubling of its 2K readout rows (2K M**2), costs no more than the fixed
+    overhead of one product, STEP_OVERHEAD_MACS, which the stack shares, and
+    while the 2K steps fit in n_steps; J starts at 1 and doubles while a
+    block of 2J products, (2K + M) x M real multiply-adds per cell, costs no
+    more than that overhead.  As in ``cell_route``, a real multiply-add
+    counts as a quarter of a complex one.  B is the largest b, at least one
+    and at most n_cells, whose work arrays at its K and J fit in
+    STACK_BYTES; a cell's arrays are smallest at K = CHUNK_STEPS and J = 1,
+    which bounds B from above.
     """
-    k = CHUNK_STEPS
-    while 2 * k <= n_steps and cells * (m**3 + 2 * k * m * m) / 4 <= STEP_OVERHEAD_MACS:
-        k *= 2
-    return k
 
+    def chunks(b: int) -> tuple[int, int]:
+        k = CHUNK_STEPS
+        while 2 * k <= n_steps and b * (m**3 + 2 * k * m * m) / 4 <= STEP_OVERHEAD_MACS:
+            k *= 2
+        j = 1
+        while b * 2 * j * (2 * k + m) * m / 4 <= STEP_OVERHEAD_MACS:
+            j *= 2
+        return k, j
 
-def block_length(m: int, k: int, cells: int = 1) -> int:
-    """Chunks J per block of the chunked route, with K steps per chunk on M coordinates.
+    def cell_bytes(k: int, j: int) -> int:
+        # S to S^(K/2), the chunk stack with S^K, and the block with its start row
+        return 8 * ((k.bit_length() - 1) * m * m + (2 * k + m) * m + (j + 1) * (2 * k + m))
 
-    A block runs its J chunk products back to back and is read in one pass,
-    so a cell that stops at a crossing may have run up to J - 1 products past
-    it.  J starts at 1 and doubles while the products of a block of 2J for a
-    stack of ``cells`` cells, each (2K + M) x M real multiply-adds per cell,
-    cost no more than the fixed overhead of one product, STEP_OVERHEAD_MACS,
-    a real multiply-add counting a quarter of a complex one as in
-    ``chunk_length``.
-    """
-    j = 1
-    while cells * 2 * j * (2 * k + m) * m / 4 <= STEP_OVERHEAD_MACS:
-        j *= 2
-    return j
-
-
-def _cell_bytes(m: int, k: int, j: int) -> int:
-    """Bytes of one chunked cell's work arrays (``StepMaps._claim_buffers``)."""
-    # S to S^(K/2), the chunk stack with S^K, and the block with its start row
-    return 8 * ((k.bit_length() - 1) * m * m + (2 * k + m) * m + (j + 1) * (2 * k + m))
-
-
-def stack_length(m: int, n_steps: int, n_cells: int) -> int:
-    """Cells B per stack of a sweep's chunked cells on M coordinates.
-
-    B is the largest number of cells, at least one and at most n_cells,
-    whose work arrays, at the K of ``chunk_length`` and the J of
-    ``block_length`` for a stack of B, fit in STACK_BYTES.  A cell's arrays
-    are smallest at K = CHUNK_STEPS and J = 1, which bounds B from above.
-    """
-    b = max(1, min(n_cells, STACK_BYTES // _cell_bytes(m, CHUNK_STEPS, 1)))
-    while b > 1:
-        k = chunk_length(m, n_steps, b)
-        if b * _cell_bytes(m, k, block_length(m, k, b)) <= STACK_BYTES:
-            break
+    b = max(1, min(n_cells, STACK_BYTES // cell_bytes(CHUNK_STEPS, 1)))
+    while b > 1 and b * cell_bytes(*chunks(b)) > STACK_BYTES:
         b -= 1
-    return b
+    return (b, *chunks(b))
 
 
 def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
@@ -502,11 +484,11 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
     more, 2 sum(size**3); 1 x 1 blocks are in its weight.  The chunked route
     writes S (sum of size**4 unitary entries, M weights and the transfer
     entries, at most M per jump; the rule sees no jumps and counts them as
-    one M) and changes its coordinates (M**2).  The rest is real, with
-    K = ``chunk_length``: log2 K squarings (M**3 each), the 2K readout rows
-    from one product and log2 K doublings (2K M**2 in all), one
-    (2K + M) x M product per chunk, and the stopping state rebuilt by at
-    most log2 K products with powers of S (M**2 each).  That prices a cell
+    one M) and changes its coordinates (M**2).  The rest is real, with the
+    K of a lone cell (``stack_shape``): log2 K squarings (M**3 each), the
+    2K readout rows from one product and log2 K doublings (2K M**2 in all),
+    one (2K + M) x M product per chunk, and the stopping state rebuilt by
+    at most log2 K products with powers of S (M**2 each).  That prices a cell
     that builds its own S, as the first chunked cell of a sweep does; later
     cells only sum the halves of ``StepMaps``, so the rule errs toward
     stepping.
@@ -514,7 +496,7 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
     m = sum(b * b for b in sizes)
     blocks = [b for b in sizes if b > 1]
     step = 2 * sum(b**3 for b in blocks)
-    k = chunk_length(m, n_steps)
+    _, k, _ = stack_shape(m, n_steps, 1)
     squarings = k.bit_length() - 1
     chunks = -(-n_steps // k)
     real = (
@@ -569,16 +551,26 @@ class StepMaps:
     ``widest`` takes the Hamiltonian of ``chain``, and any other builds its
     own (``model.hamiltonian``).  Each half passes its checks when it is
     built: those of ``_unitary_blocks`` (``diagonalize``'s among them), of
-    ``_monomial_map`` and of ``_real_map``.  The work arrays of
-    ``chunked_cell_steps`` are kept here too (``_claim_buffers``), the
-    stack of the cells' step maps among them: allocated at the first stack
-    of chunked cells and written in place by every later one of the same
-    shape, each S by ``step_map``.
+    ``_monomial_map`` and of ``_real_map``.
+
+    The sweep's n_cells cells run n_steps steps each, in stacks of B at K
+    steps per chunk and J chunks per block, ``shape`` = (B, K, J) of
+    ``stack_shape``.  The work arrays of ``chunked_cell_steps`` are
+    allocated here once, at B rows, and each stack writes its cells into
+    their first rows: ``buffers`` holds maps, each cell's S (written by
+    ``step_map``), chunk, each cell's (2K + M) x M stack of readout rows
+    over S^K, squares, the log2 K - 1 powers S^2 .. S^(K/2) of every cell,
+    one (B, M, M) stack per power, and block, each cell's coordinates at
+    the block's first step, in the last M entries of its row 0, and the
+    rows of its J chunk products after it.
     """
 
-    def __init__(self, chain: AssembledChain, widest: ChainConfig, dt: float) -> None:
+    def __init__(
+        self, chain: AssembledChain, widest: ChainConfig, dt: float, n_steps: int, n_cells: int
+    ) -> None:
         """``chain`` is assembled from ``widest``."""
         self.dt = _checked_dt(dt)
+        self.n_steps = n_steps
         basis = chain.basis
         sectors = self.sectors = basis.sectors
         m = len(sectors.rows)
@@ -596,32 +588,10 @@ class StepMaps:
         self._widest = self._hamiltonian_key(widest), chain
         self._key: tuple | None = None  # of the cell whose S_H is held
         self._unitary: np.ndarray | None = None
-        self._buffers: tuple[np.ndarray, ...] | None = None
+        b, k, j = self.shape = stack_shape(m, n_steps, n_cells)
+        shapes = (b, m, m), (b, 2 * k + m, m), (k.bit_length() - 2, b, m, m), (b, j + 1, 2 * k + m)
+        self.buffers = tuple(_aligned_empty(shape) for shape in shapes)
         self._stack: object | None = None  # the token of the stack the buffers serve
-
-    def _claim_buffers(self, cells: int, k: int, j: int) -> tuple:
-        """(token, maps, chunk, squares, block): the work arrays of a stack of cells.
-
-        maps holds each cell's S, chunk each cell's (2K + M) x M stack of
-        readout rows over S^K, squares the log2 K - 1 powers S^2 ..
-        S^(K/2) of every cell, one (cells, M, M) stack per power, and block
-        each cell's coordinates at the block's first step, in the last M
-        entries of its row 0, and the rows of its J chunk products after it.
-        They are allocated for the first shape asked for and kept while it
-        stays.  Each call hands them to a new stack, whose ``token`` is then
-        ``self._stack``; the stack before can no longer use them.
-        """
-        m = len(self.start)
-        shapes = (
-            (cells, m, m),
-            (cells, 2 * k + m, m),
-            (k.bit_length() - 2, cells, m, m),
-            (cells, j + 1, 2 * k + m),
-        )
-        if self._buffers is None or [b.shape for b in self._buffers] != list(shapes):
-            self._buffers = tuple(_aligned_empty(shape) for shape in shapes)
-        self._stack = object()
-        return (self._stack, *self._buffers)
 
     def _hamiltonian_key(self, config: ChainConfig) -> tuple:
         return tuple(getattr(config, name) for name in self._inputs)
@@ -654,12 +624,11 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
-def chunked_cell_steps(
-    maps: StepMaps, configs: Sequence[ChainConfig], n_steps: int, k: int
-) -> CellSteps:
+def chunked_cell_steps(maps: StepMaps, configs: Sequence[ChainConfig]) -> CellSteps:
     """Sink and trace at steps 0..n_steps of a stack of cells, J chunks of K steps per item.
 
-    J is ``block_length`` for the stack.  Each cell's state runs in
+    n_steps and (B, K, J) are those of ``maps``, and the stack holds at most
+    B cells (ValueError otherwise).  Each cell's state runs in
     Hermitian coordinates, where its step map S (``StepMaps.step_map``) is
     real; the readout rows R and the initial state come from ``maps``.  One
     product of the stacked rows R S^1 .. R S^K and S^K with the state at a
@@ -673,7 +642,8 @@ def chunked_cell_steps(
     comes as its own one-step item.  Its reader turns numpy's overflow
     warnings off while it reads the items.  A mask sent back keeps only the
     cells it marks: the others leave the stack, and the later products run
-    without them.  Every array is a buffer of ``maps``, written in place.
+    without them.  Every array is a buffer of ``maps``, or a view of its
+    first rows for a stack of fewer than B cells, written in place.
     States are rebuilt only when asked for, each from its chunk's start by
     the powers S^(2^j) of the binary digits of its offset, at most log2 K
     stacked products, and returned as packed states.  Each must lie in the
@@ -681,12 +651,16 @@ def chunked_cell_steps(
     ``maps``: ``state`` raises ValueError otherwise, and the generator
     RuntimeError if another stack took the buffers before it ended.
     """
-    sectors, readout = maps.sectors, maps.readout
+    sectors, readout, n_steps = maps.sectors, maps.readout, maps.n_steps
     m = len(maps.start)
     cells = len(configs)
-    token, step_maps, chunk, squares, block = maps._claim_buffers(
-        cells, k, block_length(m, k, cells)
-    )
+    b, k, _ = maps.shape
+    if cells > b:
+        raise ValueError(f"a stack of {cells} cells on step maps for stacks of {b}")
+    token = maps._stack = object()
+    step_maps, chunk, squares, block = maps.buffers
+    step_maps, chunk, block = step_maps[:cells], chunk[:cells], block[:cells]
+    squares = squares[:, :cells]
     for config, step in zip(configs, step_maps):
         maps.step_map(config, out=step)
     # R S^1 .. R S^K, two rows per step, over S^K, for every cell
@@ -764,6 +738,36 @@ def chunked_cell_steps(
 
 
 CELL_ROUTES = ("chunked", "stepped")
+
+
+def cell_stacks(
+    configs: Sequence[ChainConfig], n_steps: int, dt: float
+) -> tuple[str, Sectors, Iterator[CellSteps]]:
+    """(route, sectors, stacks): sweep cells of n_steps each, as stacks in grid order.
+
+    The cells share their basis, so the route, which depends on the sector
+    sizes and the step count alone (``cell_route``), is the same for all.
+    It is read off the chain of the last cell, whose rates are the largest
+    (a grid's axes increase).  Stepped cells each assemble their own chain
+    and run as stacks of one.  Chunked cells run in stacks of B cells in
+    grid order, the last stack holding what remains, and sum their step
+    maps from one ``StepMaps``, built from the last cell's chain and sized
+    (``stack_shape``) for the sweep.
+    """
+    last = assemble(configs[-1])
+    sectors = last.basis.sectors
+    route = cell_route(sectors.sizes, n_steps)
+    if route == "stepped":
+        stacks = (
+            stepped_cell_steps(last if i == len(configs) - 1 else assemble(config), dt, n_steps)
+            for i, config in enumerate(configs)
+        )
+    else:
+        maps = StepMaps(last, configs[-1], dt, n_steps, len(configs))
+        b = maps.shape[0]
+        heads = range(0, len(configs), b)
+        stacks = (chunked_cell_steps(maps, configs[head : head + b]) for head in heads)
+    return route, sectors, stacks
 
 
 class SampleReader:

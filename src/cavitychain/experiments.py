@@ -5,12 +5,11 @@ is non-monotone in the output rate: past an optimum, faster runoff slows the
 transfer) and dephasing-assisted transport (at a non-optimal output rate,
 nonzero dephasing strength can raise the sink population reached by a fixed
 time).  Each cell's outcome depends on its own config alone, but the cells
-of a sweep share their basis, so all take one route.  Chunked cells run in
-stacks of cells in grid order (``evolution.stack_length``): each product
-of a stack is one stacked matmul over its cells' step maps, summed from
-shared halves (``evolution.StepMaps``) whose unitary half is rebuilt only
-where a cell's Hamiltonian differs from the cell before.  Stepped cells
-run as stacks of one.  One reader takes every stack (``_read_stack``).
+of a sweep share their basis, so all take one route, which
+``evolution.cell_stacks`` picks and lays out as stacks of cells in grid
+order: chunked cells in stacks of B, each product one stacked matmul over
+their step maps, stepped cells as stacks of one.  One reader takes every
+stack (``_read_stack``).
 """
 
 from __future__ import annotations
@@ -25,16 +24,11 @@ from .evolution import (
     CELL_ROUTES,
     DEFAULT_DT,
     CellSteps,
-    StepMaps,
     _quiet_overflow,
-    cell_route,
-    chunk_length,
-    chunked_cell_steps,
-    stack_length,
+    cell_stacks,
     step_count,
-    stepped_cell_steps,
 )
-from .model import ChainConfig, DephasingModel, InitialState, assemble
+from .model import ChainConfig, DephasingModel, InitialState
 from .modes import Sectors
 
 SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
@@ -42,9 +36,12 @@ SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 DEFAULT_TARGET = 0.995
 DEFAULT_T_MAX = 400.0
 # A cell fails at the first step it reads whose trace is farther than this
-# from 1, NaN and inf included.  The Euler dissipator keeps the trace, so a
-# stable cell drifts by roundoff (about 2e-12 on a dat grid); at rate_out
-# 1e100 the sink is 1e198 and the trace 0 after one step.
+# from 1, or whose sink lies farther than this outside [0, trace], NaN and inf
+# included.  The Euler dissipator keeps the trace, so a stable cell drifts by
+# roundoff (about 2e-12 on a dat grid); at rate_out 1e100 the sink is 1e198
+# and the trace 0 after one step.  An unstable step that keeps the trace
+# still drives the sink out of [0, trace]: at rate_out 30 and dt 0.01 the
+# cavity population changes sign every step, and the sink passes the trace.
 TRACE_TOL = 1e-6
 
 
@@ -183,41 +180,17 @@ class _CellOutcome:
 def _cell_outcomes(
     configs: Sequence[ChainConfig], objective: TimeToReach | SinkAtTime, dt: float
 ) -> Iterator[tuple[str, _CellOutcome]]:
-    """(route, outcome) of each cell in grid order, on the route ``cell_route`` picks.
+    """(route, outcome) of each cell in grid order, read off ``evolution.cell_stacks``.
 
-    The cells share their basis, so the route, which depends on the sector
-    sizes and the step count alone, is the same for all.  It is read off
-    the chain of the last cell, whose rates are the largest (a grid's axes
-    increase).  Stepped cells each assemble their own chain and run as
-    stacks of one.  Chunked cells run in stacks of ``stack_length`` cells
-    in grid order, all at the K of a stack that long, and sum their step
-    maps from one ``StepMaps``, built from the last cell's chain.  Each
-    stack is read with numpy's overflow and invalid-value warnings off,
-    over its generator's step-map builds and products too, and the
+    Each stack is read with numpy's overflow and invalid-value warnings
+    off, over its generator's step-map builds and products too, and the
     caller's error state holds again before any outcome is yielded.  The
     first cell in grid order that fails raises its ArithmeticError after
     the outcomes of the cells before it, once its stack has run; the stacks
     after it do not run.
     """
     t_end = objective.t_max if isinstance(objective, TimeToReach) else objective.t
-    n_steps = step_count(t_end, dt)
-    last = assemble(configs[-1])
-    sectors = last.basis.sectors
-    route = cell_route(sectors.sizes, n_steps)
-    if route == "stepped":
-        stacks = (
-            stepped_cell_steps(last if i == len(configs) - 1 else assemble(config), dt, n_steps)
-            for i, config in enumerate(configs)
-        )
-    else:
-        maps = StepMaps(last, configs[-1], dt)
-        m = len(sectors.rows)
-        b = stack_length(m, n_steps, len(configs))
-        k = chunk_length(m, n_steps, b)
-        stacks = (
-            chunked_cell_steps(maps, configs[head : head + b], n_steps, k)
-            for head in range(0, len(configs), b)
-        )
+    route, sectors, stacks = cell_stacks(configs, step_count(t_end, dt), dt)
     for steps in stacks:
         with _quiet_overflow():
             outcomes = _read_stack(steps, sectors, objective, dt)
@@ -240,9 +213,11 @@ def _read_stack(
     which may end the previous item; a crossing past t_max (the last step
     may overshoot it) is capped.  A SinkAtTime cell reads the sink at its
     last step.  Trace drift is the largest |trace - 1| over the steps up to
-    where the cell stops.  A trace among those steps farther than TRACE_TOL
-    from 1 (NaN and inf included), or a non-finite sink the objective
-    reads, fails the cell with an ArithmeticError naming the step.  A cell
+    where the cell stops.  A step among those whose trace lies farther than
+    TRACE_TOL from 1, or whose sink lies outside [-TRACE_TOL, trace +
+    TRACE_TOL] (NaN and inf included), fails the cell with an
+    ArithmeticError naming the step and the trace, or the sink where the
+    trace holds, so every sink the objective reads is finite.  A cell
     that stops or fails leaves the stack at that item: the mask sent back
     keeps the others.  Only the states where cells stop are built, and
     their minimum eigenvalues come from one ``Sectors.min_eigenvalue`` call.
@@ -264,8 +239,9 @@ def _read_stack(
     while True:
         sinks, traces = values[..., 0], values[..., 1]
         deviation = np.abs(traces - 1.0)
+        top = sinks.max() if reach else values.max()  # at least the largest sink
         crossings = ()
-        if reach and not sinks.max() < objective.target:  # a crossing, or a NaN
+        if reach and not top < objective.target:  # a crossing, or a NaN
             met = sinks >= objective.target
             if met.any():
                 crossings = np.flatnonzero(met.any(axis=1))
@@ -274,18 +250,30 @@ def _read_stack(
                     deviation[row, hits[row] + 1 :] = 0.0
         block_drift = deviation.max(axis=1)  # nan or inf if a trace read is
         np.maximum(drift, block_drift, out=drift)
-        held = block_drift.max() <= TRACE_TOL
+        worst = block_drift.max()
+        # with every trace within worst of 1, no sink past 1 - worst + TRACE_TOL
+        # lies past its trace + TRACE_TOL; other sinks, even those past a
+        # crossing, take the exact check below
+        held = worst <= TRACE_TOL and top <= 1.0 - worst + TRACE_TOL
+        held = held and values.min() >= -TRACE_TOL  # no sink below -TRACE_TOL
         keep = None
         if len(crossings) or not held:
             leaving = np.zeros(len(cells), dtype=bool)
             if not held:
-                leaving = ~(block_drift <= TRACE_TOL)
+                outside = np.maximum(sinks - traces, -sinks)  # how far past [0, trace]
+                for row in crossings:
+                    outside[row, hits[row] + 1 :] = 0.0
+                failing = ~((deviation <= TRACE_TOL) & (outside <= TRACE_TOL))
+                leaving = failing.any(axis=1)
                 for row in np.flatnonzero(leaving):
-                    col = int(np.argmin(deviation[row] <= TRACE_TOL))
-                    ends[cells[row]] = ArithmeticError(
-                        f"trace not within {TRACE_TOL:g} of 1 at step {first + col}: "
-                        f"{traces[row, col]}"
-                    )
+                    col = int(failing[row].argmax())
+                    at = f"at step {first + col}"
+                    if deviation[row, col] <= TRACE_TOL:
+                        bound = f"[-{TRACE_TOL:g}, trace + {TRACE_TOL:g}]"
+                        failure = f"sink not within {bound} {at}: {sinks[row, col]}"
+                    else:  # the trace, where both fail
+                        failure = f"trace not within {TRACE_TOL:g} of 1 {at}: {traces[row, col]}"
+                    ends[cells[row]] = ArithmeticError(failure)
             stopping, at = [], []
             for row in crossings:
                 if leaving[row]:
@@ -294,11 +282,7 @@ def _read_stack(
                 hit = int(hits[row])
                 before = float(sinks[row, hit - 1] if hit else prev[row])
                 i = first + hit
-                try:
-                    value, capped = _crossing(objective, dt, i, float(sinks[row, hit]), before)
-                except ArithmeticError as exc:
-                    ends[cells[row]] = exc
-                    continue
+                value, capped = _crossing(objective, dt, i, float(sinks[row, hit]), before)
                 ends[cells[row]] = (value, capped, drift[row])
                 stopping.append(row)
                 at.append(i)
@@ -313,20 +297,12 @@ def _read_stack(
             first, values, state = steps.send(keep)
         except StopIteration:
             break
-    # the cells still in the stack ran to the last step
+    # the cells still in the stack ran to the last step; a TimeToReach cell
+    # found no crossing by t_max and carries its cap
     last = first + values.shape[1] - 1
-    ending = []
     for row, cell in enumerate(cells.tolist()):
-        if reach:  # no crossing by t_max: the cell carries its cap
-            ends[cell] = (objective.t_max, True, drift[row])
-        else:
-            try:
-                ends[cell] = (_finite_sink(float(values[row, -1, 0]), last), False, drift[row])
-            except ArithmeticError as exc:
-                ends[cell] = exc
-                continue
-        ending.append(row)
-    stop(ending, [last] * len(ending))
+        ends[cell] = (objective.t_max if reach else float(values[row, -1, 0]), reach, drift[row])
+    stop(list(range(len(cells))), [last] * len(cells))
     if states:
         lowest = sectors.min_eigenvalue(states[0] if len(states) == 1 else np.concatenate(states))
         for cell, eigenvalue in zip(stopped, lowest):
@@ -338,25 +314,14 @@ def _read_stack(
 def _crossing(
     objective: TimeToReach, dt: float, i: int, current: float, before: float
 ) -> tuple[float, bool]:
-    """(time, capped) of a crossing at step i, interpolated from the sink at the step before.
-
-    A non-finite sink at either step raises ArithmeticError naming it.
-    """
-    _finite_sink(current, i)
+    """(time, capped) of a crossing at step i, interpolated from the sink at the step before."""
     if i == 0:
         return 0.0, False
-    _finite_sink(before, i - 1)
     crossing = (i - 1) * dt + dt * (objective.target - before) / (current - before)
     # crossed only inside the step that overshoots t_max (within step_count's
     # roundoff): the cell carries its cap
     capped = crossing > objective.t_max + 1e-9 * dt
     return (objective.t_max if capped else crossing), capped
-
-
-def _finite_sink(sink: float, step: int) -> float:
-    if not math.isfinite(sink):
-        raise ArithmeticError(f"sink not finite at step {step}: {sink}")
-    return sink
 
 
 def time_to_reach(

@@ -4,23 +4,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cavitychain import evolution, experiments
+from cavitychain import evolution
 from cavitychain.evolution import (
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
+    STACK_BYTES,
     SampleReader,
     StepEngine,
     TrajectoryRecord,
     _expm_taylor,
     _real_map,
     _unitary_blocks,
-    block_length,
     cell_route,
-    chunk_length,
     diagonalize,
     evolve,
     jump_map,
+    stack_shape,
     step_count,
     superoperator_oracle,
     unitary_map,
@@ -309,22 +311,62 @@ def test_step_map_allocates_about_one_map():
         assert peak <= 3 * 16 * 288**2
 
 
+# A lone cell of the benchmark's two sweeps: K grows on small maps, J
+# shrinks on large products.
 @pytest.mark.parametrize(
-    "m,n_steps,length",
-    [(18, 5000, 1024), (18, 100, 64), (18, 1, CHUNK_STEPS), (140, 40000, CHUNK_STEPS)],
-    ids=["dat_grid", "dat_grid_100_steps", "one_step", "bottleneck_row"],
+    "m,n_steps,k",
+    [(18, 5000, 1024), (140, 40000, CHUNK_STEPS)],
+    ids=["dat_grid", "bottleneck_row"],
 )
-def test_chunk_length_grows_on_small_maps(m, n_steps, length):
-    assert chunk_length(m, n_steps) == length
+def test_chunk_length_grows_on_small_maps(m, n_steps, k):
+    assert stack_shape(m, n_steps, 1)[1] == k
 
 
 @pytest.mark.parametrize(
-    "m,k,length",
-    [(18, 1024, 8), (140, CHUNK_STEPS, 8), (288, CHUNK_STEPS, 2), (1848, CHUNK_STEPS, 1)],
-    ids=["dat_grid", "bottleneck_row", "m_288", "pumped_n3"],
+    "m,n_steps,j",
+    [(18, 5000, 8), (140, 40000, 8)],
+    ids=["dat_grid", "bottleneck_row"],
 )
-def test_block_length_shrinks_on_large_products(m, k, length):
-    assert block_length(m, k) == length
+def test_block_length_shrinks_on_large_products(m, n_steps, j):
+    assert stack_shape(m, n_steps, 1)[2] == j
+
+
+@pytest.mark.parametrize(
+    "m,n_steps,n_cells,shape",
+    [
+        # a lone cell, beyond the two above
+        (18, 100, 1, (1, 64, 128)),
+        (18, 1, 1, (1, CHUNK_STEPS, 256)),
+        (288, 40000, 1, (1, CHUNK_STEPS, 2)),
+        (1848, 40000, 1, (1, CHUNK_STEPS, 1)),
+        # the sweeps: the benchmark's two and dat's default grid
+        (18, 5000, 40, (40, CHUNK_STEPS, 4)),
+        (140, 40000, 36, (1, CHUNK_STEPS, 8)),
+        (18, 5000, 1640, (53, CHUNK_STEPS, 4)),
+    ],
+    ids=[
+        "dat_cell_100_steps", "one_step", "m_288", "pumped_n3",
+        "dat_grid", "bottleneck_row", "dat_default_grid",
+    ],
+)
+def test_stack_shape(m, n_steps, n_cells, shape):
+    assert stack_shape(m, n_steps, n_cells) == shape
+
+
+def is_power_of_two(n):
+    return n > 0 and n & (n - 1) == 0
+
+
+@given(st.integers(1, 2000), st.integers(0, 100_000), st.integers(1, 2000))
+def test_stack_shape_fits_its_budget(m, n_steps, n_cells):
+    """B cells at K steps per chunk and J chunks per block: a stack of one,
+    or one whose work arrays (those of ``StepMaps``) fit in STACK_BYTES."""
+    b, k, j = stack_shape(m, n_steps, n_cells)
+    assert 1 <= b <= n_cells
+    elements = (k.bit_length() - 1) * m * m + (2 * k + m) * m + (j + 1) * (2 * k + m)
+    assert b == 1 or 8 * b * elements <= STACK_BYTES
+    assert is_power_of_two(k) and k >= CHUNK_STEPS
+    assert is_power_of_two(j)
 
 
 def sweep_chain(**overrides):
@@ -363,7 +405,6 @@ def test_stepped_cell_never_builds_the_step_map(monkeypatch):
 
     for name in ("unitary_map", "jump_map", "StepMaps"):
         monkeypatch.setattr(evolution, name, refuse)
-    monkeypatch.setattr(experiments, "StepMaps", refuse)
     config = ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
     spec = SweepSpec(
         base=config,

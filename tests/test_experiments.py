@@ -209,9 +209,19 @@ def test_reader_fails_on_a_non_finite_trace_naming_its_step(objective):
 
 
 def test_reader_fails_on_a_non_finite_sink_it_reads():
-    steps = chunk_stream([(0.0, 1.0)], [(0.1, 1.0), (float("inf"), 1.0)])
-    with pytest.raises(ArithmeticError, match="^sink not finite at step 2: inf$"):
-        read_cell(steps, SinkAtTime(0.2))
+    # a sink outside [0, trace], past either end by more than TRACE_TOL,
+    # fails as a non-finite one does
+    for sink, trace in (
+        (float("inf"), 1.0), (float("nan"), 1.0), (1.5, 1.0), (-0.001, 1.0),
+        (1.0000005, 0.9999991),
+    ):
+        steps = chunk_stream([(0.0, 1.0)], [(0.1, 1.0), (sink, trace)])
+        failure = f"^sink not within \\[-1e-06, trace \\+ 1e-06\\] at step 2: {sink}$"
+        with pytest.raises(ArithmeticError, match=failure):
+            read_cell(steps, SinkAtTime(0.2))
+    # within TRACE_TOL past its own trace, though past another step's
+    steps = chunk_stream([(0.0, 1.0)], [(0.1, 0.9999992), (1.0000005, 1.0)])
+    assert read_cell(steps, SinkAtTime(0.2)).value == 1.0000005
 
 
 def test_sweep_cell_that_blows_up_fails_naming_the_cell():
@@ -260,6 +270,20 @@ def test_sweep_cell_that_blows_up_fails_naming_the_cell():
             None,
             TimeToReach(0.5, 1.0),
             "rate_out=1e\\+100: trace not within 1e-06 of 1 at step 1: 0.0",
+        ),
+        # an unstable step that keeps the trace (dt rate_out**2 = 9) drives
+        # the sink past it at step 1, before it passes a target
+        (
+            SweepAxis("rate_out", (0.5, 30.0)),
+            None,
+            SinkAtTime(0.05),
+            "rate_out=30.0: sink not within \\[-1e-06, trace \\+ 1e-06\\] at step 1: 9.0",
+        ),
+        (
+            SweepAxis("rate_out", (0.5, 30.0)),
+            None,
+            TimeToReach(0.5, 1.0),
+            "rate_out=30.0: sink not within \\[-1e-06, trace \\+ 1e-06\\] at step 1: 9.0",
         ),
     )
     for axis1, axis2, objective, failure in rows:

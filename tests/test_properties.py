@@ -13,30 +13,34 @@ chains, the step maps that one ``StepMaps`` sums for the cells of a sweep
 are checked against the step of each cell's own engine, the outcome of each
 cell of a stack of cells against its outcome in a stack of one, and on two
 rows of cells, the outcomes of cells that share its buffers against those
-of cells with buffers of their own.
+of cells with buffers of their own; on a four-site sweep, those of a short
+last stack, run in views of the sweep's buffers, against each cell's stack
+of one.
 """
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cavitychain import evolution
 from cavitychain.evolution import (
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
+    STACK_BYTES,
     StepEngine,
     StepMaps,
     _expm_taylor,
     _unitary_blocks,
-    block_length,
-    chunk_length,
     chunked_cell_steps,
     evolve,
     evolve_assembled,
     iter_steps,
+    stack_shape,
     step_count,
     stepped_cell_steps,
 )
@@ -338,16 +342,22 @@ def stack_of(config, cells):
     ][: cells - 1]
 
 
-def stacked_steps(configs, dt, n_steps, k):
-    """The chunked route of a stack of cells at K steps per chunk, on their own ``StepMaps``."""
-    maps = StepMaps(assemble(configs[0]), configs[0], dt)
-    return chunked_cell_steps(maps, configs, n_steps, k)
+def any_stack():
+    """STACK_BYTES lifted: ``stack_shape`` sizes every sweep as one stack, at the
+    K and J of a stack that long, whatever the bytes of its work arrays."""
+    return mock.patch.object(evolution, "STACK_BYTES", math.inf)
+
+
+def stack_maps(configs, dt, n_steps):
+    """A ``StepMaps`` of the configs' own that runs them all as one stack."""
+    with any_stack():
+        return StepMaps(assemble(configs[0]), configs[0], dt, n_steps, len(configs))
 
 
 def chunked_cell(config, dt, n_steps, cells=1):
     """The chunked route of the config at the top of a stack of cells, at that stack's K."""
-    m = sum(b * b for b in build_basis(config).sectors.sizes)
-    return stacked_steps(stack_of(config, cells), dt, n_steps, chunk_length(m, n_steps, cells))
+    configs = stack_of(config, cells)
+    return chunked_cell_steps(stack_maps(configs, dt, n_steps), configs)
 
 
 def stepped_cell(config, dt, n_steps, cells=1):
@@ -449,8 +459,8 @@ def test_chunked_route_matches_stepped_route_to_target(
     config, dt, chunks, extra, where, short, cells
 ):
     """The sink crosses the target in the first or last step of the run's
-    last whole chunk, chunks of the cell's own ``chunk_length`` in a stack of
-    ``cells``, in the run's last step, or never.
+    last whole chunk, chunks of the K of a stack of ``cells``
+    (``stack_shape``), in the run's last step, or never.
 
     The target sits three quarters of the way up the sink's rise over the
     crossing step.  t_max is the last step's time or half a step before it,
@@ -459,7 +469,8 @@ def test_chunked_route_matches_stepped_route_to_target(
     chain = assemble(config)
     sectors = chain.basis.sectors
     n_steps = chunks * CHUNK_STEPS + extra
-    k = chunk_length(len(sectors.rows), n_steps, cells)
+    with any_stack():
+        _, k, _ = stack_shape(len(sectors.rows), n_steps, cells)
     last_chunk = n_steps // k
     sinks = step_rows(stepped_cell_steps(chain, dt, n_steps))[:, 1].tolist()
     if where == "never":
@@ -514,8 +525,8 @@ def test_chunked_state_outside_the_item_yielded_last_raises():
     n_steps = 600
     chain = assemble(PUMPED_PAIR)
     stepped = [rho for _, rho in iter_steps(chain, 0.01, n_steps)]
-    maps = StepMaps(chain, PUMPED_PAIR, 0.01)
-    steps = chunked_cell_steps(maps, [PUMPED_PAIR], n_steps, CHUNK_STEPS)
+    maps = StepMaps(chain, PUMPED_PAIR, 0.01, n_steps, 1)
+    steps = chunked_cell_steps(maps, [PUMPED_PAIR])
     items = [next(steps)[:2] for _ in range(2)]
     first, values, state = next(steps)
     items.append((first, values))
@@ -531,11 +542,11 @@ def test_chunked_state_outside_the_item_yielded_last_raises():
     assert np.abs(state([0], [n_steps])[0] - stepped[n_steps]).max() <= ROUTE_VALUE_MAX
     # the next stack takes the buffers: the finished stack's states are gone,
     # and a stack still running fails at its next block
-    running = chunked_cell_steps(maps, [PUMPED_PAIR], n_steps, CHUNK_STEPS)
+    running = chunked_cell_steps(maps, [PUMPED_PAIR])
     next(running)
     with pytest.raises(ValueError, match="^no state at step 600: another cell holds"):
         state([0], [n_steps])
-    next(chunked_cell_steps(maps, [PUMPED_PAIR], n_steps, CHUNK_STEPS))
+    next(chunked_cell_steps(maps, [PUMPED_PAIR]))
     with pytest.raises(RuntimeError, match="another cell took"):
         next(running)
 
@@ -555,11 +566,9 @@ def objective_steps(objective, dt):
     return step_count(objective.t_max if isinstance(objective, TimeToReach) else objective.t, dt)
 
 
-def run_stack(configs, objective, dt, k):
-    """Each cell's outcome from one stack of the configs at K steps per chunk."""
-    n_steps = objective_steps(objective, dt)
-    steps = stacked_steps(configs, dt, n_steps, k)
-    return _read_stack(steps, assemble(configs[0]).basis.sectors, objective, dt)
+def read_stack(maps, configs, objective, dt):
+    """Each cell's outcome from one stack of the configs on maps."""
+    return _read_stack(chunked_cell_steps(maps, configs), maps.sectors, objective, dt)
 
 
 @settings(max_examples=25)
@@ -567,7 +576,6 @@ def run_stack(configs, objective, dt, k):
     route_chains(),
     time_steps,
     st.integers(2, 1 + len(NEIGHBOUR_RATES)),
-    st.sampled_from((CHUNK_STEPS, 2 * CHUNK_STEPS)),
     st.one_of(
         st.builds(TimeToReach, st.floats(0.001, 0.6), st.floats(0.5, 6.0)),
         st.builds(SinkAtTime, st.floats(0.05, 6.0)),
@@ -576,21 +584,22 @@ def run_stack(configs, objective, dt, k):
 # a pumped-pair row whose cells cross at steps 1 598, 915 and 1 029, in the
 # 25th, 15th and 17th blocks of 2 chunks of 32 steps, a late crossing before
 # early ones, while its first cell runs to its cap at t = 20
-@example(
-    PUMPED_PAIR, 0.01, 1 + len(NEIGHBOUR_RATES), CHUNK_STEPS, TimeToReach(0.995, 20.0)
-)
-def test_stacked_cell_has_its_outcome_in_a_stack_of_one(config, dt, cells, k, objective):
+@example(PUMPED_PAIR, 0.01, 1 + len(NEIGHBOUR_RATES), TimeToReach(0.995, 20.0))
+def test_stacked_cell_has_its_outcome_in_a_stack_of_one(config, dt, cells, objective):
     """A cell's outcome in a stack of cells equals, bit for bit, its outcome
-    in a stack of one at the same K: the stacked products are each cell's
-    own, and cells that stop leave the stack without moving the others."""
+    in a stack of one on the same ``StepMaps``, so at the same K and J, in
+    views of the first rows of its buffers: the stacked products are each
+    cell's own, and cells that stop leave the stack without moving the
+    others."""
     row = config is PUMPED_PAIR  # the example: rates of the bottleneck benchmark's row
     if row:
         configs = [replace(config, rate_out=rate) for rate in (0.5, 3.0, 1.5, 2.0)]
     else:
         configs = stack_of(config, cells)
-    stacked = run_stack(configs, objective, dt, k)
+    maps = stack_maps(configs, dt, objective_steps(objective, dt))
+    stacked = read_stack(maps, configs, objective, dt)
     for cell, outcome in zip(configs, stacked):
-        assert run_stack([cell], objective, dt, k) == [outcome], cell
+        assert read_stack(maps, [cell], objective, dt) == [outcome], cell
     if row:
         assert [o.capped for o in stacked] == [True, False, False, False]
 
@@ -611,22 +620,54 @@ def test_shared_buffers_give_each_cell_the_outcome_of_fresh_ones(base, axis, obj
     dt = 0.01
     configs = [replace(base, rate_out=rate) for rate in axis]
     last = assemble(configs[-1])
-    sectors = last.basis.sectors
-    m = len(sectors.rows)
     n_steps = objective_steps(objective, dt)
-    k = chunk_length(m, n_steps)
-    shared = StepMaps(last, configs[-1], dt)
+    shared = StepMaps(last, configs[-1], dt, n_steps, 1)
+    _, k, j = shared.shape
     chunks_in_block = set()
     for config in configs:
         outcomes = [
-            _read_stack(chunked_cell_steps(maps, [config], n_steps, k), sectors, objective, dt)
-            for maps in (shared, StepMaps(last, configs[-1], dt))
+            read_stack(maps, [config], objective, dt)
+            for maps in (shared, StepMaps(last, configs[-1], dt, n_steps, 1))
         ]
         assert outcomes[0] == outcomes[1], config
         step = math.ceil(outcomes[0][0].value / dt - 1e-9)
-        chunks_in_block.add((step - 1) // k % block_length(m, k))
+        chunks_in_block.add((step - 1) // k % j)
     if isinstance(objective, TimeToReach):
         assert len(chunks_in_block) >= 3
+
+
+# a four-site chain (d = 10, M = 66), whose sweeps run in stacks of six
+FOUR_SITES = ChainConfig(n_atoms=4, k=0.8, mu=0.2, rate_out=0.5)
+
+
+@pytest.mark.parametrize("objective", [TimeToReach(0.5, 20.0), SinkAtTime(5.0)])
+def test_short_last_stack_gives_each_cell_its_outcome_in_a_stack_of_one(objective):
+    """A sweep of nine cells in stacks of six ends in a stack of three,
+    which runs in views of the first rows of the sweep's buffers: each of
+    its cells has, bit for bit, its outcome as a stack of one on the same
+    ``StepMaps``, and ``run_sweep``'s too.  The buffers stay those that
+    the ``StepMaps`` allocated."""
+    dt = 0.01
+    rates = (0.2, 0.3, 0.5, 0.7, 1.0, 1.4, 2.0, 2.5, 3.0)
+    configs = [replace(FOUR_SITES, rate_out=rate) for rate in rates]
+    maps = StepMaps(assemble(configs[-1]), configs[-1], dt, objective_steps(objective, dt), 9)
+    buffers = maps.buffers
+    assert maps.shape[0] == 6 and sum(buffer.nbytes for buffer in buffers) <= STACK_BYTES
+    outcomes = read_stack(maps, configs[:6], objective, dt)
+    outcomes += read_stack(maps, configs[6:], objective, dt)
+    if isinstance(objective, SinkAtTime):
+        # no cell left the short stack, so its step maps still fill the
+        # first rows of the sweep's buffer
+        for row, cell in zip(buffers[0], configs[6:]):
+            assert np.array_equal(row, maps.step_map(cell, np.empty_like(row)))
+    for cell, outcome in zip(configs[6:], outcomes[6:]):
+        assert read_stack(maps, [cell], objective, dt) == [outcome], cell
+    assert maps.buffers is buffers
+    with pytest.raises(ValueError, match="^a stack of 7 cells on step maps for stacks of 6$"):
+        next(chunked_cell_steps(maps, configs[:7]))
+    result = run_sweep(SweepSpec(FOUR_SITES, SweepAxis("rate_out", rates), objective))
+    assert result.grid[:, 0].tolist() == [o.value for o in outcomes]
+    assert result.cell_routes == {"chunked": 9, "stepped": 0}
 
 
 # The halves of a sweep's step maps sum the terms of a cell's own step in
@@ -654,7 +695,7 @@ def test_shared_halves_give_each_cell_its_own_step_map(config, dt):
         replace(config, rate_in=0.0, cavity_loss=0.0),
         config,
     ]
-    maps = StepMaps(assemble(config), config, dt)
+    maps = StepMaps(assemble(config), config, dt, n_steps=1, n_cells=1)
     for cell in cells:
         chain = assemble(cell)
         engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, dt)
