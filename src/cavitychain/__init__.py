@@ -39,6 +39,7 @@ from .model import (
     build_basis,
 )
 from .modes import (
+    ColumnMap,
     DensityMatrix,
     ModeKind,
     ModeLayout,

@@ -52,6 +52,7 @@ from .modes import (
     Operator,
     ProjectedBasis,
     Sectors,
+    lowest_eigenvalue,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -66,6 +67,14 @@ POSITIVITY_FLOOR = -1e-6
 # is far above both, so the exact eigenvalues of a screened state stay above
 # the base of the shift.
 SCREEN_MARGIN = 1e-12
+# A sampled state or sweep step fails when its trace is farther than this
+# from 1, or its sink lies farther than this outside [0, trace], NaN and inf
+# included.  The Euler dissipator keeps the trace, so a stable run drifts by
+# roundoff (about 2e-12 on a dat grid); at rate_out 1e100 the sink is 1e198
+# and the trace 0 after one step.  An unstable step that keeps the trace
+# still drives the sink out of [0, trace]: at rate_out 30 and dt 0.01 the
+# cavity population changes sign every step, and the sink passes the trace.
+TRACE_TOL = 1e-6
 ORACLE_MAX_DIM = 16
 TAYLOR_TOL = 1e-12
 TAYLOR_MAX_TERMS = 300
@@ -193,7 +202,7 @@ def _dissipator(
     for term in terms:
         sources, targets = _monomial_map(sectors, term)
         amplitude = np.zeros(sectors.dim, dtype=complex)
-        amplitude[sources] = term.operator[targets, sources]
+        amplitude[sources] = term.operator.amplitudes
         rates += np.abs(amplitude) ** 2
         if np.array_equal(sources, targets):
             gained += amplitude[rows] * amplitude[cols].conj()
@@ -210,8 +219,8 @@ def _dissipator(
 
 
 def _monomial_map(sectors: Sectors, term: LindbladTerm) -> tuple[np.ndarray, np.ndarray]:
-    """(source states, target states) of a jump's nonzeros, checked block to block."""
-    targets, sources = np.nonzero(term.operator)
+    """(source states, target states) of a jump's column map, checked block to block."""
+    sources, targets = term.operator.sources, term.operator.targets
     for states in (targets, sources):
         if np.bincount(states, minlength=1).max() > 1:
             raise ValueError(
@@ -788,10 +797,11 @@ class SampleReader:
       of the chunks before, every block of every state less c*I, where
       c = max(seen, POSITIVITY_FLOOR) + SCREEN_MARGIN, goes through a
       batched Cholesky factorization per block size (1 x 1 blocks are
-      compared with c directly).  If every factorization succeeds, no state
-      of the chunk lies below c, so none is flagged and none lowers
-      ``seen``.  Otherwise, and for the first chunk, every state takes its
-      exact smallest eigenvalue (``Sectors.min_eigenvalue``).
+      compared with c directly).  The blocks of a size whose factorization
+      succeeds lie above c in every state, so they can neither flag a state
+      nor lower ``seen``; only the sizes that fail take exact smallest
+      eigenvalues, and a chunk where none fails takes none.  The first
+      chunk takes them for every block (``Sectors.min_eigenvalue``).
     """
 
     def __init__(self, basis: ProjectedBasis) -> None:
@@ -816,7 +826,10 @@ class SampleReader:
 
         values holds the sink, photon, exciton and trace columns.  A state
         with a non-finite element raises ArithmeticError naming its step,
-        before the screen runs.
+        before the screen runs; so does, in a finite chunk, the first state
+        whose trace lies farther than TRACE_TOL from 1 or whose sink lies
+        outside [-TRACE_TOL, trace + TRACE_TOL], the rules of a sweep's
+        reader.
         """
         steps, self.steps = self.steps, []
         chunk = self.chunk[: len(steps)]
@@ -840,26 +853,41 @@ class SampleReader:
                 f"state not finite at step {steps[row]}: sink {values[row, 0]}, "
                 f"trace {values[row, -1]}, Hermiticity defect {hermiticity[row]}"
             )
-        shift = max(self.seen, POSITIVITY_FLOOR) + SCREEN_MARGIN
-        if self.seen < math.inf and self._screen(chunk, shift):
-            return values, hermiticity, np.zeros(len(steps), dtype=np.int64)
-        lowest = self.sectors.min_eigenvalue(chunk)
+        sinks, traces = values[:, 0], values[:, -1]
+        deviation = np.abs(traces - 1.0)
+        failing = (deviation > TRACE_TOL) | (np.maximum(sinks - traces, -sinks) > TRACE_TOL)
+        if failing.any():
+            row = int(np.argmax(failing))
+            at = f"at step {steps[row]}"
+            if deviation[row] > TRACE_TOL:  # the trace, where both fail
+                raise ArithmeticError(f"trace not within {TRACE_TOL:g} of 1 {at}: {traces[row]}")
+            bound = f"[-{TRACE_TOL:g}, trace + {TRACE_TOL:g}]"
+            raise ArithmeticError(f"sink not within {bound} {at}: {sinks[row]}")
+        views = self.sectors.blocks(chunk)
+        if self.seen < math.inf:
+            views = self._screen(views, max(self.seen, POSITIVITY_FLOOR) + SCREEN_MARGIN)
+            if not views:
+                return values, hermiticity, np.zeros(len(steps), dtype=np.int64)
+        lowest = lowest_eigenvalue(views)
         self.seen = min(self.seen, float(lowest.min()))
         return values, hermiticity, (lowest < POSITIVITY_FLOOR).astype(np.int64)
 
-    def _screen(self, chunk: np.ndarray, shift: float) -> bool:
-        """Whether every block of every state, less shift * I, is positive definite."""
-        for blocks in self.sectors.blocks(chunk):
+    @staticmethod
+    def _screen(views: list[np.ndarray], shift: float) -> list[np.ndarray]:
+        """The stacks of blocks, one per size, in which some block less shift * I
+        is not positive definite."""
+        failed = []
+        for blocks in views:
             size = blocks.shape[-1]
             if size == 1:  # the eigenvalue of a 1 x 1 block is its real part
                 if not (blocks.real > shift).all():
-                    return False
+                    failed.append(blocks)
                 continue
             try:
                 np.linalg.cholesky(blocks - shift * np.eye(size))
             except np.linalg.LinAlgError:
-                return False
-        return True
+                failed.append(blocks)
+        return failed
 
 
 def evolve_assembled(
@@ -929,7 +957,7 @@ def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
     h = chain.hamiltonian.elements
     liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for term in chain.lindblad_terms:
-        jump = term.operator
+        jump = term.operator.dense()
         absorbed = jump.conj().T @ jump
         liouvillian += np.kron(jump, jump.conj()) - 0.5 * (
             np.kron(absorbed, eye) + np.kron(eye, absorbed.T)

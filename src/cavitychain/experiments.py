@@ -23,6 +23,7 @@ import numpy as np
 from .evolution import (
     CELL_ROUTES,
     DEFAULT_DT,
+    TRACE_TOL,
     CellSteps,
     _quiet_overflow,
     cell_stacks,
@@ -35,14 +36,6 @@ SWEEPABLE_PARAMS = ("rate_in", "rate_out", "k", "mu", "g")
 
 DEFAULT_TARGET = 0.995
 DEFAULT_T_MAX = 400.0
-# A cell fails at the first step it reads whose trace is farther than this
-# from 1, or whose sink lies farther than this outside [0, trace], NaN and inf
-# included.  The Euler dissipator keeps the trace, so a stable cell drifts by
-# roundoff (about 2e-12 on a dat grid); at rate_out 1e100 the sink is 1e198
-# and the trace 0 after one step.  An unstable step that keeps the trace
-# still drives the sink out of [0, trace]: at rate_out 30 and dt 0.01 the
-# cavity population changes sign every step, and the sink passes the trace.
-TRACE_TOL = 1e-6
 
 
 def default_rate_grid() -> tuple[float, ...]:

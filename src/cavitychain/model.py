@@ -31,6 +31,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .modes import (
+    ColumnMap,
     DensityMatrix,
     ModeKind,
     ModeLayout,
@@ -168,11 +169,12 @@ def _normalized(name: str, kind: type, value: object) -> object:
 class LindbladTerm:
     """One jump operator, rate already folded in (L = rate * A).
 
-    ``rate`` names the config field whose value is that rate.
+    ``operator`` is L as the column map of its nonzeros, and ``rate`` names
+    the config field whose value is that rate.
     """
 
     label: str
-    operator: np.ndarray
+    operator: ColumnMap
     rate: str
 
 
@@ -199,30 +201,45 @@ def hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
     h = np.zeros((dim, dim), dtype=complex)
 
     occ = basis.occupations
+    diagonal = h.reshape(-1)[:: dim + 1]  # a view
     for i in layout.indices(ModeKind.PHOTON):
-        h[np.diag_indices(dim)] += config.omega_p * occ[:, i]
+        diagonal += config.omega_p * occ[:, i]
     for i in layout.indices(ModeKind.EXCITON):
-        h[np.diag_indices(dim)] += config.omega_a * occ[:, i]
+        diagonal += config.omega_a * occ[:, i]
     for i in layout.indices(ModeKind.PHONON):
-        h[np.diag_indices(dim)] += config.omega_g * occ[:, i]
+        diagonal += config.omega_g * occ[:, i]
 
+    # The couplings are scattered from their column maps (real amplitudes) in
+    # one pass.  Each moves excitation between its own pair of modes, so no
+    # two of their elements, adjoints included, share a place, and h is the
+    # dense sum of the couplings bit for bit.
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     # photon tunnelling between neighbours, then photon-atom exchange per site
     photon, exciton = layout.indices(ModeKind.PHOTON), layout.indices(ModeKind.EXCITON)
     couplings = [(config.k, p, q) for p, q in zip(photon, photon[1:])]
     couplings += [(config.mu, p, x) for p, x in zip(photon, exciton)]
     for strength, src, dst in couplings:
         move = transfer_op(basis, src, dst)
-        h += strength * move + np.conj(strength) * move.conj().T
+        rows += [move.targets, move.sources]
+        cols += [move.sources, move.targets]
+        values += [strength * move.amplitudes, np.conj(strength) * move.amplitudes]
 
     if config.dephasing is DephasingModel.UNITARY_PHONON:
         # (g + g*) doubles real coupling strengths; kept literal.
         strength = config.g + np.conj(config.g)
         for site in range(1, n + 1):
             b = layout.index(ModeKind.PHONON, site)
-            displacement = transfer_op(basis, b, None) + transfer_op(basis, None, b)
-            n_exc = np.diag(occ[:, layout.index(ModeKind.EXCITON, site)].astype(complex))
-            h += strength * (displacement @ n_exc)
+            n_exc = occ[:, layout.index(ModeKind.EXCITON, site)]
+            # (b + b^dag) n_exc: each displacement column scaled by the
+            # exciton occupation of its source
+            for move in (transfer_op(basis, b, None), transfer_op(basis, None, b)):
+                rows.append(move.targets)
+                cols.append(move.sources)
+                values.append(strength * (move.amplitudes * n_exc[move.sources]))
 
+    h[np.concatenate(rows), np.concatenate(cols)] += np.concatenate(values)
     return Operator(basis, h)
 
 
@@ -242,9 +259,9 @@ def _lindblad_terms(
     n = config.n_atoms
     terms: list[LindbladTerm] = []
 
-    def add(label: str, field: str, jump: np.ndarray) -> None:
+    def add(label: str, field: str, jump: ColumnMap) -> None:
         rate = 1.0 if unit else getattr(config, field)
-        terms.append(LindbladTerm(label, rate * jump, field))
+        terms.append(LindbladTerm(label, jump.scaled(rate), field))
 
     if config.rate_in > 0:
         initial_quanta = (
@@ -277,10 +294,11 @@ def _lindblad_terms(
             else ModeKind.EXCITON
         )
         for site in range(1, n + 1):
-            num = np.diag(
-                basis.occupations[:, layout.index(target_kind, site)].astype(complex)
-            )
-            add(f"dephasing_{site}", "g", num)
+            # the number operator, as the diagonal map of its nonzeros
+            occupation = basis.occupations[:, layout.index(target_kind, site)]
+            occupied = np.flatnonzero(occupation)
+            number = ColumnMap(basis.dim, occupied, occupied, occupation[occupied].astype(float))
+            add(f"dephasing_{site}", "g", number)
 
     if config.cavity_loss > 0:
         for site in range(1, n + 1):

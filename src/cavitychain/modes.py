@@ -8,7 +8,9 @@ Hamiltonian -- is at most ``max_quanta``; phonon occupations are capped
 separately, at ``phonon_cap``, because phonon number is not conserved.
 Every coupling and jump of the chain moves one excitation, so one builder,
 ``transfer_op``, makes them all directly in the projected basis: moving out
-of the kept set projects to zero rather than erroring.
+of the kept set projects to zero rather than erroring.  Each is monomial, so
+it is kept as a ``ColumnMap``, its nonzero columns' (source, target,
+amplitude); only ``ColumnMap.dense`` writes one as a d x d array.
 
 The Hamiltonian keeps the excitation count N and the sink occupation, and
 each jump moves a whole (N, sink) block into one other block (the pump
@@ -19,7 +21,9 @@ stored as the packed elements of its blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -85,16 +89,28 @@ class ProjectedBasis:
 
     States are kept in lexicographic order over occupation vectors so that
     basis construction, and every matrix built on top of it, is reproducible
-    bit for bit.
+    bit for bit.  ``index_of`` maps each state's integer key (``keys``,
+    below) to its index, the lookup that ``transfer_op`` makes once per
+    state and ``state_index`` once per call.
     """
 
     def __init__(self, layout: ModeLayout, states: list[tuple[int, ...]]) -> None:
         self.layout = layout
         self.states: tuple[tuple[int, ...], ...] = tuple(states)
-        self.index_of: dict[tuple[int, ...], int] = {
-            s: i for i, s in enumerate(self.states)
-        }
         self.occupations = np.array(self.states, dtype=np.int64)
+        # Each state is also one integer key whose digits are its occupations,
+        # each mode's place value the product of (largest occupation + 2) over
+        # the modes before it.  A move shifts the key by place values: a
+        # quantum more in a mode is still a digit of its own, and a quantum
+        # less in an empty mode borrows, leaving that digit at its largest
+        # occupation + 1, so a target outside the basis matches no key.
+        radix = (self.occupations.max(axis=0, initial=0) + 2).tolist()
+        *place, span = itertools.accumulate(radix, operator.mul, initial=1)
+        if span > 2**62:
+            raise ValueError(f"too many modes for integer state keys: {len(radix)}")
+        self.place: list[int] = place
+        self.keys: list[int] = (self.occupations @ self.place).tolist()
+        self.index_of: dict[int, int] = dict(zip(self.keys, range(len(self.keys))))
 
     @property
     def dim(self) -> int:
@@ -102,7 +118,12 @@ class ProjectedBasis:
 
     def state_index(self, occupation) -> int:
         """Dense index of an occupation vector; KeyError if projected out."""
-        return self.index_of[tuple(occupation)]
+        occupation = tuple(occupation)
+        # an occupation outside the digits' range may share a state's key
+        i = self.index_of.get(sum(map(operator.mul, occupation, self.place)))
+        if i is None or self.states[i] != occupation:
+            raise KeyError(occupation)
+        return i
 
     @cached_property
     def sectors(self) -> Sectors:
@@ -204,9 +225,13 @@ class Sectors:
 
     def min_eigenvalue(self, packed: np.ndarray) -> float | np.ndarray:
         """Smallest eigenvalue of a Hermitian packed state, or of each of a stack of them."""
-        return np.min([
-            np.linalg.eigvalsh(view)[..., 0].min(axis=-1) for view in self.blocks(packed)
-        ], axis=0)
+        return lowest_eigenvalue(self.blocks(packed))
+
+
+def lowest_eigenvalue(views: list[np.ndarray]) -> float | np.ndarray:
+    """Smallest eigenvalue over (..., count, size, size) stacks of Hermitian blocks,
+    one per leading index: one ``eigvalsh`` call per stack."""
+    return np.min([np.linalg.eigvalsh(view)[..., 0].min(axis=-1) for view in views], axis=0)
 
 
 def enumerate_basis(
@@ -248,7 +273,7 @@ class Operator:
     """Hermitian matrix over a ProjectedBasis: the chain Hamiltonian.
 
     Construction is the one Hermiticity check; jump operators, which need not
-    be Hermitian, are plain complex arrays.
+    be Hermitian, are column maps (``ColumnMap``).
     """
 
     basis: ProjectedBasis
@@ -284,9 +309,34 @@ class DensityMatrix:
             )
 
 
+@dataclass
+class ColumnMap:
+    """A monomial matrix over a basis, stored by its nonzero columns.
+
+    Column ``sources[i]`` holds ``amplitudes[i]`` in row ``targets[i]``; every
+    other element is zero.  Couplings and jumps move one excitation, so each
+    is one such map, built in O(d) rather than as a dense d x d array.
+    """
+
+    dim: int
+    sources: np.ndarray
+    targets: np.ndarray
+    amplitudes: np.ndarray
+
+    def scaled(self, factor: float) -> ColumnMap:
+        """The map times a scalar factor."""
+        return ColumnMap(self.dim, self.sources, self.targets, factor * self.amplitudes)
+
+    def dense(self) -> np.ndarray:
+        """The d x d complex matrix of the map."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[self.targets, self.sources] = self.amplitudes
+        return mat
+
+
 def transfer_op(
     basis: ProjectedBasis, from_mode: int | None, to_mode: int | None
-) -> np.ndarray:
+) -> ColumnMap:
     """Move one excitation from ``from_mode`` to ``to_mode``, projected to the basis.
 
     ``None`` stands for the outside of the chain: ``transfer_op(b, None, m)``
@@ -295,7 +345,9 @@ def transfer_op(
     mode, is written directly between kept states.  That is the restriction of
     the full-space operator: targets outside the basis contribute nothing, and
     no intermediate state can be projected out on the way, as it would be in a
-    product of a projected lowering and raising.
+    product of a projected lowering and raising.  Each state's target is
+    found by its key (``ProjectedBasis.keys``), and the result is the map of
+    the operator's nonzero columns, in basis order of their sources.
     """
     n_modes = len(basis.layout.modes)
     for mode in (from_mode, to_mode):
@@ -303,23 +355,39 @@ def transfer_op(
             raise IndexError(f"mode index out of range: {from_mode}, {to_mode}")
     if from_mode == to_mode:
         raise ValueError("transfer needs two distinct ends, at most one of them None")
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i, state in enumerate(basis.states):
-        target = list(state)
-        amplitude = 1.0
-        if from_mode is not None:
-            # an empty from-mode gives occupation -1, which no basis state has
-            target[from_mode] -= 1
-            amplitude *= math.sqrt(state[from_mode])
-        if to_mode is not None:
-            target[to_mode] += 1
-            amplitude *= math.sqrt(state[to_mode] + 1)
-        j = basis.index_of.get(tuple(target))
+    sources: list[int] = []
+    targets: list[int] = []
+    amplitudes: list[float] = []
+    index_of = basis.index_of
+    # from a state's key to its target's: a quantum less in from_mode, one
+    # more in to_mode; an empty from_mode or a full to_mode finds no key
+    place = basis.place
+    shift = (place[to_mode] if to_mode is not None else 0) - (
+        place[from_mode] if from_mode is not None else 0
+    )
+    for i, key in enumerate(basis.keys):
+        j = index_of.get(key + shift)
         if j is not None:
-            mat[j, i] = amplitude
-    return mat
+            state = basis.states[i]
+            amplitude = 1.0
+            if from_mode is not None:
+                amplitude *= math.sqrt(state[from_mode])
+            if to_mode is not None:
+                amplitude *= math.sqrt(state[to_mode] + 1)
+            sources.append(i)
+            targets.append(j)
+            amplitudes.append(amplitude)
+    return ColumnMap(
+        basis.dim,
+        np.array(sources, dtype=np.int64),
+        np.array(targets, dtype=np.int64),
+        np.array(amplitudes, dtype=float),
+    )
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max element of |A - A^dag| of a square matrix."""
-    return float(np.abs(matrix - matrix.conj().T).max())
+    difference = matrix.T.copy()  # contiguous, so the subtraction reads in order
+    np.conjugate(difference, out=difference)
+    np.subtract(matrix, difference, out=difference)
+    return float(np.abs(difference).max())

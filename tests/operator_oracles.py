@@ -1,18 +1,30 @@
 """Operators, state checks and a dense step that tests use as oracles.
 
 Each operator is built straight from the basis occupation table, not from
-``transfer_op``, the operator builder under test.  ``dense_step`` steps a
+``transfer_op``, the operator builder under test.  ``dense_hamiltonian`` and
+``dense_jumps`` are the chain's couplings and jumps built as dense d x d
+arrays, one full matrix per move, the construction that the column maps of
+``model`` replaced.  ``dense_step`` steps a
 full d x d density matrix with one matmul per jump, the route the blocked
 ``StepEngine`` replaced, with a unitary from its own eigendecomposition.
 ``engine_step_map`` writes a step map column by column, from the engine's
 step of each Hermitian unit state, the oracle of the step-map halves.
 """
 
+import math
+
 import numpy as np
 
+from cavitychain.model import (
+    ChainConfig,
+    DephasingModel,
+    DephasingTarget,
+    SinkCoupling,
+)
 from cavitychain.modes import (
     COUNTED_KINDS,
     DensityMatrix,
+    ModeKind,
     ModeLayout,
     Operator,
     ProjectedBasis,
@@ -44,6 +56,88 @@ def identity_op(basis: ProjectedBasis) -> Operator:
     return Operator(basis, np.eye(basis.dim, dtype=complex))
 
 
+def dense_transfer(basis: ProjectedBasis, from_mode, to_mode) -> np.ndarray:
+    """``transfer_op`` as a dense complex matrix, written element by element."""
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    index_of = {state: i for i, state in enumerate(basis.states)}
+    for i, state in enumerate(basis.states):
+        target = list(state)
+        amplitude = 1.0
+        if from_mode is not None:
+            # an empty from-mode gives occupation -1, which no basis state has
+            target[from_mode] -= 1
+            amplitude *= math.sqrt(state[from_mode])
+        if to_mode is not None:
+            target[to_mode] += 1
+            amplitude *= math.sqrt(state[to_mode] + 1)
+        j = index_of.get(tuple(target))
+        if j is not None:
+            mat[j, i] = amplitude
+    return mat
+
+
+def dense_hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> np.ndarray:
+    """The chain Hamiltonian summed from one dense matrix per coupling."""
+    layout = basis.layout
+    dim = basis.dim
+    h = np.zeros((dim, dim), dtype=complex)
+    occ = basis.occupations
+    for i in layout.indices(ModeKind.PHOTON):
+        h[np.diag_indices(dim)] += config.omega_p * occ[:, i]
+    for i in layout.indices(ModeKind.EXCITON):
+        h[np.diag_indices(dim)] += config.omega_a * occ[:, i]
+    for i in layout.indices(ModeKind.PHONON):
+        h[np.diag_indices(dim)] += config.omega_g * occ[:, i]
+    photon, exciton = layout.indices(ModeKind.PHOTON), layout.indices(ModeKind.EXCITON)
+    couplings = [(config.k, p, q) for p, q in zip(photon, photon[1:])]
+    couplings += [(config.mu, p, x) for p, x in zip(photon, exciton)]
+    for strength, src, dst in couplings:
+        move = dense_transfer(basis, src, dst)
+        h += strength * move + np.conj(strength) * move.conj().T
+    if config.dephasing is DephasingModel.UNITARY_PHONON:
+        strength = config.g + np.conj(config.g)
+        for site in range(1, config.n_atoms + 1):
+            b = layout.index(ModeKind.PHONON, site)
+            displacement = dense_transfer(basis, b, None) + dense_transfer(basis, None, b)
+            n_exc = np.diag(occ[:, layout.index(ModeKind.EXCITON, site)].astype(complex))
+            h += strength * (displacement @ n_exc)
+    return h
+
+
+def dense_jumps(config: ChainConfig, basis: ProjectedBasis) -> dict[str, np.ndarray]:
+    """Each jump operator L = rate * A by its label, as a dense matrix."""
+    layout = basis.layout
+    n = config.n_atoms
+    jumps = {}
+    if config.rate_in > 0:
+        pump = dense_transfer(basis, None, layout.index(ModeKind.PHOTON, 1))
+        jumps["input"] = config.rate_in * pump
+    if config.rate_out > 0:
+        source_kind = (
+            ModeKind.PHOTON
+            if config.sink_coupling is SinkCoupling.LAST_PHOTON
+            else ModeKind.EXCITON
+        )
+        drain = dense_transfer(
+            basis, layout.index(source_kind, n), layout.index(ModeKind.SINK, n)
+        )
+        jumps["output"] = config.rate_out * drain
+    if config.dephasing is DephasingModel.LINDBLAD_LIKE and config.g > 0:
+        target_kind = (
+            ModeKind.PHOTON
+            if config.dephasing_target is DephasingTarget.PHOTON_NUMBER
+            else ModeKind.EXCITON
+        )
+        for site in range(1, n + 1):
+            mode = layout.index(target_kind, site)
+            jumps[f"dephasing_{site}"] = config.g * number_op(basis, mode).elements
+    if config.cavity_loss > 0:
+        for site in range(1, n + 1):
+            leak = dense_transfer(basis, layout.index(ModeKind.PHOTON, site), None)
+            jumps[f"loss_{site}"] = config.cavity_loss * leak
+    return jumps
+
+
 def observable(rho: DensityMatrix, op: Operator) -> float:
     """Re tr(op * rho); complains if a Hermitian observable turns complex."""
     assert rho.basis is op.basis, "state and operator live on different bases"
@@ -68,7 +162,7 @@ def dense_step(hamiltonian: Operator, terms, dt: float):
     unitary_dag = unitary.conj().T.copy()
     dim = hamiltonian.basis.dim
     if terms:
-        jumps = np.stack([t.operator for t in terms])
+        jumps = np.stack([t.operator.dense() for t in terms])
         jumps_dag = jumps.conj().transpose(0, 2, 1).copy()
         # 0.5 * sum of L^dag L, shared by both anticommutator halves
         half_rate = 0.5 * np.einsum("aij,ajk->ik", jumps_dag, jumps)

@@ -479,6 +479,13 @@ def test_exit_codes_on_bad_input(tmp_path):
             ("--t-max", "1", "--target", "0.5"),
             "error: cell rate_out=1e+100: trace not within 1e-06 of 1 at step 1: 0.0\n",
         ),
+        (
+            # dt * rate**2 = 9: the trace holds, and the sink runs 9, -63, ...
+            "evolve",
+            "n_atoms=1 mu=0.8 rate_out=30\n",
+            ("--t-max", "0.05"),
+            "error: sink not within [-1e-06, trace + 1e-06] at step 1: 9.0\n",
+        ),
     ],
 )
 def test_run_that_blows_up_exits_2_naming_the_step(

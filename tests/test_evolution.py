@@ -45,6 +45,7 @@ from cavitychain.model import (
     build_basis,
 )
 from cavitychain.modes import (
+    ColumnMap,
     DensityMatrix,
     ModeKind,
     ModeLayout,
@@ -219,7 +220,13 @@ PHOTON_1, EXCITON_1, PHOTON_2, EXCITON_2 = 0, 1, 2, 3
 )
 def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
     basis = two_site_basis()
-    term = LindbladTerm("mixer", sum(transfer_op(basis, a, b) for a, b in moves), "rate_out")
+    # the sum of the moves, whose nonzeros lie in distinct places
+    parts = [transfer_op(basis, a, b) for a, b in moves]
+    mixer = ColumnMap(basis.dim, *(
+        np.concatenate([getattr(part, name) for part in parts])
+        for name in ("sources", "targets", "amplitudes")
+    ))
+    term = LindbladTerm("mixer", mixer, "rate_out")
     h = Operator(basis, np.zeros((basis.dim, basis.dim)))
     with pytest.raises(ValueError, match=f"^mixer: .*{match}"):
         StepEngine(h, [term], 0.01)
@@ -605,18 +612,21 @@ def test_positivity_flags_and_minimum_of_criterion_10_config():
 def test_positivity_screen_leaves_few_samples_exact(monkeypatch):
     """On the benchmark's n=3 trajectory the running minimum stops falling by
     step 84, so three chunks of 32 take exact eigenvalues and the screen
-    clears the other 29."""
-    exact = []
-    min_eigenvalue = Sectors.min_eigenvalue
+    clears the other 29.  Of those three, only the first solves every block:
+    in the other two only the four 15 x 15 blocks fail the screen."""
+    exact = []  # blocks solved, per eigenvalue call
+    eigvalsh = np.linalg.eigvalsh
 
-    def counted(sectors, states):
-        exact.append(len(states))
-        return min_eigenvalue(sectors, states)
+    def counted(blocks, *args, **kwargs):
+        exact.append(int(np.prod(blocks.shape[:-2])))
+        return eigvalsh(blocks, *args, **kwargs)
 
-    monkeypatch.setattr(Sectors, "min_eigenvalue", counted)
-    record = evolve(ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5), 10.0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    config = ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+    sizes = assemble(config).basis.sectors.sizes
+    record = evolve(config, 10.0)
     assert len(record.times) == 1001
-    assert sum(exact) <= 3 * CHUNK_STEPS
+    assert sum(exact) <= CHUNK_STEPS * len(sizes) + 2 * CHUNK_STEPS * sizes.count(15)
     assert record.positivity_flags.sum() == 0
     assert POSITIVITY_FLOOR < record.min_eigenvalue_seen < 0
 
@@ -651,6 +661,29 @@ def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
     for step, state in ((0, packed), (5, packed), (10, bad), (15, packed)):
         reader.add(step, state)
     with pytest.raises(ArithmeticError, match="^state not finite at step 10: "):
+        reader.read()
+
+
+@pytest.mark.parametrize(
+    "photon,sink,failure",
+    [
+        # the trace holds, and the sink lies below zero
+        (1 + 2e-6, -2e-6, "^sink not within \\[-1e-06, trace \\+ 1e-06\\] at step 10: -2e-06$"),
+        # half the population lost: the trace, where both fail
+        (0.5, -2e-6, "^trace not within 1e-06 of 1 at step 10: 0.499998$"),
+    ],
+)
+def test_sample_reader_applies_the_sweep_trace_and_sink_rules(photon, sink, failure):
+    chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
+    basis, sectors = chain.basis, chain.basis.sectors
+    reader = SampleReader(basis)
+    packed = sectors.pack(chain.initial.elements)
+    bad = packed.copy()
+    bad[sectors.diagonal[basis.state_index((1, 0, 0))]] = photon
+    bad[sectors.diagonal[basis.state_index((0, 0, 1))]] = sink
+    for step, state in ((0, packed), (5, packed), (10, bad), (15, bad)):
+        reader.add(step, state)
+    with pytest.raises(ArithmeticError, match=failure):
         reader.read()
 
 

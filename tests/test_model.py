@@ -210,7 +210,7 @@ def test_single_output_term():
     basis = build_basis(config)
     terms = assemble(config).lindblad_terms
     assert [t.label for t in terms] == ["output"]
-    op = terms[0].operator
+    op = terms[0].operator.dense()
     # moves the last-cavity photon onto the sink with the rate folded in
     src = basis.state_index((0, 0, 1, 0, 0))
     dst = basis.state_index((0, 0, 0, 0, 1))
@@ -243,7 +243,7 @@ def test_full_term_order_and_rate_folding():
         "loss_1",
         "loss_2",
     ]
-    by_label = {t.label: t.operator for t in terms}
+    by_label = {t.label: t.operator.dense() for t in terms}
     vac = basis.state_index((0, 0, 0, 0, 0))
     p1 = basis.state_index((1, 0, 0, 0, 0))
     assert by_label["input"][p1, vac] == pytest.approx(1.0)
@@ -266,7 +266,7 @@ def test_exciton_sink_coupling():
         n_atoms=2, rate_out=2.0, sink_coupling=SinkCoupling.LAST_EXCITON
     )
     basis = build_basis(config)
-    op = assemble(config).lindblad_terms[0].operator
+    op = assemble(config).lindblad_terms[0].operator.dense()
     src = basis.state_index((0, 0, 0, 1, 0))
     dst = basis.state_index((0, 0, 0, 0, 1))
     assert op[dst, src] == pytest.approx(2.0)
@@ -277,7 +277,7 @@ def test_exciton_dephasing_target():
         n_atoms=1, g=0.4, dephasing_target=DephasingTarget.EXCITON_NUMBER
     )
     basis = build_basis(config)
-    op = assemble(config).lindblad_terms[0].operator
+    op = assemble(config).lindblad_terms[0].operator.dense()
     np.testing.assert_allclose(
         np.diag(op).real, 0.4 * basis.occupations[:, 1], atol=1e-12
     )
@@ -292,7 +292,7 @@ def test_term_quanta_bookkeeping():
     n_quanta = total_quanta_op(basis).elements
     shifts = {"input": 1, "output": 0, "dephasing_1": 0, "dephasing_2": 0, "loss_1": -1, "loss_2": -1}
     for term in assemble(config).lindblad_terms:
-        l = term.operator
+        l = term.operator.dense()
         comm = n_quanta @ l - l @ n_quanta
         np.testing.assert_allclose(
             comm, shifts[term.label] * l, atol=1e-12, err_msg=term.label
@@ -334,3 +334,10 @@ def test_assemble_bundle():
     assert hermiticity_defect(chain.hamiltonian.elements) <= 1e-12
     assert [t.label for t in chain.lindblad_terms] == ["output"]
     assert trace(chain.initial) == pytest.approx(1.0)
+
+
+def test_assemble_leaves_the_sectors_unbuilt():
+    # the couplings and jumps are column maps over basis states, so nothing in
+    # assembly needs the (N, sink) blocks, which the first engine builds
+    chain = assemble(ChainConfig(n_atoms=2, k=1.0, mu=1.0, g=0.3, rate_in=1.5, rate_out=1.5))
+    assert "sectors" not in vars(chain.basis)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavitychain.modes import (
+    ColumnMap,
     DensityMatrix,
     ModeKind,
     ModeLayout,
@@ -53,6 +54,21 @@ def test_two_site_window_0_1():
     assert basis.state_index((1, 0, 0, 0, 0)) == 5
 
 
+@pytest.mark.parametrize(
+    "occupation",
+    [
+        (1, 1, 0, 0, 0),  # two quanta in a one-quantum window
+        (3, 0, 0, 0, 0),  # a digit past its place: the key of (0, 1, 0, 0, 0)
+        (-1, 1, 0, 0, 0),  # a borrow: the key of (2, 0, 0, 0, 0)
+        (0, 0, 0, 0),  # too short
+    ],
+)
+def test_state_index_refuses_states_outside_the_basis(occupation):
+    basis = enumerate_basis(ModeLayout(2), 1)
+    with pytest.raises(KeyError):
+        basis.state_index(occupation)
+
+
 def test_vacuum_only_window():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, 0)
@@ -77,9 +93,9 @@ def test_enumeration_matches_brute_force(seed):
     max_quanta, phonon_cap = int(rng.integers(1, 5)), int(rng.integers(0, 3))
     basis = enumerate_basis(layout, max_quanta, phonon_cap=phonon_cap)
     assert list(basis.states) == brute_force_states(layout, max_quanta, phonon_cap)
-    # index_of round-trips
+    # state_index round-trips
     for j, s in enumerate(basis.states):
-        assert basis.index_of[s] == j
+        assert basis.state_index(s) == j
 
 
 def test_enumeration_deterministic():
@@ -112,7 +128,7 @@ def test_ladder_matches_kron_construction():
         expected = factors[0]
         for f in factors[1:]:
             expected = np.kron(expected, f)
-        got = transfer_op(basis, None, mode)
+        got = transfer_op(basis, None, mode).dense()
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -121,8 +137,8 @@ def test_projected_ladder_agrees_with_full_space_restriction():
     small = enumerate_basis(layout, 1)
     full = enumerate_basis(layout, *full_window(layout))
     for mode in range(len(layout.modes)):
-        op_small = transfer_op(small, None, mode)
-        op_full = transfer_op(full, None, mode)
+        op_small = transfer_op(small, None, mode).dense()
+        op_full = transfer_op(full, None, mode).dense()
         for i, src in enumerate(small.states):
             for j, dst in enumerate(small.states):
                 fi = full.state_index(src)
@@ -135,8 +151,9 @@ def test_transfer_equals_product_on_full_window():
     basis = enumerate_basis(layout, *full_window(layout, phonon_cap=2))
     pairs = [(0, 3), (3, 0), (0, 1), (4, 6), (1, 4), (2, 5), (5, 2)]
     for src, dst in pairs:
-        direct = transfer_op(basis, src, dst)
-        lower_then_raise = transfer_op(basis, None, dst) @ transfer_op(basis, src, None)
+        direct = transfer_op(basis, src, dst).dense()
+        lower = transfer_op(basis, src, None).dense()
+        lower_then_raise = transfer_op(basis, None, dst).dense() @ lower
         np.testing.assert_allclose(direct, lower_then_raise, atol=1e-12)
 
 
@@ -146,8 +163,8 @@ def test_transfer_survives_tight_window():
     layout = ModeLayout(2)
     basis = enumerate_basis(layout, 1)
     full = enumerate_basis(layout, *full_window(layout))
-    hop_small = transfer_op(basis, 0, 2)
-    hop_full = transfer_op(full, 0, 2)
+    hop_small = transfer_op(basis, 0, 2).dense()
+    hop_full = transfer_op(full, 0, 2).dense()
     for i, src in enumerate(basis.states):
         for j, dst in enumerate(basis.states):
             assert hop_small[j, i] == hop_full[full.state_index(dst), full.state_index(src)]
@@ -155,7 +172,7 @@ def test_transfer_survives_tight_window():
     p2 = basis.state_index((0, 0, 1, 0, 0))
     assert hop_small[p2, p1] == 1.0
     # the naive product is zero here: raising first leaves the window
-    product = transfer_op(basis, 0, None) @ transfer_op(basis, None, 2)
+    product = transfer_op(basis, 0, None).dense() @ transfer_op(basis, None, 2).dense()
     assert np.abs(product).max() == 0.0
 
 
@@ -173,14 +190,14 @@ def test_transfer_validation():
 def test_raise_out_of_window_projects_to_zero():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, 0)
-    op = transfer_op(basis, None, 0)
+    op = transfer_op(basis, None, 0).dense()
     np.testing.assert_array_equal(op, np.zeros((1, 1)))
 
 
 def test_three_level_matrix_element():
     layout = ModeLayout(1, phonons=True)
     basis = enumerate_basis(layout, *full_window(layout, phonon_cap=2))
-    op = transfer_op(basis, None, layout.index(ModeKind.PHONON, 1))
+    op = transfer_op(basis, None, layout.index(ModeKind.PHONON, 1)).dense()
     one = basis.state_index((0, 0, 1, 0))
     two = basis.state_index((0, 0, 2, 0))
     assert op[two, one] == pytest.approx(np.sqrt(2))
@@ -193,8 +210,8 @@ def test_lower_is_adjoint_of_raise():
     ]
     for basis in bases:
         for mode in range(len(basis.layout.modes)):
-            lo = transfer_op(basis, mode, None)
-            ra = transfer_op(basis, None, mode)
+            lo = transfer_op(basis, mode, None).dense()
+            ra = transfer_op(basis, None, mode).dense()
             np.testing.assert_allclose(lo, ra.conj().T, atol=1e-12)
 
 
@@ -202,7 +219,8 @@ def test_raise_lower_product_is_number_op():
     layout = ModeLayout(2, phonons=True)
     basis = enumerate_basis(layout, 3, phonon_cap=2)
     for mode in range(len(layout.modes)):
-        prod = transfer_op(basis, None, mode) @ transfer_op(basis, mode, None)
+        lower = transfer_op(basis, mode, None).dense()
+        prod = transfer_op(basis, None, mode).dense() @ lower
         np.testing.assert_allclose(prod, number_op(basis, mode).elements, atol=1e-12)
 
 
@@ -230,7 +248,7 @@ def test_two_level_anticommutator_is_identity():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, *full_window(layout))
     mode = layout.index(ModeKind.EXCITON, 1)
-    ra, lo = transfer_op(basis, None, mode), transfer_op(basis, mode, None)
+    ra, lo = transfer_op(basis, None, mode).dense(), transfer_op(basis, mode, None).dense()
     anti = lo @ ra + ra @ lo
     np.testing.assert_allclose(anti, np.eye(basis.dim), atol=1e-12)
 
@@ -239,7 +257,7 @@ def test_operator_algebra_flags():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, 1)
     assert hermiticity_defect(number_op(basis, 0).elements) <= 1e-12
-    assert isinstance(transfer_op(basis, 0, 1), np.ndarray)
+    assert isinstance(transfer_op(basis, 0, 1), ColumnMap)
 
 
 def test_hermitian_tag_verified():

@@ -63,7 +63,7 @@ from cavitychain.model import (
     build_basis,
 )
 from cavitychain.modes import SECTOR_LEAK_TOL, ModeKind, hermiticity_defect
-from operator_oracles import dense_step, engine_step_map
+from operator_oracles import dense_hamiltonian, dense_jumps, dense_step, engine_step_map
 
 MAX_DIM = 32
 # with run times up to 3.0, every dt here keeps a run at <= 300 steps
@@ -170,6 +170,65 @@ def sector_chains(draw):
     )
     assume(build_basis(config).dim <= 128)
     return config
+
+
+def bits(matrix: np.ndarray) -> np.ndarray:
+    """The bit patterns of a complex matrix's real and imaginary parts, sign bits included."""
+    return np.ascontiguousarray(matrix).view(np.uint64)
+
+
+signed_strengths = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def operator_chains(draw):
+    """A chain up to three sites and dimension 128 with signed couplings and
+    energies, any dephasing (phonons holding up to two quanta), any sink
+    coupling, and any of the pump, the drain and cavity loss."""
+    config = ChainConfig(
+        n_atoms=draw(st.integers(1, 3)),
+        k=draw(signed_strengths),
+        mu=draw(signed_strengths),
+        g=draw(strengths),
+        omega_a=draw(signed_strengths),
+        omega_p=draw(signed_strengths),
+        omega_g=draw(signed_strengths),
+        rate_in=draw(st.sampled_from((0.0, 0.7, 1.5))),
+        rate_out=draw(st.floats(0.0, 2.0)),
+        cavity_loss=draw(st.sampled_from((0.0, 0.2))),
+        dephasing=draw(st.sampled_from(DephasingModel)),
+        sink_coupling=draw(st.sampled_from(SinkCoupling)),
+        dephasing_target=draw(st.sampled_from(DephasingTarget)),
+        phonon_cap=draw(st.integers(1, 2)),
+    )
+    assume(build_basis(config).dim <= 128)
+    return config
+
+
+@settings(max_examples=60)
+@given(operator_chains())
+# negative couplings and energies, and a zero of each sign, with phonons
+@example(
+    ChainConfig(
+        n_atoms=2, k=-0.0, mu=-0.7, g=0.4, omega_a=-0.3, omega_p=0.0, omega_g=-0.0,
+        rate_out=0.6, cavity_loss=0.2, dephasing=DephasingModel.UNITARY_PHONON,
+        sink_coupling=SinkCoupling.LAST_EXCITON, phonon_cap=2,
+    )
+)
+# every kind of jump at dimension 128
+@example(
+    ChainConfig(n_atoms=3, k=-1.0, mu=1.0, g=0.5, rate_in=1.5, rate_out=1.5, cavity_loss=0.2)
+)
+def test_column_maps_densify_to_the_dense_construction(config):
+    """H, scattered from the couplings' column maps, and every jump's map,
+    densified, equal the sum of dense matrices bit for bit."""
+    chain = assemble(config)
+    basis = chain.basis
+    assert np.array_equal(bits(chain.hamiltonian.elements), bits(dense_hamiltonian(config, basis)))
+    expected = dense_jumps(config, basis)
+    assert [term.label for term in chain.lindblad_terms] == list(expected)
+    for term in chain.lindblad_terms:
+        assert np.array_equal(bits(term.operator.dense()), bits(expected[term.label])), term.label
 
 
 # The derandomized draws rarely reach long runs on large chains, so the
