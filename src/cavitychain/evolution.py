@@ -67,13 +67,10 @@ POSITIVITY_FLOOR = -1e-6
 # is far above both, so the exact eigenvalues of a screened state stay above
 # the base of the shift.
 SCREEN_MARGIN = 1e-12
-# A sampled state or sweep step fails when its trace is farther than this
-# from 1, or its sink lies farther than this outside [0, trace], NaN and inf
-# included.  The Euler dissipator keeps the trace, so a stable run drifts by
-# roundoff (about 2e-12 on a dat grid); at rate_out 1e100 the sink is 1e198
-# and the trace 0 after one step.  An unstable step that keeps the trace
-# still drives the sink out of [0, trace]: at rate_out 30 and dt 0.01 the
-# cavity population changes sign every step, and the sink passes the trace.
+# The tolerance of ``first_failure``.  The Euler dissipator keeps the trace,
+# so a stable run drifts by roundoff (about 2e-12 on a dat grid); an
+# unstable step loses it (a trace of 0 after one step at rate_out 1e100) or,
+# keeping it, drives the sink past it (9.0 at step 1 at rate_out 30, dt 0.01).
 TRACE_TOL = 1e-6
 ORACLE_MAX_DIM = 16
 TAYLOR_TOL = 1e-12
@@ -93,6 +90,34 @@ def _quiet_overflow() -> np.errstate:
     and each stack's ``_read_stack`` in ``experiments._cell_outcomes``.
     """
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def first_failure(
+    steps: Sequence[int], sinks: np.ndarray, traces: np.ndarray, defects: np.ndarray | None = None
+) -> str | None:
+    """The message of the first step, in step order, that breaks the rule, or None.
+
+    The rule of both readers, ``SampleReader.read`` and a sweep's
+    ``experiments._read_stack``: a step holds when its trace lies within
+    TRACE_TOL of 1 and its sink within [-TRACE_TOL, trace + TRACE_TOL], NaN
+    and inf failing either bound.  The message names the step and its
+    trace, or its sink where the trace holds.  Given each step's Hermiticity
+    ``defects``, a step whose defect is not finite fails too, as not finite.
+    """
+    deviation = np.abs(traces - 1.0)
+    sink_holds = np.maximum(sinks - traces, -sinks) <= TRACE_TOL
+    holds = (deviation <= TRACE_TOL) & sink_holds
+    if defects is not None:
+        holds &= np.isfinite(defects)
+    if holds.all():
+        return None
+    row = int(holds.argmin())
+    at = f"at step {steps[row]}"
+    if not deviation[row] <= TRACE_TOL:  # the trace, where both fail
+        return f"trace not within {TRACE_TOL:g} of 1 {at}: {traces[row]}"
+    if not sink_holds[row]:
+        return f"sink not within [-{TRACE_TOL:g}, trace + {TRACE_TOL:g}] {at}: {sinks[row]}"
+    return f"state not finite {at}: Hermiticity defect {defects[row]}"
 
 
 def diagonalize(hamiltonian: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -824,12 +849,9 @@ class SampleReader:
     def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, hermiticity, flags) of the chunk's states, which it then drops.
 
-        values holds the sink, photon, exciton and trace columns.  A state
-        with a non-finite element raises ArithmeticError naming its step,
-        before the screen runs; so does, in a finite chunk, the first state
-        whose trace lies farther than TRACE_TOL from 1 or whose sink lies
-        outside [-TRACE_TOL, trace + TRACE_TOL], the rules of a sweep's
-        reader.
+        values holds the sink, photon, exciton and trace columns.  The first
+        state that fails ``first_failure``, given the defects too (which see,
+        with the trace, every element), raises ArithmeticError before the screen.
         """
         steps, self.steps = self.steps, []
         chunk = self.chunk[: len(steps)]
@@ -845,24 +867,9 @@ class SampleReader:
         ])
         pairs = np.abs(chunk[:, upper] - chunk[:, lower].conj()).max(axis=1, initial=0.0)
         hermiticity = np.maximum(pairs, 2 * np.abs(diagonal.imag).max(axis=1))
-        # every element reaches the trace column or the defect
-        finite = np.isfinite(values).all(axis=1) & np.isfinite(hermiticity)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ArithmeticError(
-                f"state not finite at step {steps[row]}: sink {values[row, 0]}, "
-                f"trace {values[row, -1]}, Hermiticity defect {hermiticity[row]}"
-            )
-        sinks, traces = values[:, 0], values[:, -1]
-        deviation = np.abs(traces - 1.0)
-        failing = (deviation > TRACE_TOL) | (np.maximum(sinks - traces, -sinks) > TRACE_TOL)
-        if failing.any():
-            row = int(np.argmax(failing))
-            at = f"at step {steps[row]}"
-            if deviation[row] > TRACE_TOL:  # the trace, where both fail
-                raise ArithmeticError(f"trace not within {TRACE_TOL:g} of 1 {at}: {traces[row]}")
-            bound = f"[-{TRACE_TOL:g}, trace + {TRACE_TOL:g}]"
-            raise ArithmeticError(f"sink not within {bound} {at}: {sinks[row]}")
+        failure = first_failure(steps, values[:, 0], values[:, -1], hermiticity)
+        if failure is not None:
+            raise ArithmeticError(failure)
         views = self.sectors.blocks(chunk)
         if self.seen < math.inf:
             views = self._screen(views, max(self.seen, POSITIVITY_FLOOR) + SCREEN_MARGIN)

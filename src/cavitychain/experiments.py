@@ -27,6 +27,7 @@ from .evolution import (
     CellSteps,
     _quiet_overflow,
     cell_stacks,
+    first_failure,
     step_count,
 )
 from .model import ChainConfig, DephasingModel, InitialState
@@ -206,14 +207,13 @@ def _read_stack(
     which may end the previous item; a crossing past t_max (the last step
     may overshoot it) is capped.  A SinkAtTime cell reads the sink at its
     last step.  Trace drift is the largest |trace - 1| over the steps up to
-    where the cell stops.  A step among those whose trace lies farther than
-    TRACE_TOL from 1, or whose sink lies outside [-TRACE_TOL, trace +
-    TRACE_TOL] (NaN and inf included), fails the cell with an
-    ArithmeticError naming the step and the trace, or the sink where the
-    trace holds, so every sink the objective reads is finite.  A cell
-    that stops or fails leaves the stack at that item: the mask sent back
-    keeps the others.  Only the states where cells stop are built, and
-    their minimum eigenvalues come from one ``Sectors.min_eigenvalue`` call.
+    where the cell stops.  The first of those steps that breaks
+    ``evolution.first_failure``, checked only where a bound on the whole
+    item fails, fails the cell with its message, so every sink the
+    objective reads is finite.  A cell that stops or fails leaves the
+    stack at that item: the mask sent back keeps the others.  Only the
+    states where cells stop are built, and their minimum eigenvalues come
+    from one ``Sectors.min_eigenvalue`` call.
     """
     reach = isinstance(objective, TimeToReach)
     first, values, state = next(steps)
@@ -252,21 +252,13 @@ def _read_stack(
         keep = None
         if len(crossings) or not held:
             leaving = np.zeros(len(cells), dtype=bool)
-            if not held:
-                outside = np.maximum(sinks - traces, -sinks)  # how far past [0, trace]
-                for row in crossings:
-                    outside[row, hits[row] + 1 :] = 0.0
-                failing = ~((deviation <= TRACE_TOL) & (outside <= TRACE_TOL))
-                leaving = failing.any(axis=1)
-                for row in np.flatnonzero(leaving):
-                    col = int(failing[row].argmax())
-                    at = f"at step {first + col}"
-                    if deviation[row, col] <= TRACE_TOL:
-                        bound = f"[-{TRACE_TOL:g}, trace + {TRACE_TOL:g}]"
-                        failure = f"sink not within {bound} {at}: {sinks[row, col]}"
-                    else:  # the trace, where both fail
-                        failure = f"trace not within {TRACE_TOL:g} of 1 {at}: {traces[row, col]}"
-                    ends[cells[row]] = ArithmeticError(failure)
+            if not held:  # the rule, on each row's steps up to its crossing
+                for row, (sink, trace) in enumerate(zip(sinks, traces)):
+                    n = hits[row] + 1 if row in crossings else len(sink)
+                    failure = first_failure(range(first, first + n), sink[:n], trace[:n])
+                    if failure is not None:
+                        leaving[row] = True
+                        ends[cells[row]] = ArithmeticError(failure)
             stopping, at = [], []
             for row in crossings:
                 if leaving[row]:

@@ -464,7 +464,7 @@ def test_exit_codes_on_bad_input(tmp_path):
             "evolve",
             "n_atoms=1 mu=0.8 rate_out=1e100\n",
             ("--t-max", "1"),
-            " not finite at step ",
+            "error: trace not within 1e-06 of 1 at step 1: 0.0\n",
         ),
         (
             "sweep",

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavitychain.evolution import evolve
+from cavitychain import experiments
+from cavitychain.evolution import TRACE_TOL, SampleReader, _quiet_overflow, evolve
 from cavitychain.experiments import (
     OptimalRate,
     ReachTime,
@@ -24,7 +25,7 @@ from cavitychain.experiments import (
     run_sweep,
     time_to_reach,
 )
-from cavitychain.model import ChainConfig, DephasingModel, SinkCoupling
+from cavitychain.model import ChainConfig, DephasingModel, SinkCoupling, assemble
 
 
 def transport_config(**overrides):
@@ -224,6 +225,64 @@ def test_reader_fails_on_a_non_finite_sink_it_reads():
     assert read_cell(steps, SinkAtTime(0.2)).value == 1.0000005
 
 
+def read_failure(read):
+    """The message of the ArithmeticError that read() raises, or None, run with
+    numpy's overflow warnings off as each reader is in evolve and in a sweep."""
+    try:
+        with _quiet_overflow():
+            read()
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
+SINK_BOUND = "sink not within [-1e-06, trace + 1e-06] at step 1: "
+TRACE_BOUND = "trace not within 1e-06 of 1 at step 1: "
+
+
+@pytest.mark.parametrize(
+    "sink,photon,failure",
+    [
+        # the trace at either end of 1 +- TRACE_TOL; 1 - 1e-6 itself rounds to
+        # a double 1.0000000000287557e-06 below 1, so the lower end is the
+        # next double above it
+        (0.0, 1 + TRACE_TOL, None),
+        (0.0, np.nextafter(1 - TRACE_TOL, 1.0), None),
+        # the trace just beyond either end
+        (0.0, 1 + 1.1e-6, TRACE_BOUND + "1.0000011"),
+        (0.0, 1 - 1.1e-6, TRACE_BOUND + "0.9999989"),
+        # the trace holds, and the sink lies just below -TRACE_TOL or just
+        # above trace + TRACE_TOL
+        (-1.1e-6, 1 + 1.1e-6, SINK_BOUND + "-1.1e-06"),
+        (1 + 1.1e-6, -1.1e-6, SINK_BOUND + "1.0000011"),
+        # half the population lost: the trace, where both fail
+        (-2e-6, 0.5, TRACE_BOUND + "0.499998"),
+        (0.0, np.nan, TRACE_BOUND + "nan"),
+        (np.inf, 0.0, TRACE_BOUND + "inf"),
+    ],
+    ids=[
+        "trace-upper-end", "trace-lower-end", "trace-past-upper-end", "trace-past-lower-end",
+        "sink-below", "sink-above-trace", "sink-and-trace-fail", "nan", "inf",
+    ],
+)
+def test_both_readers_apply_one_rule(sink, photon, failure):
+    """A state of photon and sink populations alone, whose trace is their sum,
+    fails with the same message, or holds, as step 1 of a trajectory's
+    chunk (``SampleReader``) and as step 1 of a sweep cell (``_read_stack``)."""
+    chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
+    basis, sectors = chain.basis, chain.basis.sectors
+    packed = sectors.pack(chain.initial.elements)
+    state = packed.copy()
+    state[sectors.diagonal[basis.state_index((1, 0, 0))]] = photon
+    state[sectors.diagonal[basis.state_index((0, 0, 1))]] = sink
+    reader = SampleReader(basis)
+    reader.add(0, packed)
+    reader.add(1, state)
+    stream = chunk_stream([(0.0, 1.0)], [(sink, sink + photon)])
+    sampled = read_failure(reader.read)
+    assert sampled == read_failure(lambda: read_cell(stream, SinkAtTime(0.1))) == failure
+
+
 def test_sweep_cell_that_blows_up_fails_naming_the_cell():
     base = ChainConfig(n_atoms=1, mu=0.8)
     # a rate whose square overflows stops at the config boundary
@@ -292,6 +351,29 @@ def test_sweep_cell_that_blows_up_fails_naming_the_cell():
             run_sweep(spec)
 
 
+def test_calm_sweeps_pay_only_the_bound_on_each_item(monkeypatch):
+    """Every item of a calm cell passes ``_read_stack``'s bound on the whole
+    item, so the exact rule never runs there."""
+
+    def unreachable(*args):
+        raise AssertionError("the exact rule ran on a calm sweep")
+
+    monkeypatch.setattr(experiments, "first_failure", unreachable)
+    dat = SweepSpec(
+        base=ChainConfig(n_atoms=2, k=0.8, mu=0.2, sink_coupling=SinkCoupling.LAST_EXCITON),
+        axis1=SweepAxis("rate_out", (0.5, 1.0)),
+        axis2=SweepAxis("g", (0.0, 0.3)),
+        objective=SinkAtTime(5.0),
+    )
+    assert run_sweep(dat).grid.shape == (2, 2)
+    row = SweepSpec(
+        base=transport_config(),
+        axis1=SweepAxis("rate_out", (0.5, 1.5, 3.0)),
+        objective=TimeToReach(0.5, 20.0),
+    )
+    assert not run_sweep(row).cap_mask.any()
+
+
 def test_numpy_error_state_never_leaks():
     """The readers turn numpy's overflow warnings off only while they read:
     the caller's error state holds again once each entry point returns or
@@ -302,7 +384,7 @@ def test_numpy_error_state_never_leaks():
     axis = SweepAxis("rate_out", (0.5, 1e100))
     runs = (
         (lambda: evolve(calm, 1.0), None),
-        (lambda: evolve(blown, 1.0), "^state not finite at step "),
+        (lambda: evolve(blown, 1.0), "^trace not within 1e-06 of 1 at step 1: "),
         (lambda: run_sweep(SweepSpec(calm, replace(axis, values=(0.5,)), SinkAtTime(1.0))), None),
         (lambda: run_sweep(SweepSpec(calm, axis, SinkAtTime(1.0))), "^cell rate_out=1e\\+100: "),
         (lambda: time_to_reach(calm, 0.5, 1.0), None),

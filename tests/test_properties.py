@@ -15,7 +15,9 @@ cell of a stack of cells against its outcome in a stack of one, and on two
 rows of cells, the outcomes of cells that share its buffers against those
 of cells with buffers of their own; on a four-site sweep, those of a short
 last stack, run in views of the sweep's buffers, against each cell's stack
-of one.
+of one.  On chains whose Euler step blows up, ``evolve`` and a one-cell
+sweep must fail with the same message on the stepped route, and with the
+same rule and step in one fixed run on each route.
 """
 
 import math
@@ -36,6 +38,7 @@ from cavitychain.evolution import (
     StepMaps,
     _expm_taylor,
     _unitary_blocks,
+    cell_route,
     chunked_cell_steps,
     evolve,
     evolve_assembled,
@@ -761,3 +764,63 @@ def test_shared_halves_give_each_cell_its_own_step_map(config, dt):
         own = engine_step_map(engine)
         shared = maps.step_map(cell, np.empty_like(own))
         assert np.abs(shared - own).max() <= STEP_MAP_MAX * np.abs(own).max(), cell
+
+
+@st.composite
+def unstable_chains(draw):
+    """(config, dt, n_steps): a route chain whose rate_out, or Lindblad g, is
+    set so that dt times its square is at least 4, an Euler step that blows up."""
+    config, dt = draw(route_chains()), draw(time_steps)
+    param = draw(st.sampled_from(("rate_out", "g")))
+    if param == "g":
+        config = replace(config, dephasing=DephasingModel.LINDBLAD_LIKE)
+    rate = math.sqrt(draw(st.floats(4.0, 1e4)) / dt)
+    return replace(config, **{param: rate}), dt, draw(st.integers(30, 300))
+
+
+def failures(config, dt, n_steps):
+    """The messages that evolve and a one-cell sweep of the run fail with
+    (without the sweep's cell), None for a run that holds."""
+    axis = SweepAxis("rate_out", (config.rate_out,))
+    spec = SweepSpec(base=config, axis1=axis, objective=SinkAtTime(n_steps * dt), dt=dt)
+    runs = (lambda: evolve(config, n_steps * dt, dt, sample_every=1), lambda: run_sweep(spec))
+    messages = []
+    for run in runs:
+        try:
+            run()
+            messages.append(None)
+        except ArithmeticError as exc:
+            messages.append(str(exc).removeprefix(f"cell rate_out={config.rate_out!r}: "))
+    return messages
+
+
+@settings(max_examples=30)
+@given(unstable_chains())
+def test_evolve_and_a_stepped_sweep_cell_fail_with_one_message(unstable):
+    """On the stepped route a cell's values are those of ``evolve``'s samples,
+    bit for bit, so the two readers name the same first step, rule and value.
+    The chunked route is not compared here: where the failure comes from
+    roundoff alone it can name another step, and its powers of S can
+    overflow against a coordinate that stays zero and fail a run that
+    ``evolve`` completes."""
+    with mock.patch.object(evolution, "cell_route", lambda sizes, n_steps: "stepped"):
+        sampled, swept = failures(*unstable)
+    assert sampled == swept
+
+
+# one unstable run on each cell route, where the sink rule fails each at a
+# step the two routes agree on
+UNSTABLE_RUNS = {
+    "stepped": (replace(PUMPED_PAIR, rate_out=30.0), 0.01, 20),
+    "chunked": (replace(DAT_PAIR, g=30.0), 0.01, 300),
+}
+
+
+@pytest.mark.parametrize("route", sorted(UNSTABLE_RUNS))
+def test_evolve_and_a_sweep_cell_fail_at_the_same_first_step(route):
+    config, dt, n_steps = UNSTABLE_RUNS[route]
+    assert cell_route(assemble(config).basis.sectors.sizes, n_steps) == route
+    # the value's last bits may differ between the routes
+    sampled, swept = (message.rpartition(": ")[0] for message in failures(config, dt, n_steps))
+    assert sampled == swept
+    assert sampled.startswith("sink not within ")
