@@ -19,10 +19,10 @@ the squared rates times one jump half per rate: ``StepMaps`` builds the
 halves once per sweep, the unitary one again only when the Hamiltonian
 changes, and sums them per cell into the stack; it also keeps the route's
 work arrays for the whole sweep.
-A trajectory reads its samples CHUNK_STEPS at a time (``SampleReader``):
-populations, Hermiticity and positivity in one pass per chunk, positivity
-by a shifted Cholesky screen that leaves the exact eigenvalues to the
-chunks where a state could be flagged or lower the minimum seen so far.
+A trajectory reads each block of ``iter_steps`` in one pass (``SampleReader``):
+populations, as a stepped sweep cell reads them, Hermiticity and positivity,
+by a shifted Cholesky screen that leaves the exact eigenvalues to the blocks
+where a state could be flagged or lower the minimum seen so far.
 A vectorized-Liouvillian oracle with a hand-rolled matrix exponential
 provides an independent second route for convergence testing.
 """
@@ -309,29 +309,52 @@ class TrajectoryRecord:
 
 
 def iter_steps(
-    chain: AssembledChain, dt: float, n_steps: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (step index, state) for steps 0..n_steps from the chain's initial state.
+    chain: AssembledChain, dt: float, n_steps: int, every: int = 1
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Yield (steps, states): the states at steps 0, every, 2 every, ... and n_steps, in blocks.
 
-    The one loop that steps a density matrix state by state, which
-    diagonalizes the Hamiltonian of the chain it steps: trajectories consume
-    it, and so do sweep cells on the stepped route (``cell_route`` sends the
-    others through the step map of ``chunked_cell_steps``).  Each yielded
-    state is a fresh packed vector of ``chain.basis.sectors`` that later
-    steps never write to.
+    The one step loop, which diagonalizes the Hamiltonian of the chain it
+    steps; trajectories and stepped sweep cells read its blocks.  states
+    holds the packed states of the listed steps, one row each, up to
+    CHUNK_STEPS rows or as many as fit in BLOCK_BYTES; it is a view of one
+    array that every block overwrites.
     """
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
     engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, dt)
     rho = chain.basis.sectors.pack(chain.initial.elements)
-    yield 0, rho
-    for i in range(1, n_steps + 1):
-        rho = engine.step(rho)
-        yield i, rho
+    rows = max(1, min(CHUNK_STEPS, BLOCK_BYTES // rho.nbytes))
+    block = np.empty((rows, len(rho)), dtype=complex)
+    sampled, step = range(0, n_steps + every, every), 0  # its last, at or past n_steps, is n_steps
+    for head in range(0, len(sampled), rows):
+        steps = [min(i, n_steps) for i in sampled[head : head + rows]]
+        for row, i in enumerate(steps):
+            for step in range(step + 1, i + 1):  # up to the state at step i
+                rho = engine.step(rho)
+            block[row] = rho
+        yield steps, block[: len(steps)]
 
 
 def sink_column(basis: ProjectedBasis) -> np.ndarray:
     """Sink occupation of every basis state, as weights over the populations."""
     layout = basis.layout
     return basis.occupations[:, layout.index(ModeKind.SINK, layout.n_sites)].astype(float)
+
+
+def _readout(
+    sectors: Sectors, weights: Sequence[np.ndarray], states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, values) of packed states: each one's diagonal, and one row of values.
+
+    A row holds the state's populations times each of the weights, the
+    ``sink_column`` first, then its trace.  It is the readout of every
+    stepped state, a sweep cell's and a trajectory sample's: each row is its
+    own vector products and sum, so no value depends on the other rows.
+    """
+    diagonal = np.take(states, sectors.diagonal, axis=1)
+    populations = diagonal.real
+    columns = [(populations[:, None, :] @ weight)[:, 0] for weight in weights]
+    return diagonal, np.column_stack([*columns, populations.sum(axis=1)])
 
 
 def unitary_map(hamiltonian: Operator, dt: float) -> np.ndarray:
@@ -432,9 +455,15 @@ def _real_map(step: np.ndarray, sectors: Sectors) -> np.ndarray:
     return real
 
 
-# A trajectory's samples are read CHUNK_STEPS at a time, and a chunked sweep
-# cell reads at least that many steps per product.
+# ``iter_steps`` yields at most CHUNK_STEPS stepped states per block, and a
+# chunked sweep cell reads at least that many steps per product.
 CHUNK_STEPS = 32
+# Bytes of one block of stepped states, which caps its rows: a pumped
+# four-site chain (M = 25 740, 412 kB a state) keeps CHUNK_STEPS rows, 13 MB,
+# and a pumped five-site one (M = 369 512, 5.9 MB a state) takes 2, where
+# CHUNK_STEPS rows would hold 189 MB.  Each row is read on its own, so no
+# value, flag or minimum depends on the number of rows.
+BLOCK_BYTES = 16_000_000
 # Fixed cost of one numpy product or step call from Python (dispatch,
 # temporaries, the loop around it), in complex multiply-adds.  A blocked
 # step at dim 6 counts 384 of them yet takes about 15 us, the time of some
@@ -457,12 +486,13 @@ STACK_BYTES = 1_500_000
 
 # (first step, values, state) items, each for the cells of one stack still
 # running: values is a (B, n, 2) array holding each cell's sink population
-# and trace at steps first .. first + n - 1, one step, or a block of chunks
-# of steps, and state(rows, steps) builds the packed states of the cells at
-# those rows of the stack, each at its own step of the item yielded last,
-# only when called; it raises ValueError for any other step.  values may be
-# a view that the next item overwrites.  Sending the generator a boolean
-# mask over the rows keeps only the cells it marks for the items after.
+# and trace at steps first .. first + n - 1, one block of ``iter_steps`` on
+# the stepped route and a block of chunks of steps on the chunked one, and
+# state(rows, steps) builds the packed states of the cells at those rows of
+# the stack, each at its own step of the item yielded last, only when
+# called; it raises ValueError for any other step.  values may be a view
+# that the next item overwrites.  Sending the generator a boolean mask over
+# the rows keeps only the cells it marks for the items after.
 CellSteps = Generator[
     tuple[int, np.ndarray, Callable[[Sequence[int], Sequence[int]], np.ndarray]],
     np.ndarray | None,
@@ -546,25 +576,26 @@ def cell_route(sizes: tuple[int, ...], n_steps: int) -> str:
 def stepped_cell_steps(chain: AssembledChain, dt: float, n_steps: int) -> CellSteps:
     """Sink and trace at steps 0..n_steps through ``iter_steps``, as a stack of one.
 
-    Each item is one step, and the cell's arithmetic is that of ``iter_steps``.
+    Each item is one block of ``iter_steps``, read by ``_readout``, so each
+    value is bit for bit the one that ``evolve`` samples at its step.
     """
-    sectors = chain.basis.sectors
-    sink_col = sink_column(chain.basis)
+    sectors, weights = chain.basis.sectors, [sink_column(chain.basis)]
 
     def state(rows: Sequence[int], steps: Sequence[int]) -> np.ndarray:
-        for i in steps:
-            if i != step:
-                raise ValueError(_stale_step(i, step, step))
-        return np.broadcast_to(rho, (len(rows), len(rho)))
+        _check_in_item(steps, first, last)
+        return states[np.subtract(steps, first)]
 
-    for step, rho in iter_steps(chain, dt, n_steps):
-        populations = sectors.populations(rho)
-        values = np.array([[[populations @ sink_col, populations.sum()]]])
-        yield step, values, state
+    for steps, states in iter_steps(chain, dt, n_steps):
+        first, last = steps[0], steps[-1]
+        yield first, _readout(sectors, weights, states)[1][None], state
 
 
-def _stale_step(i: int, first: int, last: int) -> str:
-    return f"no state at step {i}: the item yielded last holds steps {first}..{last}"
+def _check_in_item(steps: Sequence[int], first: int, last: int) -> None:
+    """ValueError for the first of the steps outside first..last, the item yielded last."""
+    for i in steps:
+        if not first <= i <= last:
+            held = f"the item yielded last holds steps {first}..{last}"
+            raise ValueError(f"no state at step {i}: {held}")
 
 
 class StepMaps:
@@ -712,9 +743,7 @@ def chunked_cell_steps(maps: StepMaps, configs: Sequence[ChainConfig]) -> CellSt
             raise ValueError(
                 f"no state at step {steps[0]}: another cell holds the step map's buffers"
             )
-        for i in steps:
-            if not first <= i <= last:
-                raise ValueError(_stale_step(i, first, last))
+        _check_in_item(steps, first, last)
         if last == 0:
             return _packed_state(sectors, maps.start[None].repeat(len(rows), axis=0))
         groups = {}  # the rows at each step of the block
@@ -805,72 +834,50 @@ def cell_stacks(
 
 
 class SampleReader:
-    """Diagnostics of sampled states, gathered CHUNK_STEPS at a time and read in one pass.
+    """Diagnostics of sampled states, read a block of ``iter_steps`` at a time in one pass.
 
-    ``add`` copies a packed state into the chunk, and ``read`` then reads
-    the chunk:
-
-    * One gather of the diagonal gives every population.  The sink, photon
-      and exciton columns come from one stacked product with their weights:
-      each state's row is its own vector product, the one a stepped sweep
-      cell takes (``stepped_cell_steps``), so a value does not depend on the
-      chunk it is read in.  The trace is the sum of the populations.
+    * ``_readout``, the readout of a stepped sweep cell, gives the sink,
+      photon and exciton columns and the trace, so no value depends on the
+      block it is read in.
     * Each state's Hermiticity defect is the largest of max |a_rc -
       conj(a_cr)| over the off-diagonal pairs and 2 |Im a_ii| over the
-      diagonal, one pass over the chunk each.
+      diagonal, one pass over the block each.
     * Positivity is screened.  With ``seen`` the exact minimum eigenvalue
-      of the chunks before, every block of every state less c*I, where
-      c = max(seen, POSITIVITY_FLOOR) + SCREEN_MARGIN, goes through a
-      batched Cholesky factorization per block size (1 x 1 blocks are
-      compared with c directly).  The blocks of a size whose factorization
-      succeeds lie above c in every state, so they can neither flag a state
-      nor lower ``seen``; only the sizes that fail take exact smallest
-      eigenvalues, and a chunk where none fails takes none.  The first
-      chunk takes them for every block (``Sectors.min_eigenvalue``).
+      of the states read before, every sector block of every state less
+      c*I, where c = max(seen, POSITIVITY_FLOOR) + SCREEN_MARGIN, goes
+      through a batched Cholesky factorization per block size (1 x 1
+      blocks are compared with c directly).  The blocks of a size whose
+      factorization succeeds lie above c in every state, so they can
+      neither flag a state nor lower ``seen``; only the sizes that fail
+      take exact smallest eigenvalues, and a read where none fails takes
+      none.  The first read takes them for every block
+      (``Sectors.min_eigenvalue``).
     """
 
     def __init__(self, basis: ProjectedBasis) -> None:
-        sectors = self.sectors = basis.sectors
+        self.sectors = basis.sectors
         layout = basis.layout
-        self.chunk = np.empty((CHUNK_STEPS, len(sectors.rows)), dtype=complex)
-        self.sink = sink_column(basis)
-        self.photon, self.exciton = (
+        self.weights = [sink_column(basis)] + [
             basis.occupations[:, list(layout.indices(kind))].astype(float)
             for kind in (ModeKind.PHOTON, ModeKind.EXCITON)
-        )
-        self.steps: list[int] = []
-        self.seen = math.inf  # the exact minimum eigenvalue of every chunk read
+        ]
+        self.seen = math.inf  # the exact minimum eigenvalue of every state read
 
-    def add(self, step: int, packed: np.ndarray) -> None:
-        """Copy the packed state at ``step`` into the chunk, which must not be full."""
-        self.chunk[len(self.steps)] = packed
-        self.steps.append(step)
-
-    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, hermiticity, flags) of the chunk's states, which it then drops.
+    def read(self, steps: Sequence[int], states: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(values, hermiticity, flags) of the packed states at these steps, one row each.
 
         values holds the sink, photon, exciton and trace columns.  The first
         state that fails ``first_failure``, given the defects too (which see,
         with the trace, every element), raises ArithmeticError before the screen.
         """
-        steps, self.steps = self.steps, []
-        chunk = self.chunk[: len(steps)]
-        diagonal = np.take(chunk, self.sectors.diagonal, axis=1)
-        populations = diagonal.real
-        rows = populations[:, None, :]
+        diagonal, values = _readout(self.sectors, self.weights, states)
         upper, lower = self.sectors.pairs
-        values = np.column_stack([
-            rows @ self.sink,
-            (rows @ self.photon)[:, 0],
-            (rows @ self.exciton)[:, 0],
-            populations.sum(axis=1),
-        ])
-        pairs = np.abs(chunk[:, upper] - chunk[:, lower].conj()).max(axis=1, initial=0.0)
+        pairs = np.abs(states[:, upper] - states[:, lower].conj()).max(axis=1, initial=0.0)
         hermiticity = np.maximum(pairs, 2 * np.abs(diagonal.imag).max(axis=1))
         failure = first_failure(steps, values[:, 0], values[:, -1], hermiticity)
         if failure is not None:
             raise ArithmeticError(failure)
-        views = self.sectors.blocks(chunk)
+        views = self.sectors.blocks(states)
         if self.seen < math.inf:
             views = self._screen(views, max(self.seen, POSITIVITY_FLOOR) + SCREEN_MARGIN)
             if not views:
@@ -903,8 +910,8 @@ def evolve_assembled(
     """Run the step loop on a prebuilt chain, sampling every few steps.
 
     Steps 0, sample_every, 2 sample_every, ... and the last step are
-    sampled.  ``SampleReader`` gathers their states CHUNK_STEPS at a time
-    and reads each full chunk, and the last partial one, in one pass.
+    sampled.  ``iter_steps`` yields their states in blocks, and
+    ``SampleReader`` reads each block in one pass.
     """
     try:
         sample_every = operator.index(sample_every)
@@ -912,18 +919,13 @@ def evolve_assembled(
         raise ValueError(f"sample_every must be an integer, got {sample_every!r}") from None
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    n_steps = step_count(t_end, dt)
     basis = chain.basis
     reader = SampleReader(basis)
     times, reads = [], []
     with _quiet_overflow():
-        for i, rho in iter_steps(chain, dt, n_steps):
-            if i % sample_every and i != n_steps:
-                continue
-            reader.add(i, rho)
-            times.append(i * dt)
-            if len(reader.steps) == CHUNK_STEPS or i == n_steps:
-                reads.append(reader.read())
+        for steps, states in iter_steps(chain, dt, step_count(t_end, dt), sample_every):
+            times += [i * dt for i in steps]
+            reads.append(reader.read(steps, states))
 
     values, hermiticity, flags = (np.concatenate(column) for column in zip(*reads))
     n = basis.layout.n_sites
@@ -936,7 +938,7 @@ def evolve_assembled(
         positivity_flags=flags,
         min_eigenvalue_seen=reader.seen,
         hermiticity=hermiticity,
-        final_state=DensityMatrix(basis, basis.sectors.unpack(rho)),
+        final_state=DensityMatrix(basis, basis.sectors.unpack(states[-1])),
     )
 
 

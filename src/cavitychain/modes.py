@@ -219,10 +219,6 @@ class Sectors:
         dense[self.rows, self.cols] = packed
         return dense
 
-    def populations(self, packed: np.ndarray) -> np.ndarray:
-        """Real diagonal of a packed state, in basis order."""
-        return packed[self.diagonal].real
-
     def min_eigenvalue(self, packed: np.ndarray) -> float | np.ndarray:
         """Smallest eigenvalue of a Hermitian packed state, or of each of a stack of them."""
         return lowest_eigenvalue(self.blocks(packed))

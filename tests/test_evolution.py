@@ -1,5 +1,6 @@
 """Step scheme, unitary, observables, and the superoperator oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cavitychain import evolution
 from cavitychain.evolution import (
+    BLOCK_BYTES,
     CHUNK_STEPS,
     POSITIVITY_FLOOR,
     STACK_BYTES,
@@ -21,6 +23,8 @@ from cavitychain.evolution import (
     cell_route,
     diagonalize,
     evolve,
+    evolve_assembled,
+    iter_steps,
     jump_map,
     stack_shape,
     step_count,
@@ -631,6 +635,77 @@ def test_positivity_screen_leaves_few_samples_exact(monkeypatch):
     assert POSITIVITY_FLOOR < record.min_eigenvalue_seen < 0
 
 
+# the criterion 10 chain, whose samples are flagged, and the pumped pair,
+# with phonons, whose running minimum takes the screen: 500 steps each
+BLOCK_CHAINS = {
+    "criterion_10": ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5),
+    "pumped_phonons": ChainConfig(
+        n_atoms=2, k=1.0, mu=1.0, g=0.3, rate_in=1.5, rate_out=1.5,
+        dephasing=DephasingModel.UNITARY_PHONON,
+    ),
+}
+
+
+def block_lengths(chain, n_steps, every):
+    return [len(steps) for steps, _ in iter_steps(chain, 0.01, n_steps, every)]
+
+
+@pytest.mark.parametrize("sample_every", [1, 7])
+@pytest.mark.parametrize("name", sorted(BLOCK_CHAINS))
+def test_evolve_record_does_not_depend_on_the_rows_of_a_block(monkeypatch, name, sample_every):
+    """Every field of the record, flags, minimum and final state included,
+    is the same bit for bit in blocks of one row and of CHUNK_STEPS rows;
+    at sample_every 7 the last step, 500, is not a multiple of it."""
+    chain = assemble(BLOCK_CHAINS[name])
+    samples = len(range(0, 500, sample_every)) + 1
+    assert block_lengths(chain, 500, sample_every)[:2] == [CHUNK_STEPS] * 2
+    records = [evolve_assembled(chain, 5.0, 0.01, sample_every)]
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", 0)
+    assert block_lengths(chain, 500, sample_every) == [1] * samples
+    records.append(evolve_assembled(chain, 5.0, 0.01, sample_every))
+    fields = [field.name for field in dataclasses.fields(TrajectoryRecord)]
+    one, full = ([np.asarray(getattr(r, f)).tobytes() for f in fields[:-1]] for r in records)
+    assert one == full
+    assert len(records[0].times) == samples and records[0].times[-1] == 5.0
+    assert np.array_equal(records[0].final_state.elements, records[1].final_state.elements)
+    if name == "criterion_10":
+        assert records[0].positivity_flags.sum() > 0
+
+
+@pytest.mark.parametrize("rows", [1, 3, CHUNK_STEPS])
+@pytest.mark.parametrize("n_steps,every", [(0, 1), (1, 1), (64, 1), (100, 7), (98, 7), (40, 50)])
+def test_iter_steps_yields_each_sampled_step_once(monkeypatch, rows, n_steps, every):
+    """Steps 0, every, 2 every, ... and n_steps, each once and in order, in
+    blocks of ``rows`` states but the last, each state the one at its step."""
+    chain = assemble(BLOCK_CHAINS["criterion_10"])
+    m = len(chain.basis.sectors.rows)
+    every_step = np.concatenate([s.copy() for _, s in iter_steps(chain, 0.01, n_steps)])
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", rows * 16 * m)
+    blocks = [(steps, states.copy()) for steps, states in iter_steps(chain, 0.01, n_steps, every)]
+    sampled = [i for steps, _ in blocks for i in steps]
+    assert sampled == sorted(set(range(0, n_steps + 1, every)) | {n_steps})
+    assert all(len(steps) == rows for steps, _ in blocks[:-1]) and len(blocks[-1][0]) <= rows
+    for steps, states in blocks:
+        assert np.array_equal(states, every_step[steps])
+
+
+def test_iter_steps_refuses_a_sampling_interval_below_one():
+    chain = assemble(BLOCK_CHAINS["criterion_10"])
+    for every in (0, -1):
+        with pytest.raises(ValueError, match=f"^every must be >= 1, got {every}$"):
+            next(iter_steps(chain, 0.01, 5, every))
+
+
+def test_block_rows_follow_the_bytes_of_a_state():
+    """A pumped four-site chain keeps blocks of CHUNK_STEPS states, and a
+    pumped five-site one, whose CHUNK_STEPS states would take 189 MB, two."""
+    pumped = {"k": 1.0, "mu": 1.0, "rate_in": 1.5, "rate_out": 1.5}
+    four = assemble(ChainConfig(n_atoms=4, **pumped))
+    assert block_lengths(four, CHUNK_STEPS, 1) == [CHUNK_STEPS, 1]
+    m = sum(b * b for b in build_basis(ChainConfig(n_atoms=5, **pumped)).sectors.sizes)
+    assert m == 369_512 and BLOCK_BYTES // (16 * m) == 2
+
+
 @pytest.mark.parametrize(
     "element,value",
     [
@@ -647,10 +722,10 @@ def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
     chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
     assert chain.basis.sectors.block[2:].tolist() == [1, 1]  # the (1, 0) block
     reader = SampleReader(chain.basis)
-    reader.seen = -1e-3  # so a chunk is screened, not read exactly
+    reader.seen = -1e-3  # so a block is screened, not read exactly
 
     def unreachable(*args):
-        raise AssertionError("the screen ran on a non-finite chunk")
+        raise AssertionError("the screen ran on a non-finite block")
 
     monkeypatch.setattr(SampleReader, "_screen", unreachable)
     monkeypatch.setattr(Sectors, "min_eigenvalue", unreachable)
@@ -658,8 +733,7 @@ def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
     packed = sectors.pack(chain.initial.elements)
     bad = packed.copy()
     bad[sectors.index(*element)] = value
-    for step, state in ((0, packed), (5, packed), (10, bad), (15, packed)):
-        reader.add(step, state)
+    states = np.stack([packed, packed, bad, packed])
     # a population reaches the trace, which names it; an off-diagonal
     # element reaches the Hermiticity defect alone
     if element[0] == element[1]:
@@ -667,7 +741,7 @@ def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
     else:
         failure = "^state not finite at step 10: Hermiticity defect "
     with pytest.raises(ArithmeticError, match=failure):
-        reader.read()
+        reader.read([0, 5, 10, 15], states)
 
 
 def test_observable_basics():

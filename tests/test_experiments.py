@@ -268,7 +268,7 @@ TRACE_BOUND = "trace not within 1e-06 of 1 at step 1: "
 def test_both_readers_apply_one_rule(sink, photon, failure):
     """A state of photon and sink populations alone, whose trace is their sum,
     fails with the same message, or holds, as step 1 of a trajectory's
-    chunk (``SampleReader``) and as step 1 of a sweep cell (``_read_stack``)."""
+    block (``SampleReader``) and as step 1 of a sweep cell (``_read_stack``)."""
     chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
     basis, sectors = chain.basis, chain.basis.sectors
     packed = sectors.pack(chain.initial.elements)
@@ -276,10 +276,8 @@ def test_both_readers_apply_one_rule(sink, photon, failure):
     state[sectors.diagonal[basis.state_index((1, 0, 0))]] = photon
     state[sectors.diagonal[basis.state_index((0, 0, 1))]] = sink
     reader = SampleReader(basis)
-    reader.add(0, packed)
-    reader.add(1, state)
     stream = chunk_stream([(0.0, 1.0)], [(sink, sink + photon)])
-    sampled = read_failure(reader.read)
+    sampled = read_failure(lambda: reader.read([0, 1], np.stack([packed, state])))
     assert sampled == read_failure(lambda: read_cell(stream, SinkAtTime(0.1))) == failure
 
 

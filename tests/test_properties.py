@@ -15,9 +15,11 @@ cell of a stack of cells against its outcome in a stack of one, and on two
 rows of cells, the outcomes of cells that share its buffers against those
 of cells with buffers of their own; on a four-site sweep, those of a short
 last stack, run in views of the sweep's buffers, against each cell's stack
-of one.  On chains whose Euler step blows up, ``evolve`` and a one-cell
-sweep must fail with the same message on the stepped route, and with the
-same rule and step in one fixed run on each route.
+of one.  A stepped cell's sink and trace must be ``evolve``'s samples bit
+for bit, in blocks of any number of rows.  On chains whose Euler step
+blows up, ``evolve`` and a one-cell sweep must fail with the same message
+on the stepped route, and with the same rule and step in one fixed run on
+each route.
 """
 
 import math
@@ -246,6 +248,11 @@ DAT_PAIR = ChainConfig(
 )
 
 
+def stepped_states(chain, dt, n_steps):
+    """The packed state of every step 0..n_steps of ``iter_steps``, one row each."""
+    return np.concatenate([states.copy() for _, states in iter_steps(chain, dt, n_steps)])
+
+
 @settings(max_examples=25)
 @given(sector_chains(), time_steps, st.integers(1, 200))
 # every kind of jump at dimension 128: pump, drain, dephasing and loss
@@ -258,11 +265,12 @@ DAT_PAIR = ChainConfig(
 )
 @example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4)
 def test_blocked_step_matches_dense_step(config, dt, n_steps):
+    """Every state of ``iter_steps``, across its blocks, is the dense step's."""
     chain = assemble(config)
     sectors = chain.basis.sectors
     step = dense_step(chain.hamiltonian, chain.lindblad_terms, dt)
     rho = chain.initial.elements
-    for i, blocks in iter_steps(chain, dt, n_steps):
+    for i, blocks in enumerate(stepped_states(chain, dt, n_steps)):
         if i:
             rho = step(rho)
         assert np.abs(sectors.unpack(blocks) - rho).max() <= BLOCKED_VS_DENSE_MAX
@@ -359,16 +367,16 @@ def test_chunked_sample_diagnostics_match_exact_per_sample_ones(
     config, dt, n_steps, sample_every
 ):
     """Flags and minimum equal those of ``Sectors.min_eigenvalue`` on every
-    sampled state, bit for bit, across chunk edges (up to 101 samples)."""
+    sampled state, bit for bit, across block edges (up to 101 samples)."""
     chain = assemble(config)
     basis = chain.basis
     sectors = basis.sectors
     record = evolve_assembled(chain, n_steps * dt, dt, sample_every)
     lowest, populations, defects = [], [], []
-    for i, rho in iter_steps(chain, dt, n_steps):
+    for i, rho in enumerate(stepped_states(chain, dt, n_steps)):
         if i % sample_every == 0 or i == n_steps:
             lowest.append(sectors.min_eigenvalue(rho))
-            populations.append(sectors.populations(rho))
+            populations.append(rho[sectors.diagonal].real)
             defects.append(hermiticity_defect(sectors.unpack(rho)))
     assert record.positivity_flags.tolist() == [int(x < POSITIVITY_FLOOR) for x in lowest]
     assert record.min_eigenvalue_seen == min(lowest)
@@ -567,7 +575,7 @@ def test_chunked_route_rebuilds_every_state_of_a_chunk(config, dt, n_steps, cell
     offset of every chunk is the stepped state at that step, for the top
     cell of a stack and for all its cells at once."""
     chain = assemble(config)
-    stepped = [rho for _, rho in iter_steps(chain, dt, n_steps)]
+    stepped = stepped_states(chain, dt, n_steps)
     seen = 0
     for first, values, state in chunked_cell(config, dt, n_steps, cells):
         for i in range(first, first + values.shape[1]):
@@ -586,7 +594,7 @@ def test_chunked_state_outside_the_item_yielded_last_raises():
     no other stack holds the buffers of the ``StepMaps``."""
     n_steps = 600
     chain = assemble(PUMPED_PAIR)
-    stepped = [rho for _, rho in iter_steps(chain, 0.01, n_steps)]
+    stepped = stepped_states(chain, 0.01, n_steps)
     maps = StepMaps(chain, PUMPED_PAIR, 0.01, n_steps, 1)
     steps = chunked_cell_steps(maps, [PUMPED_PAIR])
     items = [next(steps)[:2] for _ in range(2)]
@@ -613,15 +621,45 @@ def test_chunked_state_outside_the_item_yielded_last_raises():
         next(running)
 
 
-def test_stepped_state_outside_the_step_yielded_last_raises():
-    steps = stepped_cell_steps(assemble(PUMPED_PAIR), 0.01, 5)
-    for _ in range(3):
-        i, _, state = next(steps)
-    assert i == 2
-    assert state([0], [2]) is not None
-    for stale in (0, 1, 3):
-        with pytest.raises(ValueError, match=f"^no state at step {stale}: .* steps 2..2$"):
+def test_stepped_state_outside_the_block_yielded_last_raises():
+    """Items of a stepped cell are the blocks of ``iter_steps``: steps 0..31,
+    then 32..37.  A state is built only inside the item yielded last, and it
+    is a copy that the next block does not overwrite."""
+    n_steps = CHUNK_STEPS + 5
+    chain = assemble(PUMPED_PAIR)
+    stepped = stepped_states(chain, 0.01, n_steps)
+    steps = stepped_cell_steps(chain, 0.01, n_steps)
+    first, values, state = next(steps)
+    assert (first, values.shape) == (0, (1, CHUNK_STEPS, 2))
+    kept = state([0], [CHUNK_STEPS - 1])
+    first, values, state = next(steps)
+    assert (first, values.shape) == (CHUNK_STEPS, (1, 6, 2))
+    assert np.array_equal(kept[0], stepped[CHUNK_STEPS - 1])
+    # several rows at once, each at its own step of the block
+    at = [n_steps, CHUNK_STEPS, 35]
+    assert np.array_equal(state([0, 0, 0], at), stepped[at])
+    for stale in (0, CHUNK_STEPS - 1, n_steps + 1):
+        with pytest.raises(ValueError, match=f"^no state at step {stale}: .* steps 32..37$"):
             state([0], [stale])
+    assert next(steps, None) is None
+
+
+@settings(max_examples=30)
+@given(route_chains(), time_steps, st.integers(0, 3 * CHUNK_STEPS), st.integers(1, CHUNK_STEPS))
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4, 1)
+@example(PUMPED_PAIR, 0.01, 3 * CHUNK_STEPS + 4, 5)
+def test_stepped_cell_values_are_evolve_samples_bit_for_bit(config, dt, n_steps, rows):
+    """A stepped cell's sink and trace at every step are, bit for bit, the
+    sink and trace that ``evolve`` samples there, even in blocks of
+    another number of rows."""
+    chain = assemble(config)
+    m = len(chain.basis.sectors.rows)
+    with mock.patch.object(evolution, "BLOCK_BYTES", rows * 16 * m):
+        stepped = step_rows(stepped_cell_steps(chain, dt, n_steps))
+    record = evolve_assembled(chain, n_steps * dt, dt)
+    assert stepped[:, 0].tolist() == list(range(n_steps + 1)) and len(record.times) == n_steps + 1
+    assert stepped[:, 1].tobytes() == record.sink.tobytes()
+    assert stepped[:, 2].tobytes() == record.trace.tobytes()
 
 
 def objective_steps(objective, dt):
