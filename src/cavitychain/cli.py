@@ -1,18 +1,13 @@
 """Command-line front end: flat key=value configs in, CSV plus a run manifest out.
 
-Four commands share one config schema:
-
-``evolve``
-    integrate a single trajectory and write its sampled observables
-``bottleneck``
-    grid-scan input rate against output rate for the time to reach a target
-    sink population
-``dat``
-    grid-scan output rate against dephasing strength for the sink population
-    at a fixed time
-``sweep``
-    the general two-axis scan the other two commands preset; all three run
-    through ``cmd_sweep``
+Four commands share one config schema and one parser, which takes every
+flag.  ``_COMMANDS`` gives each its help, objective, default axes and
+runner: ``evolve`` integrates one trajectory; ``bottleneck`` (input rate
+against output rate, time to reach a target sink population), ``dat``
+(output rate against dephasing strength, sink population at a fixed time)
+and ``sweep`` (the general two-axis scan the other two preset) run one scan.
+A flag or config key the command does not read exits 2 with
+``error: <name>: <command> does not read it`` and writes nothing.
 
 Every CSV is written alongside exactly one ``<prefix>.manifest.json`` whose
 ``config`` field parses back to the same resolved run, so a finished run can
@@ -24,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time as _time
 import warnings
@@ -48,7 +44,7 @@ from .experiments import (
     default_rate_grid,
     run_sweep,
 )
-from .model import FIELD_KINDS, ChainConfig, DephasingModel, build_basis
+from .model import FIELD_KINDS, ChainConfig, DephasingModel
 
 
 class ConfigError(ValueError):
@@ -250,11 +246,10 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
     """Write ``<out>.manifest.json``; result is a TrajectoryRecord or SweepResult.
 
-    The basis and its sectors come from the base chain: no sweepable
-    parameter changes the basis.  A sweep also records how many cells each
-    route ran.
+    The basis dim and sectors are those the run built: the trajectory's, or
+    the one basis every sweep cell shares.  A sweep also records how many
+    cells each route ran.
     """
-    sectors = build_basis(setup.chain).sectors
     manifest = {
         "command": args.command,
         "config": serialize_run(setup),
@@ -266,6 +261,9 @@ def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
     }
     if isinstance(result, SweepResult):
         manifest["cell_routes"] = result.cell_routes
+        sectors = result.sectors
+    else:
+        sectors = result.final_state.basis.sectors
     manifest["basis_dim"] = sectors.dim
     manifest["sector_sizes"] = [
         [n, sink, size] for (n, sink), size in zip(sectors.keys, sectors.sizes)
@@ -287,7 +285,22 @@ def _reject_unread(reader: str, given: dict[str, object]) -> None:
             raise ConfigError(f"{name}: {reader} does not read it")
 
 
-def cmd_evolve(args) -> int:
+# command -> (its one-line help; the objective it measures, or None where the
+# config chooses or there is none; its default axis params, or None; the name
+# of its runner, looked up when the command runs so that a runner patched on
+# this module is the one called)
+_COMMANDS = {
+    "evolve": ("integrate one trajectory", None, None, "evolve"),
+    "bottleneck": ("scan input rate x output rate for time-to-target", "time_to_reach",
+                   ("rate_in", "rate_out"), "bottleneck_scan"),
+    "dat": ("scan output rate x dephasing strength for sink population", "sink_at_time",
+            ("rate_out", "g"), "dat_scan"),
+    "sweep": ("general two-axis scan", None, None, "run_sweep"),
+}
+
+
+def _evolve_inputs(args) -> tuple[RunSetup, tuple]:
+    """(setup, the runner's arguments) of ``evolve``: one trajectory."""
     setup = _load_setup(args.config)
     # axis2 needs axis1, so naming axis1 covers both
     _reject_unread("evolve", {
@@ -295,40 +308,26 @@ def cmd_evolve(args) -> int:
         "objective": setup.objective_kind,
         "objective_time": setup.objective_time,
         "--target": args.target,
+        "--workers": args.workers,
     })
     t_end = DEFAULT_T_MAX if args.t_max is None else args.t_max
-    started = _time.perf_counter()
-    record = evolve(setup.chain, t_end=t_end, dt=args.dt, sample_every=args.sample_every)
-    duration = _time.perf_counter() - started
-    write_trajectory_csv(record, f"{args.out}.csv")
-    _write_manifest(args, setup, duration, record)
-    return 0
-
-
-# sweep command -> (the objective it measures, or None where the config
-# chooses; its default axis params, or None where the config must give
-# axis1; the name of its runner, looked up when the command runs so that a
-# runner patched on this module is the one called)
-_SWEEPS = {
-    "bottleneck": ("time_to_reach", ("rate_in", "rate_out"), "bottleneck_scan"),
-    "dat": ("sink_at_time", ("rate_out", "g"), "dat_scan"),
-    "sweep": (None, None, "run_sweep"),
-}
+    return setup, (setup.chain, t_end, args.dt, args.sample_every or 1)
 
 
 def _default_axis(param: str) -> SweepAxis:
     return SweepAxis(param, default_g_grid() if param == "g" else default_rate_grid())
 
 
-def cmd_sweep(args) -> int:
-    """Run ``bottleneck``, ``dat`` or ``sweep``: one scan, three presets."""
-    fixed_kind, default_params, runner = _SWEEPS[args.command]
+def _sweep_inputs(args) -> tuple[RunSetup, tuple]:
+    """(setup, the runner's arguments) of ``bottleneck``, ``dat`` or ``sweep``: one scan."""
+    _, fixed_kind, default_params, _ = _COMMANDS[args.command]
     setup = _load_setup(args.config)
     kind = fixed_kind or setup.objective_kind or "time_to_reach"
     if setup.objective_kind not in (None, kind):
         raise ConfigError(
             f"objective: {args.command} measures {kind}, not {setup.objective_kind}"
         )
+    unread = {"--sample-every": args.sample_every}
     if kind == "time_to_reach":
         if setup.objective_time is not None:
             raise ConfigError(
@@ -341,58 +340,37 @@ def cmd_sweep(args) -> int:
     else:
         if setup.objective_time is None:
             raise ConfigError(f"objective_time is required for {args.command}")
-        _reject_unread(
-            f"{args.command} measuring sink_at_time",
-            {"--t-max": args.t_max, "--target": args.target},
-        )
+        unread = {"--t-max": args.t_max, "--target": args.target, **unread}
         objective = SinkAtTime(setup.objective_time)
+    _reject_unread(args.command, unread)
     axis1, axis2 = setup.axis1, setup.axis2
     if default_params is not None:
         axis1 = axis1 or _default_axis(default_params[0])
         axis2 = axis2 or _default_axis(default_params[1])
     elif axis1 is None:
         raise ConfigError(f"axis1_param/axis1_values are required for {args.command}")
-    spec = SweepSpec(
-        base=setup.chain, axis1=axis1, axis2=axis2, objective=objective, dt=args.dt
-    )
-    started = _time.perf_counter()
-    result = globals()[runner](spec)
-    duration = _time.perf_counter() - started
-    write_sweep_csv(result, f"{args.out}.csv")
-    _write_manifest(args, setup, duration, result)
-    return 0
+    return setup, (SweepSpec(setup.chain, axis1, objective, axis2, args.dt),)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; it lists the commands after the flags."""
     parser = argparse.ArgumentParser(
         prog="cavitychain",
         description="Excitation transport in dissipative cavity-atom chains.",
+        epilog="commands (a flag the command does not read exits 2):\n"
+        + "".join(f"  {c:<12}{row[0]}\n" for c, row in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--out", required=True, help="output path prefix")
-        p.add_argument("--dt", type=float, default=DEFAULT_DT)
-        p.add_argument("--t-max", type=float, help=f"default {DEFAULT_T_MAX:g}")
-        p.add_argument("--target", type=float, help=f"default {DEFAULT_TARGET:g}")
-        p.set_defaults(func=func)
-        return p
-
-    p_evolve = command("evolve", "integrate one trajectory", cmd_evolve)
-    p_evolve.add_argument("--sample-every", type=int, default=1)
-    for name, help_text in (
-        ("bottleneck", "scan input rate x output rate for time-to-target"),
-        ("dat", "scan output rate x dephasing strength for sink population"),
-        ("sweep", "general two-axis scan"),
-    ):
-        p_sweep = command(name, help_text, cmd_sweep)
-        p_sweep.add_argument(
-            "--workers", type=int, default=1, help="no effect: sweeps run serially"
-        )
-
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see below")
+    parser.add_argument("--config", required=True, help="key=value config file")
+    parser.add_argument("--out", required=True, help="output path prefix")
+    parser.add_argument("--dt", type=float, default=DEFAULT_DT, help=f"default {DEFAULT_DT:g}")
+    # read by some commands only: None where not given
+    parser.add_argument("--t-max", type=float, help=f"end or cap; default {DEFAULT_T_MAX:g}")
+    parser.add_argument("--target", type=float, help=f"sink to reach; default {DEFAULT_TARGET:g}")
+    parser.add_argument("--sample-every", type=int, help="evolve; default 1")
+    parser.add_argument("--workers", type=int, help="sweeps; no effect")
     return parser
 
 
@@ -403,16 +381,24 @@ def main(argv=None) -> int:
         ("--dt", args.dt, math.inf),
         ("--t-max", args.t_max, math.inf),
         ("--target", args.target, 1.0),
+        ("--sample-every", args.sample_every, math.inf),
+        ("--workers", args.workers, math.inf),
     ):
-        # an open interval also keeps out nan and inf
+        # an open interval also keeps out nan and inf; for an integer, > 0 is >= 1
         if value is not None and not 0.0 < value < high:
             parser.error(f"{flag} must lie in (0, {high:g}), got {value}")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
-    if getattr(args, "sample_every", 1) < 1:
-        parser.error("--sample-every must be >= 1")
+    _, _, _, runner = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        if not os.path.isdir(os.path.dirname(args.out) or "."):  # before any cell runs
+            raise ConfigError(f"--out: no directory for {args.out!r}")
+        setup, inputs = (_evolve_inputs if args.command == "evolve" else _sweep_inputs)(args)
+        started = _time.perf_counter()
+        result = globals()[runner](*inputs)
+        duration = _time.perf_counter() - started
+        write = write_sweep_csv if isinstance(result, SweepResult) else write_trajectory_csv
+        write(result, f"{args.out}.csv")
+        _write_manifest(args, setup, duration, result)
+        return 0
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,7 +152,8 @@ class SweepResult:
     state where each cell stops (a full spectrum per step would dwarf the
     sweep cost), taken for a whole stack of cells at once.
     cell_routes counts the cells each route of ``evolution.cell_route`` ran,
-    ``{"chunked": n, "stepped": m}``.
+    ``{"chunked": n, "stepped": m}``, and sectors are the (N, sink) blocks
+    of the basis every cell shares.
     """
 
     spec: SweepSpec
@@ -161,6 +162,7 @@ class SweepResult:
     max_trace_drift: float
     min_eigenvalue_seen: float
     cell_routes: dict[str, int]
+    sectors: Sectors
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,8 @@ class _CellOutcome:
 
 def _cell_outcomes(
     configs: Sequence[ChainConfig], objective: TimeToReach | SinkAtTime, dt: float
-) -> Iterator[tuple[str, _CellOutcome]]:
-    """(route, outcome) of each cell in grid order, read off ``evolution.cell_stacks``.
+) -> Iterator[tuple[str, Sectors, _CellOutcome]]:
+    """(route, sectors, outcome) of each cell in grid order, read off ``evolution.cell_stacks``.
 
     Each stack is read with numpy's overflow and invalid-value warnings
     off, over its generator's step-map builds and products too, and the
@@ -191,7 +193,7 @@ def _cell_outcomes(
         for outcome in outcomes:
             if isinstance(outcome, ArithmeticError):
                 raise outcome
-            yield route, outcome
+            yield route, sectors, outcome
 
 
 def _read_stack(
@@ -316,7 +318,7 @@ def time_to_reach(
     dt: float = DEFAULT_DT,
 ) -> ReachTime:
     """First time the sink population reaches target, capped at t_max."""
-    [(_, outcome)] = _cell_outcomes([config], TimeToReach(target, t_max), dt)
+    [(_, _, outcome)] = _cell_outcomes([config], TimeToReach(target, t_max), dt)
     return ReachTime(outcome.value, outcome.capped)
 
 
@@ -341,7 +343,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     configs = [replace(spec.base, **overrides) for overrides in cells]
     routes, outcomes = [], []
     try:
-        for route, outcome in _cell_outcomes(configs, spec.objective, spec.dt):
+        for route, sectors, outcome in _cell_outcomes(configs, spec.objective, spec.dt):
             routes.append(route)
             outcomes.append(outcome)
     except ArithmeticError as exc:
@@ -358,6 +360,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         max_trace_drift=max(o.trace_drift for o in outcomes),
         min_eigenvalue_seen=min(o.final_min_eig for o in outcomes),
         cell_routes={route: routes.count(route) for route in CELL_ROUTES},
+        sectors=sectors,
     )
 
 

@@ -1,13 +1,14 @@
 """Config parsing, CSV emission, manifests, and command determinism."""
 
 import json
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cavitychain import __version__
+from cavitychain import __version__, cli, model
 from cavitychain.cli import (
     ConfigError,
     RunSetup,
@@ -26,6 +27,7 @@ from cavitychain.model import (
     InitialState,
     SinkCoupling,
 )
+from cavitychain.modes import enumerate_basis
 
 
 def test_parse_minimal_defaults():
@@ -247,7 +249,8 @@ def test_trajectory_csv_rows_are_the_per_cell_format(tmp_path):
         shape = (len(axis1.values), len(axis2.values) if axes[1] else 1)
         grid = values[: shape[0] * shape[1]].reshape(shape)
         cap_mask = np.arange(grid.size).reshape(shape) % 3 == 1
-        result = SweepResult(spec, grid, cap_mask, 0.0, 0.0, {})
+        # the writer reads the grid alone: no diagnostics, routes or sectors
+        result = SweepResult(spec, grid, cap_mask, 0.0, 0.0, {}, None)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(result, str(path))
         lines = path.read_text().splitlines()
@@ -593,25 +596,92 @@ SINK_SWEEP_TEXT = (
 )
 
 
+BOTTLENECK_TEXT = (
+    "n_atoms=1 mu=0.8 rate_in=1.0\n"
+    "axis1_param=rate_in axis1_values=1.0 axis2_param=rate_out axis2_values=0.5\n"
+)
+
+
 @pytest.mark.parametrize(
-    "command,text,flag,value",
+    "command,text,args,flag,value",
     [
-        ("dat", DAT_TEXT, "--t-max", "1"),
-        ("dat", DAT_TEXT, "--target", "0.2"),
-        ("sweep", SINK_SWEEP_TEXT, "--t-max", "1"),
-        ("sweep", SINK_SWEEP_TEXT, "--target", "0.2"),
+        ("dat", DAT_TEXT, (), "--t-max", "1"),
+        ("dat", DAT_TEXT, (), "--target", "0.2"),
+        ("sweep", SINK_SWEEP_TEXT, (), "--t-max", "1"),
+        ("sweep", SINK_SWEEP_TEXT, (), "--target", "0.2"),
+        ("bottleneck", BOTTLENECK_TEXT, ("--t-max", "5"), "--sample-every", "2"),
+        ("dat", DAT_TEXT, (), "--sample-every", "2"),
+        ("sweep", SINK_SWEEP_TEXT, (), "--sample-every", "2"),
+        ("evolve", "n_atoms=1 mu=0.8 rate_out=0.5\n", ("--t-max", "1"), "--workers", "1"),
     ],
-    ids=["dat-t-max", "dat-target", "sweep-sink_at_time-t-max", "sweep-sink_at_time-target"],
+    ids=[
+        "dat-t-max", "dat-target", "sweep-sink_at_time-t-max", "sweep-sink_at_time-target",
+        "bottleneck-sample-every", "dat-sample-every", "sweep-sample-every", "evolve-workers",
+    ],
 )
 def test_flag_the_command_does_not_read_is_rejected(
-    tmp_path, capsys, command, text, flag, value
+    tmp_path, capsys, command, text, args, flag, value
 ):
     config = write_config(tmp_path, text)
     out = tmp_path / "x"
-    assert run_cli(command, "--config", config, "--out", str(out), flag, value) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag}:")
+    argv = (command, "--config", config, "--out", str(out), *args)
+    # one rule for every unread flag: main returns 2, no argparse exit
+    assert run_cli(*argv, flag, value) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {command} does not read it\n"
     assert not (tmp_path / "x.csv").exists()
-    assert run_cli(command, "--config", config, "--out", str(out)) == 0
+    assert not (tmp_path / "x.manifest.json").exists()
+    assert run_cli(*argv) == 0
+
+
+def test_help_is_one_page_and_version_needs_no_command(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("--help")
+    assert exited.value.code == 0
+    page = capsys.readouterr().out
+    for command in ("evolve", "bottleneck", "dat", "sweep"):
+        # each command on a line of its own, with its one-line help
+        assert re.search(rf"^  {command} +\w", page, re.M), command
+    for flag in (
+        "--config", "--out", "--dt", "--t-max", "--target", "--sample-every", "--workers",
+        "--version",
+    ):
+        assert flag in page
+    with pytest.raises(SystemExit) as exited:
+        run_cli("--version")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+
+
+@pytest.mark.parametrize("command", ["evolve", "dat"])
+def test_out_in_a_missing_directory_fails_before_the_config_is_read(
+    tmp_path, capsys, monkeypatch, command
+):
+    config = write_config(
+        tmp_path, "n_atoms=2 k=0.8 mu=0.2 sink_coupling=exciton objective_time=50\n"
+    )
+    read = []
+    monkeypatch.setattr(cli, "parse_config", lambda text: read.append(text))
+    out = str(tmp_path / "missing" / "d")
+    assert run_cli(command, "--config", config, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert read == []
+
+
+def test_chunked_dat_run_enumerates_its_basis_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_basis(*args, **kwargs)
+
+    monkeypatch.setattr(model, "enumerate_basis", counted)
+    config = write_config(tmp_path, DAT_TEXT)
+    assert run_cli("dat", "--config", config, "--out", str(tmp_path / "d")) == 0
+    manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+    assert manifest["cell_routes"] == {"chunked": 2, "stepped": 0}
+    # the manifest reads the basis the cells ran on
+    assert len(calls) == 1
+    assert manifest["basis_dim"] == 4  # the vacuum, the photon, the exciton, the sink
 
 
 @pytest.mark.parametrize(
