@@ -1,11 +1,11 @@
 """Density-matrix time evolution: exact unitary step plus Euler dissipator.
 
-Each step conjugates the state with U = exp(-i*dt*H), computed once from the
-Hamiltonian eigendecomposition, then adds dt times the standard dissipator
-sum(L rho L^dag - (L^dag L rho + rho L^dag L)/2) over all jump operators.
-The scheme is first order in dt through the dissipator; the unitary half is
-exact.  The state is stepped as one block per (excitation count, sink)
-sector of the basis, a structure the Hamiltonian and every jump preserve.
+Each step conjugates the state with U = exp(-i*dt*H), computed once from
+one eigh per group of equal-size blocks of the packed H, then adds dt times
+the standard dissipator sum(L rho L^dag - (L^dag L rho + rho L^dag L)/2)
+over all jump operators.  The scheme is first order in dt through the
+dissipator; the unitary half is exact.  H and the state are kept as one
+block per (excitation count, sink) sector, which H and every jump preserve.
 A sweep cell needs only the sink and trace at each step, so where
 ``cell_route`` finds it cheaper, it reads them off powers of the step's
 real matrix S on the Hermitian coordinates of packed states, K steps per
@@ -120,34 +120,46 @@ def first_failure(
     return f"state not finite {at}: Hermiticity defect {defects[row]}"
 
 
-def diagonalize(hamiltonian: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of a Hamiltonian by a dense eigh, checked.
+def diagonalize(hamiltonian: Operator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenvectors) of a packed Hamiltonian, checked, as (count,
+    size) and (count, size, size) arrays for each group of ``sectors.groups``.
 
-    The eigenvector columns must be orthonormal (ValueError) and rebuild H
-    (ArithmeticError), each to its tolerance; a NaN fails either check.
-    Where LAPACK's eigh does not converge on H read by its lower triangle
-    (OpenBLAS 0.3.31 on one three-site chain), it reads the upper one.
+    A 1 x 1 group's are its real diagonal and ones (construction bounds the
+    imaginary part).  Each larger group takes one batched eigh, whose columns
+    must be orthonormal (ValueError) and rebuild the blocks (ArithmeticError)
+    to their tolerances, relative to the largest |element| of H (at least 1);
+    a NaN fails either check.  Where eigh does not converge on a group read by
+    its lower triangle (as OpenBLAS 0.3.31 did on one dense H), it reads the upper.
     """
-    try:
-        w, v = np.linalg.eigh(hamiltonian.elements)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(hamiltonian.elements, UPLO="U")
-    defect = np.abs(v.conj().T @ v - np.eye(len(w))).max()
-    if not defect <= ORTHONORMALITY_TOL:
-        raise ValueError(f"eigenvector columns not orthonormal: defect {defect:.3e}")
-    rebuilt = (v * w) @ v.conj().T
-    scale = max(1.0, float(np.abs(hamiltonian.elements).max()))
-    err = np.abs(rebuilt - hamiltonian.elements).max() / scale
-    if not err <= RECONSTRUCTION_TOL:
-        raise ArithmeticError(f"eigendecomposition reconstruction error {err:.3e}")
-    return w, v
+    pairs = []
+    for size, span in hamiltonian.basis.sectors.groups:
+        if size == 1:  # copied, not a view of H
+            w = hamiltonian.elements[span].real.reshape(-1, 1).copy()
+            pairs.append((w, np.ones((len(w), 1, 1))))
+            continue
+        block = hamiltonian.elements[span].reshape(-1, size, size)
+        try:
+            w, v = np.linalg.eigh(block)
+        except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(block, UPLO="U")
+        v_dag = v.conj().swapaxes(-1, -2)
+        defect = np.abs(v_dag @ v - np.eye(size)).max()
+        if not defect <= ORTHONORMALITY_TOL:
+            raise ValueError(f"eigenvector columns not orthonormal: defect {defect:.3e}")
+        err = np.abs((v * w[..., None, :]) @ v_dag - block).max()
+        if not err <= RECONSTRUCTION_TOL:  # the scale, at least 1, is needed past it only
+            err /= max(1.0, float(np.abs(hamiltonian.elements).max()))
+            if not err <= RECONSTRUCTION_TOL:
+                raise ArithmeticError(f"eigendecomposition reconstruction error {err:.3e}")
+        pairs.append((w, v))
+    return pairs
 
 
 class StepEngine:
     """Precomputed sector-blocked arrays for repeated steps at one fixed dt.
 
-    States are packed vectors of the basis's ``sectors``.  ``_unitary_blocks``
-    packs U once, and it must not leak out of the sectors.  Every jump must be
+    The Hamiltonian and states are packed vectors of the basis's ``sectors``,
+    and ``_unitary_blocks`` builds U block by block, once.  Every jump must be
     monomial (one nonzero per row and column) and send each block into a
     single block, so sum(L^dag L) is diagonal: the anticommutator and the
     diagonal (dephasing) jumps fold into one packed weight, and each other
@@ -192,18 +204,19 @@ def _checked_dt(dt: float) -> float:
 def _unitary_blocks(hamiltonian: Operator, dt: float) -> list[np.ndarray]:
     """U = exp(-i*H*dt) packed, as one (count, size, size) stack per block size.
 
-    U = V diag(exp(-i*lambda*dt)) V^dag from ``diagonalize``.  It raises
-    ArithmeticError if U is not unitary to UNITARITY_TOL (a NaN included),
-    and packing raises it if U leaks out of the sectors.
+    U = V diag(exp(-i*lambda*dt)) V^dag of each group of ``diagonalize``.
+    It raises ArithmeticError if a group is not unitary to UNITARITY_TOL (a
+    NaN included).
     """
-    eigenvalues, eigenvectors = diagonalize(hamiltonian)
-    phases = np.exp(-1j * eigenvalues * float(dt))
-    unitary = (eigenvectors * phases) @ eigenvectors.conj().T
-    defect = np.abs(unitary @ unitary.conj().T - np.eye(len(phases))).max()
-    if not defect <= UNITARITY_TOL:
-        raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
-    sectors = hamiltonian.basis.sectors
-    return sectors.blocks(sectors.pack(unitary))
+    groups = []
+    for eigenvalues, v in diagonalize(hamiltonian):
+        phases = np.exp(-1j * eigenvalues * float(dt))[..., None, :]
+        unitary = (v * phases) @ v.conj().swapaxes(-1, -2)
+        defect = np.abs(unitary @ unitary.conj().swapaxes(-1, -2) - np.eye(v.shape[-1])).max()
+        if not defect <= UNITARITY_TOL:
+            raise ArithmeticError(f"propagator not unitary: defect {defect:.3e}")
+        groups.append(unitary)
+    return groups
 
 
 Transfer = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -322,7 +335,7 @@ def iter_steps(
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
     engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, dt)
-    rho = chain.basis.sectors.pack(chain.initial.elements)
+    rho = chain.initial
     rows = max(1, min(CHUNK_STEPS, BLOCK_BYTES // rho.nbytes))
     block = np.empty((rows, len(rho)), dtype=complex)
     sampled, step = range(0, n_steps + every, every), 0  # its last, at or past n_steps, is n_steps
@@ -642,7 +655,7 @@ class StepMaps:
         self.readout = np.zeros((2, m))
         self.readout[0, sectors.diagonal] = sink_column(basis)
         self.readout[1, sectors.diagonal] = 1.0
-        self.start = _hermitian_coordinates(sectors, sectors.pack(chain.initial.elements))
+        self.start = _hermitian_coordinates(sectors, chain.initial)
         terms = unit_terms(widest, basis)
         self.rates = list(dict.fromkeys(term.rate for term in terms))
         self.jumps = np.empty((len(self.rates), m * m))  # D_f, one flat row per field
@@ -963,7 +976,8 @@ def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
     if dim > ORACLE_MAX_DIM:
         raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {dim}")
     eye = np.eye(dim)
-    h = chain.hamiltonian.elements
+    unpack = chain.basis.sectors.unpack
+    h = unpack(chain.hamiltonian.elements)
     liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for term in chain.lindblad_terms:
         jump = term.operator.dense()
@@ -971,7 +985,7 @@ def superoperator_oracle(config: ChainConfig, t: float) -> DensityMatrix:
         liouvillian += np.kron(jump, jump.conj()) - 0.5 * (
             np.kron(absorbed, eye) + np.kron(eye, absorbed.T)
         )
-    propagated = _expm_taylor(liouvillian * t) @ chain.initial.elements.reshape(-1)
+    propagated = _expm_taylor(liouvillian * t) @ unpack(chain.initial).reshape(-1)
     return DensityMatrix(chain.basis, propagated.reshape(dim, dim))
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .modes import (
     ColumnMap,
-    DensityMatrix,
     ModeKind,
     ModeLayout,
     Operator,
@@ -193,53 +192,49 @@ def build_basis(config: ChainConfig) -> ProjectedBasis:
 
 
 def hamiltonian(config: ChainConfig, basis: ProjectedBasis) -> Operator:
-    """Chain Hamiltonian: mode energies, photon tunnelling, photon-atom
-    exchange, and (unitary dephasing only) phonon-excitation coupling."""
+    """Chain Hamiltonian, packed by ``basis.sectors``: mode energies, photon
+    tunnelling, photon-atom exchange, and (unitary dephasing only)
+    phonon-excitation coupling.  A coupling that joins two (N, sink)
+    sectors raises ArithmeticError naming it."""
     layout = basis.layout
-    n = config.n_atoms
-    dim = basis.dim
-    h = np.zeros((dim, dim), dtype=complex)
-
+    sectors = basis.sectors
     occ = basis.occupations
-    diagonal = h.reshape(-1)[:: dim + 1]  # a view
-    for i in layout.indices(ModeKind.PHOTON):
-        diagonal += config.omega_p * occ[:, i]
-    for i in layout.indices(ModeKind.EXCITON):
-        diagonal += config.omega_a * occ[:, i]
-    for i in layout.indices(ModeKind.PHONON):
-        diagonal += config.omega_g * occ[:, i]
+    energy = np.zeros(basis.dim)
+    energies = (config.omega_p, config.omega_a, config.omega_g)
+    for omega, kind in zip(energies, (ModeKind.PHOTON, ModeKind.EXCITON, ModeKind.PHONON)):
+        for i in layout.indices(kind):
+            energy += omega * occ[:, i]
 
-    # The couplings are scattered from their column maps (real amplitudes) in
-    # one pass.  Each moves excitation between its own pair of modes, so no
-    # two of their elements, adjoints included, share a place, and h is the
-    # dense sum of the couplings bit for bit.
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    values: list[np.ndarray] = []
     # photon tunnelling between neighbours, then photon-atom exchange per site
     photon, exciton = layout.indices(ModeKind.PHOTON), layout.indices(ModeKind.EXCITON)
-    couplings = [(config.k, p, q) for p, q in zip(photon, photon[1:])]
-    couplings += [(config.mu, p, x) for p, x in zip(photon, exciton)]
-    for strength, src, dst in couplings:
-        move = transfer_op(basis, src, dst)
-        rows += [move.targets, move.sources]
-        cols += [move.sources, move.targets]
-        values += [strength * move.amplitudes, np.conj(strength) * move.amplitudes]
-
+    couplings = [("k", p, q) for p, q in zip(photon, photon[1:])]
+    couplings += [("mu", p, x) for p, x in zip(photon, exciton)]
     if config.dephasing is DephasingModel.UNITARY_PHONON:
-        # (g + g*) doubles real coupling strengths; kept literal.
-        strength = config.g + np.conj(config.g)
-        for site in range(1, n + 1):
-            b = layout.index(ModeKind.PHONON, site)
-            n_exc = occ[:, layout.index(ModeKind.EXCITON, site)]
-            # (b + b^dag) n_exc: each displacement column scaled by the
-            # exciton occupation of its source
-            for move in (transfer_op(basis, b, None), transfer_op(basis, None, b)):
-                rows.append(move.targets)
-                cols.append(move.sources)
-                values.append(strength * (move.amplitudes * n_exc[move.sources]))
-
-    h[np.concatenate(rows), np.concatenate(cols)] += np.concatenate(values)
+        couplings += [("g", b, x) for b, x in zip(layout.indices(ModeKind.PHONON), exciton)]
+    targets, sources, values = [], [], []
+    for field, src, dst in couplings:
+        if field == "g":  # (b + b^dag) n_exc, (g + g*) doubling real g, kept literal:
+            # the lowering of b times the source's excitons; b^dag n_exc is its transpose
+            move = transfer_op(basis, src, None)
+            values.append((config.g + config.g) * (move.amplitudes * occ[move.sources, dst]))
+        else:
+            move = transfer_op(basis, src, dst)
+            values.append(getattr(config, field) * move.amplitudes)
+        targets.append(move.targets)
+        sources.append(move.sources)
+    # every coupling's elements, then their transposes
+    rows, cols = np.concatenate(targets + sources), np.concatenate(sources + targets)
+    crossing = sectors.block[rows] != sectors.block[cols]
+    if crossing.any():
+        ends = np.cumsum(list(map(len, targets)))
+        field, *pair = couplings[np.searchsorted(ends, crossing.argmax() % ends[-1], "right")]
+        name = "-".join("{0.kind.value}_{0.site}".format(layout.modes[m]) for m in pair)
+        raise ArithmeticError(f"coupling {field} {name} joins two (N, sink) sectors")
+    # No two coupling elements, transposes included, share a place or lie on the
+    # diagonal, and strengths are real: added onto zeros, H is the dense sum's bits.
+    h = np.zeros(sectors.length, dtype=complex)
+    h[sectors.diagonal] = energy
+    h[sectors.index(rows, cols)] += np.concatenate(values + values)
     return Operator(basis, h)
 
 
@@ -317,29 +312,30 @@ def unit_terms(config: ChainConfig, basis: ProjectedBasis) -> tuple[LindbladTerm
     return tuple(_lindblad_terms(config, basis, unit=True))
 
 
-def _initial_state(config: ChainConfig, basis: ProjectedBasis) -> DensityMatrix:
-    """Pure-state projector onto the configured starting occupation vector."""
+def _initial_state(config: ChainConfig, basis: ProjectedBasis) -> np.ndarray:
+    """Packed pure-state projector onto the configured starting occupation vector."""
     occupation = [0] * len(basis.layout.modes)
     if config.initial_state is InitialState.PHOTON_IN_FIRST_CAVITY:
         occupation[basis.layout.index(ModeKind.PHOTON, 1)] = 1
-    idx = basis.state_index(occupation)
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho[idx, idx] = 1.0
-    return DensityMatrix(basis, rho)
+    sectors = basis.sectors
+    rho = np.zeros(sectors.length, dtype=complex)
+    rho[sectors.diagonal[basis.state_index(occupation)]] = 1.0
+    return rho
 
 
 @dataclass(frozen=True)
 class AssembledChain:
-    """Everything the evolution engine needs, built once from a config."""
+    """Everything the evolution engine needs, built once from a config; the
+    Hamiltonian and the initial state are packed by ``basis.sectors``."""
 
     basis: ProjectedBasis
     hamiltonian: Operator
     lindblad_terms: tuple[LindbladTerm, ...]
-    initial: DensityMatrix
+    initial: np.ndarray
 
 
 def assemble(config: ChainConfig) -> AssembledChain:
-    """Build the basis, Hamiltonian, jump terms and initial state of a config."""
+    """Build the basis, its sectors, the Hamiltonian, jump terms and initial state of a config."""
     basis = build_basis(config)
     return AssembledChain(
         basis=basis,

@@ -15,8 +15,9 @@ amplitude); only ``ColumnMap.dense`` writes one as a d x d array.
 The Hamiltonian keeps the excitation count N and the sink occupation, and
 each jump moves a whole (N, sink) block into one other block (the pump
 raises N, loss lowers it, the drain fills the sink), so
-``ProjectedBasis.sectors`` groups the basis into these blocks and a state is
-stored as the packed elements of its blocks.
+``ProjectedBasis.sectors`` groups the basis into these blocks, and a state
+or the Hamiltonian (``Operator``) is stored as the packed elements of its
+blocks; only ``Sectors.unpack`` writes one as a d x d array.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from functools import cached_property
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-# largest off-sector element a matrix may carry and still be packed
-SECTOR_LEAK_TOL = 1e-12
 
 
 class ModeKind(Enum):
@@ -61,6 +60,7 @@ class ModeLayout:
     n_sites: int
     phonons: bool = False
     modes: tuple[ModeSpec, ...] = field(init=False, repr=False, compare=False)
+    _by_kind: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
@@ -71,6 +71,10 @@ class ModeLayout:
         modes = [ModeSpec(k, site) for site in range(1, self.n_sites + 1) for k in kinds]
         modes.append(ModeSpec(ModeKind.SINK, self.n_sites))
         object.__setattr__(self, "modes", tuple(modes))
+        # (kind, positions): each at every len(kinds)-th mode from its first, the sink last
+        sink = len(modes) - 1
+        by_kind = [(kind, tuple(range(k, sink, len(kinds)))) for k, kind in enumerate(kinds)]
+        object.__setattr__(self, "_by_kind", (*by_kind, (ModeKind.SINK, (sink,))))
 
     def index(self, kind: ModeKind, site: int) -> int:
         """Dense position of the (kind, site) mode."""
@@ -81,7 +85,10 @@ class ModeLayout:
 
     def indices(self, kind: ModeKind) -> tuple[int, ...]:
         """All mode positions of the given kind, in site order."""
-        return tuple(i for i, m in enumerate(self.modes) if m.kind is kind)
+        for each, positions in self._by_kind:  # no hashing: an Enum hashes in Python
+            if each is kind:
+                return positions
+        return ()
 
 
 class ProjectedBasis:
@@ -89,28 +96,24 @@ class ProjectedBasis:
 
     States are kept in lexicographic order over occupation vectors so that
     basis construction, and every matrix built on top of it, is reproducible
-    bit for bit.  ``index_of`` maps each state's integer key (``keys``,
-    below) to its index, the lookup that ``transfer_op`` makes once per
-    state and ``state_index`` once per call.
+    bit for bit.  Each state has two integer keys from the enumeration.  The
+    digits of its key are its occupations, each mode's place value the
+    product of (its cap + 2) over the modes before it, so a move shifts the
+    key by place values, and a quantum less in an empty mode borrows, which
+    no state's key matches (``transfer_op``'s lookup in ``index_of``).  Its
+    sector key is 2N + sink, N its excitation count: its block of ``sectors``.
     """
 
-    def __init__(self, layout: ModeLayout, states: list[tuple[int, ...]]) -> None:
+    def __init__(self, layout: ModeLayout, states: list[tuple[int, ...]], place: list[int],
+                 keys: list[int], sector_keys: list[int]) -> None:
         self.layout = layout
         self.states: tuple[tuple[int, ...], ...] = tuple(states)
         self.occupations = np.array(self.states, dtype=np.int64)
-        # Each state is also one integer key whose digits are its occupations,
-        # each mode's place value the product of (largest occupation + 2) over
-        # the modes before it.  A move shifts the key by place values: a
-        # quantum more in a mode is still a digit of its own, and a quantum
-        # less in an empty mode borrows, leaving that digit at its largest
-        # occupation + 1, so a target outside the basis matches no key.
-        radix = (self.occupations.max(axis=0, initial=0) + 2).tolist()
-        *place, span = itertools.accumulate(radix, operator.mul, initial=1)
-        if span > 2**62:
-            raise ValueError(f"too many modes for integer state keys: {len(radix)}")
-        self.place: list[int] = place
-        self.keys: list[int] = (self.occupations @ self.place).tolist()
-        self.index_of: dict[int, int] = dict(zip(self.keys, range(len(self.keys))))
+        self.place = place
+        self.keys = keys
+        self.sector_keys = sector_keys
+        self.index_of: dict[int, int] = dict(zip(keys, range(len(keys))))
+        self.sectors = Sectors(self)
 
     @property
     def dim(self) -> int:
@@ -125,98 +128,81 @@ class ProjectedBasis:
             raise KeyError(occupation)
         return i
 
-    @cached_property
-    def sectors(self) -> Sectors:
-        """The (N, sink) blocks of this basis, derived on first use."""
-        return Sectors(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProjectedBasis(dim={self.dim}, sites={self.layout.n_sites})"
-
 
 class Sectors:
     """The basis grouped into blocks of equal (excitation count N, sink occupation).
 
     Blocks are sorted by (N, sink), and a state is packed: the vector of its
-    M = sum(size**2) in-block elements, ordered by (block size, block, row,
-    column), rows and columns in basis order.  ``rows`` and ``cols`` give the
-    basis pair of each packed coordinate.  The blocks of one size fill one
-    contiguous slice of the vector (``groups``), which ``blocks`` views as a
-    ``(count, size, size)`` stack.  ``pairs`` pairs each off-diagonal
-    coordinate above the diagonal with its transpose's, the elements that
-    Hermiticity ties together.
+    M = sum(size**2) in-block elements (``length``), ordered by (block size,
+    block, row, column), rows and columns in basis order.  The blocks of one
+    size fill one contiguous slice of the vector (``groups``), which
+    ``blocks`` views as a ``(count, size, size)`` stack.  The per-state
+    tables come from one counting pass over the basis's sector keys; those
+    over packed coordinates are built on first use: ``rows`` and ``cols``,
+    the basis pair of each, and ``pairs``, each off-diagonal coordinate
+    above the diagonal over its transpose's, which Hermiticity ties together.
     """
 
     def __init__(self, basis: ProjectedBasis) -> None:
-        layout = basis.layout
-        counted = [i for i, m in enumerate(layout.modes) if m.kind in COUNTED_KINDS]
-        occ = basis.occupations
-        sink = occ[:, layout.index(ModeKind.SINK, layout.n_sites)]
-        # sink is two-level, so 2N + sink sorts as (N, sink)
-        key = 2 * occ[:, counted].sum(axis=1) + sink
-        counts = np.bincount(key)
-        keys = np.flatnonzero(counts)
-        sizes = counts[keys]
-        self.block = np.searchsorted(keys, key)
-        self.keys = tuple((int(k) // 2, int(k) % 2) for k in keys)
-        self.sizes = tuple(int(size) for size in sizes)
-        dim = self.dim = basis.dim
-        order = np.argsort(self.block, kind="stable")
-        self.position = np.empty(dim, dtype=np.int64)
-        self.position[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        # first packed coordinate of each block, the blocks taken by (size, key)
-        by_size = np.argsort(sizes, kind="stable")
-        areas = sizes[by_size] ** 2
-        start = np.empty(len(sizes), dtype=np.int64)
-        start[by_size] = np.cumsum(areas) - areas
-        # size and first packed coordinate of each basis state's block
-        self.width, self.start = sizes[self.block], start[self.block]
-        self.groups: list[tuple[int, slice]] = []  # (size, packed span), sizes ascending
-        stop = 0
-        for size, count in zip(*np.unique(sizes, return_counts=True)):
-            self.groups.append((int(size), slice(stop, stop + int(count * size * size))))
-            stop += int(count * size * size)
-        # every (row, col) pair of basis states inside one block, in packed order
-        rows, cols = np.nonzero(self.block[:, None] == self.block[None, :])
-        coordinate = self.index(rows, cols)
-        self.rows, self.cols = np.empty_like(rows), np.empty_like(cols)
-        self.rows[coordinate], self.cols[coordinate] = rows, cols
-        # population of every basis state, in basis order
-        self.diagonal = self.index(np.arange(dim), np.arange(dim))
-        # (2, P): the packed coordinates of the (r, c) elements with r < c,
-        # over those of their transposes (c, r)
-        upper = np.flatnonzero(self.rows < self.cols)
-        self.pairs = np.stack([upper, self.index(self.cols[upper], self.rows[upper])])
+        self.dim = basis.dim
+        counts: dict[int, int] = {}  # states of each key so far
+        position = []
+        for key in basis.sector_keys:
+            position.append(counts.get(key, 0))
+            counts[key] = position[-1] + 1
+        keys = sorted(counts)  # sink is two-level, so 2N + sink sorts as (N, sink)
+        self.keys = tuple([divmod(key, 2) for key in keys])
+        self.sizes = tuple(map(counts.get, keys))
+        # by (size, key): each block's first packed coordinate, each size's span
+        blocks, spans, stop = {}, {}, 0
+        for size, b in sorted(zip(self.sizes, range(len(keys)))):
+            blocks[keys[b]] = (b, size, stop)
+            stop += size * size
+            spans.setdefault(size, [stop - size * size, stop])[1] = stop
+        self.groups = [(size, slice(*span)) for size, span in spans.items()]  # sizes ascending
+        self.length = stop
+        # each basis state's block, its size and first coordinate, and position
+        table = [*zip(*map(blocks.get, basis.sector_keys)), position]
+        self.block, self.width, self.start, self.position = np.array(table, dtype=np.int64)
+        # packed coordinate of each basis state's first row element, and population
+        self._row_start = self.start + self.position * self.width
+        self.diagonal = self._row_start + self.position
 
     def index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Packed coordinate of each (row, col) pair of same-block basis states."""
-        return self.start[rows] + self.position[rows] * self.width[rows] + self.position[cols]
+        return self._row_start[rows] + self.position[cols]
+
+    @cached_property
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        # each row, the basis states in packed order, takes its block's as columns
+        members = np.lexsort((self.position, self.start))
+        width = self.width[members]
+        ends = np.cumsum(width)
+        offset = np.arange(self.length) - np.repeat(ends - width, width)
+        first = np.arange(self.dim) - self.position[members]  # of its block, in members
+        return np.repeat(members, width), members[np.repeat(first, width) + offset]
+
+    # the basis row and column of every packed coordinate
+    rows = property(lambda self: self._coordinates[0])
+    cols = property(lambda self: self._coordinates[1])
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """(2, P): the packed coordinates of the (r, c) elements with r < c,
+        over those of their transposes (c, r)."""
+        rows, cols = self._coordinates
+        upper = np.flatnonzero(rows < cols)
+        return np.stack([upper, self.index(cols[upper], rows[upper])])
 
     def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
         """Views of packed states (the last axis) as each group's (count, size, size) blocks."""
         lead = packed.shape[:-1]
         return [packed[..., span].reshape(*lead, -1, size, size) for size, span in self.groups]
 
-    def pack(self, dense: np.ndarray) -> np.ndarray:
-        """Packed vector of a dense d x d matrix that stays inside the sectors.
-
-        Raises ArithmeticError if an element outside the blocks exceeds
-        SECTOR_LEAK_TOL, rather than dropping it.
-        """
-        outside = dense.copy()
-        outside[self.rows, self.cols] = 0
-        leak = float(np.abs(outside).max(initial=0.0))
-        if not leak <= SECTOR_LEAK_TOL:
-            raise ArithmeticError(
-                f"matrix leaks out of its (N, sink) sectors: max off-block |element| "
-                f"{leak:.3e} > {SECTOR_LEAK_TOL:g}"
-            )
-        return dense[self.rows, self.cols].astype(complex, copy=False)
-
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Dense d x d matrix of a packed state."""
         dense = np.zeros((self.dim, self.dim), dtype=complex)
-        dense[self.rows, self.cols] = packed
+        dense[self._coordinates] = packed
         return dense
 
     def min_eigenvalue(self, packed: np.ndarray) -> float | np.ndarray:
@@ -237,54 +223,65 @@ def enumerate_basis(
 
     Photon, exciton and sink modes are two-level and each phonon holds 0 to
     ``phonon_cap`` quanta; the summed occupation of photon, exciton and sink
-    modes is at most ``max_quanta``.  The vacuum always fits.
+    modes is at most ``max_quanta``.  The vacuum always fits.  Each state's
+    key and sector key, 2N + sink with N its summed occupation, are recorded
+    with it (``ProjectedBasis``).
     """
     for name, value in (("max_quanta", max_quanta), ("phonon_cap", phonon_cap)):
         if value < 0:
             raise ValueError(f"{name}: must be >= 0, got {value}")
     caps = [phonon_cap if m.kind is ModeKind.PHONON else 1 for m in layout.modes]
     weights = [1 if m.kind in COUNTED_KINDS else 0 for m in layout.modes]
+    *place, _ = itertools.accumulate([cap + 2 for cap in caps], operator.mul, initial=1)
     n_modes = len(caps)
+    sink = n_modes - 1  # the last mode
     states: list[tuple[int, ...]] = []
+    keys: list[int] = []
+    sector_keys: list[int] = []
     occ = [0] * n_modes
 
-    def fill(m: int, quanta: int) -> None:
+    def fill(m: int, quanta: int, key: int) -> None:
         if m == n_modes:
             states.append(tuple(occ))
+            keys.append(key)
+            sector_keys.append(2 * quanta + occ[sink])
             return
         for n in range(caps[m] + 1):
             q = quanta + n * weights[m]
             if q > max_quanta:
                 break
             occ[m] = n
-            fill(m + 1, q)
+            fill(m + 1, q, key + n * place[m])
         occ[m] = 0
 
-    fill(0, 0)
-    return ProjectedBasis(layout, states)
+    fill(0, 0, 0)
+    return ProjectedBasis(layout, states, place, keys, sector_keys)
 
 
 @dataclass
 class Operator:
-    """Hermitian matrix over a ProjectedBasis: the chain Hamiltonian.
+    """Hermitian matrix over a ProjectedBasis, packed by its sectors: the chain Hamiltonian.
 
-    Construction is the one Hermiticity check; jump operators, which need not
-    be Hermitian, are column maps (``ColumnMap``).
-    """
+    Construction is the one Hermiticity check, block by block; jumps, which
+    need not be Hermitian, are column maps (``ColumnMap``)."""
 
     basis: ProjectedBasis
     elements: np.ndarray
 
     def __post_init__(self) -> None:
         self.elements = np.ascontiguousarray(self.elements, dtype=complex)
-        dim = self.basis.dim
-        if self.elements.shape != (dim, dim):
-            raise ValueError(
-                f"operator shape {self.elements.shape} does not match basis dim {dim}"
-            )
-        defect = hermiticity_defect(self.elements)
-        if not defect <= HERMITIAN_TOL:
-            raise ValueError(f"operator not Hermitian: max|A - A^dag| = {defect:.3e}")
+        sectors = self.basis.sectors
+        if self.elements.shape != (sectors.length,):
+            raise ValueError(f"operator shape {self.elements.shape} is not the packed "
+                             f"length {sectors.length} of its basis")
+        for size, span in sectors.groups:
+            if size == 1:  # |a - conj(a)| = 2 |Im a|
+                defect = 2 * np.abs(self.elements[span].imag).max()
+            else:
+                view = self.elements[span].reshape(-1, size, size)
+                defect = np.abs(view - view.conj().swapaxes(-1, -2)).max()
+            if not defect <= HERMITIAN_TOL:
+                raise ValueError(f"operator not Hermitian: max|A - A^dag| = {defect:.3e}")
 
 
 @dataclass
@@ -379,11 +376,3 @@ def transfer_op(
         np.array(targets, dtype=np.int64),
         np.array(amplitudes, dtype=float),
     )
-
-
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max element of |A - A^dag| of a square matrix."""
-    difference = matrix.T.copy()  # contiguous, so the subtraction reads in order
-    np.conjugate(difference, out=difference)
-    np.subtract(matrix, difference, out=difference)
-    return float(np.abs(difference).max())

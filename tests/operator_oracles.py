@@ -9,6 +9,10 @@ full d x d density matrix with one matmul per jump, the route the blocked
 ``StepEngine`` replaced, with a unitary from its own eigendecomposition.
 ``engine_step_map`` writes a step map column by column, from the engine's
 step of each Hermitian unit state, the oracle of the step-map halves.
+``pack`` is the inverse of ``Sectors.unpack`` that refuses a matrix leaking
+out of the sectors, and ``numpy_sectors`` the partition of a basis derived
+from its occupation table alone, the construction that the counting pass
+over the enumeration's sector keys replaced.
 """
 
 import math
@@ -28,10 +32,99 @@ from cavitychain.modes import (
     ModeLayout,
     Operator,
     ProjectedBasis,
-    hermiticity_defect,
+    Sectors,
 )
 
 OBSERVABLE_IMAG_TOL = 1e-9
+# largest off-sector element a matrix may carry and still be packed
+SECTOR_LEAK_TOL = 1e-12
+
+
+def hermiticity_defect(matrix: np.ndarray) -> float:
+    """Max element of |A - A^dag| of a square matrix."""
+    return float(np.abs(matrix - matrix.conj().T).max())
+
+
+def pack(sectors: Sectors, dense: np.ndarray) -> np.ndarray:
+    """Packed vector of a dense d x d matrix that stays inside the sectors.
+
+    Raises ArithmeticError if an element outside the blocks exceeds
+    SECTOR_LEAK_TOL, rather than dropping it.
+    """
+    outside = dense.copy()
+    outside[sectors.rows, sectors.cols] = 0
+    leak = float(np.abs(outside).max(initial=0.0))
+    if not leak <= SECTOR_LEAK_TOL:
+        raise ArithmeticError(
+            f"matrix leaks out of its (N, sink) sectors: max off-block |element| "
+            f"{leak:.3e} > {SECTOR_LEAK_TOL:g}"
+        )
+    return dense[sectors.rows, sectors.cols].astype(complex, copy=False)
+
+
+def dense(op: Operator) -> np.ndarray:
+    """The d x d matrix of a packed operator."""
+    return op.basis.sectors.unpack(op.elements)
+
+
+def initial_matrix(chain) -> DensityMatrix:
+    """The dense initial state of an assembled chain."""
+    return DensityMatrix(chain.basis, chain.basis.sectors.unpack(chain.initial))
+
+
+def numpy_sectors(basis: ProjectedBasis) -> dict:
+    """Every field of ``Sectors``, derived with numpy from the occupation table.
+
+    Blocks by 2N + sink from the summed occupations, positions by a stable
+    sort, first coordinates by (size, key), and the coordinate tables from
+    the d x d same-block mask.
+    """
+    layout = basis.layout
+    counted = [i for i, m in enumerate(layout.modes) if m.kind in COUNTED_KINDS]
+    occ = basis.occupations
+    sink = occ[:, layout.index(ModeKind.SINK, layout.n_sites)]
+    key = 2 * occ[:, counted].sum(axis=1) + sink
+    counts = np.bincount(key)
+    keys = np.flatnonzero(counts)
+    sizes = counts[keys]
+    block = np.searchsorted(keys, key)
+    dim = basis.dim
+    order = np.argsort(block, kind="stable")
+    position = np.empty(dim, dtype=np.int64)
+    position[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_size = np.argsort(sizes, kind="stable")
+    areas = sizes[by_size] ** 2
+    first = np.empty(len(sizes), dtype=np.int64)
+    first[by_size] = np.cumsum(areas) - areas
+    width, start = sizes[block], first[block]
+    groups, stop = [], 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        groups.append((int(size), slice(stop, stop + int(count * size * size))))
+        stop += int(count * size * size)
+
+    def index(r, c):
+        return start[r] + position[r] * width[r] + position[c]
+
+    rows, cols = np.nonzero(block[:, None] == block[None, :])
+    coordinate = index(rows, cols)
+    packed_rows, packed_cols = np.empty_like(rows), np.empty_like(cols)
+    packed_rows[coordinate], packed_cols[coordinate] = rows, cols
+    upper = np.flatnonzero(packed_rows < packed_cols)
+    return {
+        "dim": dim,
+        "block": block,
+        "keys": tuple((int(k) // 2, int(k) % 2) for k in keys),
+        "sizes": tuple(int(size) for size in sizes),
+        "position": position,
+        "width": width,
+        "start": start,
+        "groups": groups,
+        "length": stop,
+        "rows": packed_rows,
+        "cols": packed_cols,
+        "diagonal": index(np.arange(dim), np.arange(dim)),
+        "pairs": np.stack([upper, index(packed_cols[upper], packed_rows[upper])]),
+    }
 
 
 def quanta_weights(layout: ModeLayout) -> np.ndarray:
@@ -41,19 +134,25 @@ def quanta_weights(layout: ModeLayout) -> np.ndarray:
     )
 
 
+def diagonal_op(basis: ProjectedBasis, diagonal: np.ndarray) -> Operator:
+    """The packed operator of a diagonal matrix."""
+    packed = np.zeros(basis.sectors.length, dtype=complex)
+    packed[basis.sectors.diagonal] = diagonal
+    return Operator(basis, packed)
+
+
 def number_op(basis: ProjectedBasis, mode: int) -> Operator:
     """Diagonal occupation-number operator of one mode."""
-    return Operator(basis, np.diag(basis.occupations[:, mode].astype(complex)))
+    return diagonal_op(basis, basis.occupations[:, mode])
 
 
 def total_quanta_op(basis: ProjectedBasis) -> Operator:
     """Summed number operator over photon, exciton and sink modes."""
-    counts = basis.occupations @ quanta_weights(basis.layout)
-    return Operator(basis, np.diag(counts.astype(complex)))
+    return diagonal_op(basis, basis.occupations @ quanta_weights(basis.layout))
 
 
 def identity_op(basis: ProjectedBasis) -> Operator:
-    return Operator(basis, np.eye(basis.dim, dtype=complex))
+    return diagonal_op(basis, np.ones(basis.dim))
 
 
 def dense_transfer(basis: ProjectedBasis, from_mode, to_mode) -> np.ndarray:
@@ -130,7 +229,7 @@ def dense_jumps(config: ChainConfig, basis: ProjectedBasis) -> dict[str, np.ndar
         )
         for site in range(1, n + 1):
             mode = layout.index(target_kind, site)
-            jumps[f"dephasing_{site}"] = config.g * number_op(basis, mode).elements
+            jumps[f"dephasing_{site}"] = config.g * dense(number_op(basis, mode))
     if config.cavity_loss > 0:
         for site in range(1, n + 1):
             leak = dense_transfer(basis, layout.index(ModeKind.PHOTON, site), None)
@@ -141,7 +240,7 @@ def dense_jumps(config: ChainConfig, basis: ProjectedBasis) -> dict[str, np.ndar
 def observable(rho: DensityMatrix, op: Operator) -> float:
     """Re tr(op * rho); complains if a Hermitian observable turns complex."""
     assert rho.basis is op.basis, "state and operator live on different bases"
-    value = complex(np.einsum("ij,ji->", op.elements, rho.elements))
+    value = complex(np.einsum("ij,ji->", dense(op), rho.elements))
     if abs(value.imag) > OBSERVABLE_IMAG_TOL:
         raise ArithmeticError(
             f"Hermitian observable returned imaginary part {value.imag:.3e}"
@@ -152,12 +251,12 @@ def observable(rho: DensityMatrix, op: Operator) -> float:
 def dense_step(hamiltonian: Operator, terms, dt: float):
     """The step map rho -> U rho U^dag + dt * D(rho) on dense d x d arrays.
 
-    U = exp(-i*H*dt) comes from a plain ``np.linalg.eigh`` of the dense H,
+    U = exp(-i*H*dt) comes from a plain ``np.linalg.eigh`` of the unpacked H,
     so no unitary code is shared with ``StepEngine``.  Every jump is a dense
     matmul, so this costs about (4 + 2J) d^3 per step and makes no use of
     sectors or of the jumps' monomial shape.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian.elements)
+    eigenvalues, eigenvectors = np.linalg.eigh(dense(hamiltonian))
     unitary = (eigenvectors * np.exp(-1j * dt * eigenvalues)) @ eigenvectors.conj().T
     unitary_dag = unitary.conj().T.copy()
     dim = hamiltonian.basis.dim

@@ -56,15 +56,18 @@ from cavitychain.modes import (
     Operator,
     Sectors,
     enumerate_basis,
-    hermiticity_defect,
     transfer_op,
 )
 from operator_oracles import (
+    dense,
     hermitian_coordinates,
     hermitian_unit_states,
+    hermiticity_defect,
     identity_op,
+    initial_matrix,
     number_op,
     observable,
+    pack,
     total_quanta_op,
     trace,
 )
@@ -74,15 +77,22 @@ def two_site_basis():
     return enumerate_basis(ModeLayout(2), 1)
 
 
+def eigenvalues_of(pairs):
+    """All eigenvalues of ``diagonalize``'s per-group pairs, sorted."""
+    return np.sort(np.concatenate([w.reshape(-1) for w, _ in pairs]))
+
+
 def test_diagonalize_diagonal_hamiltonian():
     config = ChainConfig(n_atoms=1)
-    eigenvalues, _ = diagonalize(assemble(config).hamiltonian)
-    np.testing.assert_allclose(sorted(eigenvalues), [0.0, 0.0, 0.1, 0.1])
+    pairs = diagonalize(assemble(config).hamiltonian)
+    np.testing.assert_allclose(eigenvalues_of(pairs), [0.0, 0.0, 0.1, 0.1])
+    # one pair per size group: the vacuum and the sink, then the (1, 0) block
+    assert [(w.shape, v.shape) for w, v in pairs] == [((2, 1), (2, 1, 1)), ((1, 2), (1, 2, 2))]
 
 
 def test_diagonalize_coupling_block_spectrum():
     config = ChainConfig(n_atoms=2, k=0.7, omega_p=0.0, max_quanta=1)
-    eigenvalues, _ = diagonalize(assemble(config).hamiltonian)
+    eigenvalues = eigenvalues_of(diagonalize(assemble(config).hamiltonian))
     # photon hopping block contributes a +-k pair
     assert eigenvalues.min() == pytest.approx(-0.7, abs=1e-12)
     assert eigenvalues.max() == pytest.approx(0.7, abs=1e-12)
@@ -91,30 +101,39 @@ def test_diagonalize_coupling_block_spectrum():
 def test_diagonalize_reconstructs_random_hermitian():
     rng = np.random.default_rng(3)
     basis = two_site_basis()
+    sectors = basis.sectors
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = Operator(basis, a + a.conj().T)
-    eigenvalues, eigenvectors = diagonalize(h)
-    rebuilt = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
-    np.testing.assert_allclose(rebuilt, h.elements, atol=1e-9)
+    inside = sectors.block[:, None] == sectors.block[None, :]
+    h = Operator(basis, pack(sectors, np.where(inside, a + a.conj().T, 0)))
+    for block, (eigenvalues, eigenvectors) in zip(sectors.blocks(h.elements), diagonalize(h)):
+        rebuilt = (eigenvectors * eigenvalues[:, None, :]) @ eigenvectors.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(rebuilt, block, atol=1e-9)
+    expected = np.linalg.eigvalsh(dense(h))
+    np.testing.assert_allclose(eigenvalues_of(diagonalize(h)), expected, atol=1e-12)
 
 
 def test_diagonalize_rejects_non_hermitian():
     basis = two_site_basis()
-    skew = np.zeros((6, 6), dtype=complex)
-    skew[0, 1] = 1.0
+    skew = np.zeros(basis.sectors.length, dtype=complex)
+    skew[basis.sectors.index(np.array([2]), np.array([3]))] = 1.0
     with pytest.raises(ValueError):
         diagonalize(Operator(basis, skew))
 
 
 def test_diagonalize_rejects_bad_eigenvectors(monkeypatch):
     # an eigensolver whose columns rebuild H = 0 but are not orthonormal
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.zeros(6), 2.0 * np.eye(6)))
+    def eigh(a):
+        return np.zeros(a.shape[:-1]), np.broadcast_to(2.0 * np.eye(a.shape[-1]), a.shape)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    basis = two_site_basis()
     with pytest.raises(ValueError, match="not orthonormal"):
-        diagonalize(Operator(two_site_basis(), np.zeros((6, 6))))
+        diagonalize(Operator(basis, np.zeros(basis.sectors.length)))
 
 
-# OpenBLAS 0.3.31's eigh does not converge on this chain's Hamiltonian read by
-# its lower triangle (numpy's default), and does by its upper one
+# OpenBLAS 0.3.31's eigh does not converge on this chain's dense Hamiltonian
+# read by its lower triangle (numpy's default), and does by its upper one; it
+# converges on each of its blocks (sizes 6 and 15) either way
 EIGH_FAILURE_CHAIN = ChainConfig(
     n_atoms=3, k=0.5425841069070236, mu=1.192092896e-07, rate_out=1.0, max_quanta=2
 )
@@ -122,18 +141,25 @@ EIGH_FAILURE_CHAIN = ChainConfig(
 
 def test_diagonalize_reads_the_upper_triangle_where_eigh_fails(monkeypatch):
     h = assemble(EIGH_FAILURE_CHAIN).hamiltonian
-    expected = np.linalg.eigvalsh(h.elements)
-    np.testing.assert_allclose(diagonalize(h)[0], expected, atol=1e-12)
-    # the same on any LAPACK: an eigh that fails by the lower triangle
+    expected = np.linalg.eigvalsh(dense(h))
+    np.testing.assert_allclose(eigenvalues_of(diagonalize(h)), expected, atol=1e-12)
+    # the same on any LAPACK: an eigh that fails by the lower triangle, group
+    # by group
     eigh = np.linalg.eigh
+    calls = []
 
     def lower_fails(a, UPLO="L"):
+        calls.append((a.shape, UPLO))
         if UPLO == "L":
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigh(a, UPLO)
 
     monkeypatch.setattr(np.linalg, "eigh", lower_fails)
-    np.testing.assert_allclose(diagonalize(h)[0], expected, atol=1e-12)
+    np.testing.assert_allclose(eigenvalues_of(diagonalize(h)), expected, atol=1e-12)
+    groups = [(size, span.stop - span.start) for size, span in h.basis.sectors.groups if size > 1]
+    assert calls == [
+        ((area // size**2, size, size), uplo) for size, area in groups for uplo in "LU"
+    ]
 
 
 def test_unitary_blocks_are_unitary():
@@ -145,12 +171,12 @@ def test_unitary_blocks_are_unitary():
 
 def test_unitary_step_preserves_spectrum():
     chain = assemble(ChainConfig(n_atoms=2, k=1.0, mu=0.7))
-    rho = chain.initial
+    rho = initial_matrix(chain)
     engine = StepEngine(chain.hamiltonian, [], 0.05)
     sectors = rho.basis.sectors
     before = np.linalg.eigvalsh(rho.elements)
     for _ in range(50):
-        stepped = engine.step(sectors.pack(rho.elements))
+        stepped = engine.step(pack(sectors, rho.elements))
         rho = DensityMatrix(rho.basis, sectors.unpack(stepped))
     after = np.linalg.eigvalsh(rho.elements)
     np.testing.assert_allclose(after, before, atol=1e-10)
@@ -175,7 +201,7 @@ def test_single_jump_hand_computed_step():
     rho[exciton_idx, exciton_idx] = 1.0
     engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, 0.01)
     stepped = DensityMatrix(
-        basis, basis.sectors.unpack(engine.step(basis.sectors.pack(rho)))
+        basis, basis.sectors.unpack(engine.step(pack(basis.sectors, rho)))
     )
     assert stepped.elements[sink_idx, sink_idx].real == pytest.approx(0.0064, abs=1e-15)
     assert stepped.elements[exciton_idx, exciton_idx].real == pytest.approx(
@@ -201,14 +227,6 @@ def test_step_engine_validates_dt():
         StepEngine(chain.hamiltonian, [], 0.0)
 
 
-def test_step_engine_rejects_hamiltonian_coupling_sectors():
-    rng = np.random.default_rng(3)
-    basis = two_site_basis()
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    with pytest.raises(ArithmeticError, match="sectors"):
-        StepEngine(Operator(basis, a + a.conj().T), [], 0.01)
-
-
 # mode positions on the two-site layout: photon_1, exciton_1, photon_2, exciton_2, sink
 PHOTON_1, EXCITON_1, PHOTON_2, EXCITON_2 = 0, 1, 2, 3
 
@@ -231,7 +249,7 @@ def test_step_engine_rejects_jump_leaving_its_sector_map(moves, match):
         for name in ("sources", "targets", "amplitudes")
     ))
     term = LindbladTerm("mixer", mixer, "rate_out")
-    h = Operator(basis, np.zeros((basis.dim, basis.dim)))
+    h = Operator(basis, np.zeros(basis.sectors.length))
     with pytest.raises(ValueError, match=f"^mixer: .*{match}"):
         StepEngine(h, [term], 0.01)
 
@@ -320,6 +338,23 @@ def test_step_map_allocates_about_one_map():
         # pairs of the coordinate change and index temporaries; a batch of M
         # unit states would take several times the complex map
         assert peak <= 3 * 16 * 288**2
+
+
+def test_pumped_five_site_setup_holds_no_dense_matrix():
+    """Assembling and diagonalizing a pumped five-site chain (d = 2 048,
+    M = 369 512) stays under 40 MB of traced peak: one dense d x d complex
+    matrix alone would take 67 MB."""
+    config = ChainConfig(n_atoms=5, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+    tracemalloc.start()
+    try:
+        chain = assemble(config)
+        pairs = diagonalize(chain.hamiltonian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.basis.dim == 2048 and chain.basis.sectors.length == 369_512
+    assert max(v.shape[-1] for _, v in pairs) == 252
+    assert peak <= 40_000_000 < 16 * 2048**2
 
 
 # A lone cell of the benchmark's two sweeps: K grows on small maps, J
@@ -446,26 +481,28 @@ def _hamiltonian():
 
 def _diagonalize_with_nan_at(*pairs):
     # past the Hermiticity check of construction, so diagonalize meets the NaN
-    h = Operator(two_site_basis(), np.eye(6, dtype=complex))
-    for pair in pairs:
-        h.elements[pair] = NAN
+    # in H = I; the pairs lie in the one-excitation block of states 2 .. 5
+    h = identity_op(two_site_basis())
+    for row, col in pairs:
+        h.elements[h.basis.sectors.index(np.array([row]), np.array([col]))] = NAN
     return diagonalize(h)
 
 
 def _nan_eigenvectors():
     # eigh returns NaN columns for the coupled pair
-    return _diagonalize_with_nan_at((0, 1), (1, 0))
+    return _diagonalize_with_nan_at((2, 3), (3, 2))
 
 
 def _nan_diagonal():
     # eigh returns a NaN eigenvalue with orthonormal (unit) columns
-    return _diagonalize_with_nan_at((1, 1))
+    return _diagonalize_with_nan_at((3, 3))
 
 
 def _nan_off_diagonal():
-    h = np.eye(6, dtype=complex)
-    h[0, 1] = NAN
-    return Operator(two_site_basis(), h)
+    basis = two_site_basis()
+    h = np.zeros(basis.sectors.length, dtype=complex)
+    h[basis.sectors.index(np.array([2]), np.array([3]))] = NAN
+    return Operator(basis, h)
 
 
 def _oracle_at(t):
@@ -730,7 +767,7 @@ def test_sample_reader_fails_on_a_non_finite_state_before_its_screen(
     monkeypatch.setattr(SampleReader, "_screen", unreachable)
     monkeypatch.setattr(Sectors, "min_eigenvalue", unreachable)
     sectors = chain.basis.sectors
-    packed = sectors.pack(chain.initial.elements)
+    packed = chain.initial
     bad = packed.copy()
     bad[sectors.index(*element)] = value
     states = np.stack([packed, packed, bad, packed])
@@ -749,28 +786,30 @@ def test_observable_basics():
     basis = chain.basis
     sink_number = number_op(basis, basis.layout.index(ModeKind.SINK, 2))
     photon_number = number_op(basis, basis.layout.index(ModeKind.PHOTON, 1))
-    assert observable(chain.initial, sink_number) == 0.0
-    assert observable(chain.initial, identity_op(basis)) == pytest.approx(1.0)
-    assert observable(chain.initial, photon_number) == pytest.approx(1.0)
+    rho = initial_matrix(chain)
+    assert observable(rho, sink_number) == 0.0
+    assert observable(rho, identity_op(basis)) == pytest.approx(1.0)
+    assert observable(rho, photon_number) == pytest.approx(1.0)
 
 
 def test_observable_flags_imaginary_expectation():
     basis = two_site_basis()
+    # states 2 and 3 share the one-excitation block
     rho = np.zeros((6, 6), dtype=complex)
-    rho[0, 1] = 1j
-    rho[1, 1] = 1.0
+    rho[2, 3] = 1j
+    rho[3, 3] = 1.0
     op = np.zeros((6, 6), dtype=complex)
-    op[0, 1] = 1.0
-    op[1, 0] = 1.0
+    op[2, 3] = 1.0
+    op[3, 2] = 1.0
     with pytest.raises(ArithmeticError):
-        observable(DensityMatrix(basis, rho), Operator(basis, op))
+        observable(DensityMatrix(basis, rho), Operator(basis, pack(basis.sectors, op)))
 
 
 def test_oracle_identity_map_when_everything_off():
     config = ChainConfig(n_atoms=1, omega_a=0.0, omega_p=0.0)
     out = superoperator_oracle(config, 7.0)
     chain = assemble(config)
-    np.testing.assert_allclose(out.elements, chain.initial.elements, atol=1e-12)
+    np.testing.assert_allclose(out.elements, initial_matrix(chain).elements, atol=1e-12)
 
 
 def test_oracle_matches_unitary_path():
@@ -850,11 +889,11 @@ def test_quanta_conserved_without_input():
     chain = assemble(config)
     engine = StepEngine(chain.hamiltonian, chain.lindblad_terms, 0.01)
     n_quanta = total_quanta_op(chain.basis)
-    rho = chain.initial
+    rho = initial_matrix(chain)
     sectors = rho.basis.sectors
     values = [observable(rho, n_quanta)]
     for _ in range(200):
-        stepped = engine.step(sectors.pack(rho.elements))
+        stepped = engine.step(pack(sectors, rho.elements))
         rho = DensityMatrix(rho.basis, sectors.unpack(stepped))
         values.append(observable(rho, n_quanta))
     np.testing.assert_allclose(values, 1.0, atol=1e-8)

@@ -271,7 +271,7 @@ def test_both_readers_apply_one_rule(sink, photon, failure):
     block (``SampleReader``) and as step 1 of a sweep cell (``_read_stack``)."""
     chain = assemble(ChainConfig(n_atoms=1, mu=0.8, rate_out=0.5))
     basis, sectors = chain.basis, chain.basis.sectors
-    packed = sectors.pack(chain.initial.elements)
+    packed = chain.initial
     state = packed.copy()
     state[sectors.diagonal[basis.state_index((1, 0, 0))]] = photon
     state[sectors.diagonal[basis.state_index((0, 0, 1))]] = sink

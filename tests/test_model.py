@@ -15,11 +15,9 @@ from cavitychain.model import (
     assemble,
     build_basis,
 )
-from cavitychain.modes import (
-    ModeKind,
-    hermiticity_defect,
-)
-from operator_oracles import total_quanta_op, trace
+from cavitychain import model
+from cavitychain.modes import ModeKind
+from operator_oracles import dense, hermiticity_defect, initial_matrix, total_quanta_op, trace
 
 
 def test_layout_mode_counts():
@@ -129,7 +127,7 @@ def test_hamiltonian_diagonal_when_uncoupled():
         n_atoms=2, dephasing=DephasingModel.UNITARY_PHONON, max_quanta=1
     )
     basis = build_basis(config)
-    h = assemble(config).hamiltonian.elements
+    h = dense(assemble(config).hamiltonian)
     layout = basis.layout
     occ = basis.occupations
     expected = np.zeros(basis.dim)
@@ -145,7 +143,7 @@ def test_hamiltonian_diagonal_when_uncoupled():
 def test_tunnelling_block_two_by_two():
     config = ChainConfig(n_atoms=2, k=0.7, max_quanta=1)
     basis = build_basis(config)
-    h = assemble(config).hamiltonian.elements
+    h = dense(assemble(config).hamiltonian)
     p1 = basis.state_index((1, 0, 0, 0, 0))
     p2 = basis.state_index((0, 0, 1, 0, 0))
     block = h[np.ix_([p1, p2], [p1, p2])]
@@ -156,7 +154,7 @@ def test_tunnelling_block_two_by_two():
 
 def test_single_site_matrix_exact():
     config = ChainConfig(n_atoms=1, mu=0.4)
-    h = assemble(config).hamiltonian.elements
+    h = dense(assemble(config).hamiltonian)
     # lexicographic states: vacuum, sink, exciton, photon
     expected = np.array(
         [
@@ -175,7 +173,7 @@ def test_phonon_coupling_doubles_real_g():
         n_atoms=1, g=0.3, dephasing=DephasingModel.UNITARY_PHONON
     )
     basis = build_basis(config)
-    h = assemble(config).hamiltonian.elements
+    h = dense(assemble(config).hamiltonian)
     # modes: photon, exciton, phonon, sink
     src = basis.state_index((0, 1, 0, 0))
     dst = basis.state_index((0, 1, 1, 0))
@@ -198,10 +196,10 @@ def test_hamiltonian_hermitian_and_conserves_quanta(seed):
         dephasing=rng.choice(list(DephasingModel)),
     )
     basis = build_basis(config)
-    op = assemble(config).hamiltonian
-    assert hermiticity_defect(op.elements) <= 1e-12
-    n_quanta = total_quanta_op(basis).elements
-    comm = op.elements @ n_quanta - n_quanta @ op.elements
+    h = dense(assemble(config).hamiltonian)
+    assert hermiticity_defect(h) <= 1e-12
+    n_quanta = dense(total_quanta_op(basis))
+    comm = h @ n_quanta - n_quanta @ h
     assert np.abs(comm).max() <= 1e-12
 
 
@@ -289,7 +287,7 @@ def test_term_quanta_bookkeeping():
         n_atoms=2, g=0.3, rate_in=1.0, rate_out=0.6, cavity_loss=0.2
     )
     basis = build_basis(config)
-    n_quanta = total_quanta_op(basis).elements
+    n_quanta = dense(total_quanta_op(basis))
     shifts = {"input": 1, "output": 0, "dephasing_1": 0, "dephasing_2": 0, "loss_1": -1, "loss_2": -1}
     for term in assemble(config).lindblad_terms:
         l = term.operator.dense()
@@ -313,7 +311,7 @@ def test_saturated_window_pump_warns():
 def test_initial_density_matrix_photon_first():
     config = ChainConfig(n_atoms=2)
     basis = build_basis(config)
-    rho = assemble(config).initial
+    rho = initial_matrix(assemble(config))
     idx = basis.state_index((1, 0, 0, 0, 0))
     assert trace(rho) == pytest.approx(1.0)
     assert rho.elements[idx, idx] == 1.0
@@ -322,7 +320,9 @@ def test_initial_density_matrix_photon_first():
 
 def test_initial_density_matrix_vacuum():
     config = ChainConfig(n_atoms=2, rate_in=1.5)
-    rho = assemble(config).initial
+    chain = assemble(config)
+    assert np.count_nonzero(chain.initial) == 1
+    rho = initial_matrix(chain)
     assert rho.elements[0, 0] == 1.0
     assert trace(rho) == pytest.approx(1.0)
 
@@ -331,13 +331,41 @@ def test_assemble_bundle():
     chain = assemble(ChainConfig(n_atoms=2, k=1.0, mu=1.0, rate_out=1.5))
     assert isinstance(chain, AssembledChain)
     assert chain.basis.dim == 6
-    assert hermiticity_defect(chain.hamiltonian.elements) <= 1e-12
+    assert hermiticity_defect(dense(chain.hamiltonian)) <= 1e-12
     assert [t.label for t in chain.lindblad_terms] == ["output"]
-    assert trace(chain.initial) == pytest.approx(1.0)
+    assert trace(initial_matrix(chain)) == pytest.approx(1.0)
 
 
-def test_assemble_leaves_the_sectors_unbuilt():
-    # the couplings and jumps are column maps over basis states, so nothing in
-    # assembly needs the (N, sink) blocks, which the first engine builds
+def test_assemble_leaves_the_coordinate_tables_unbuilt():
+    # assembly packs H and the initial state by the (N, sink) blocks, so it
+    # builds the partition; the tables over packed coordinates wait for the
+    # first engine or step map
     chain = assemble(ChainConfig(n_atoms=2, k=1.0, mu=1.0, g=0.3, rate_in=1.5, rate_out=1.5))
-    assert "sectors" not in vars(chain.basis)
+    sectors = chain.basis.sectors
+    assert "_coordinates" not in vars(sectors) and "pairs" not in vars(sectors)
+
+
+@pytest.mark.parametrize(
+    "moved, name",
+    [
+        # the hop photon_1 -> photon_2 lands in the sink: N kept, the sink filled
+        (((ModeKind.PHOTON, 1), (ModeKind.PHOTON, 2), (ModeKind.SINK, 2)), "k photon_1-photon_2"),
+        # the lowering of phonon_2 lands in photon_1: N raised
+        (((ModeKind.PHONON, 2), None, (ModeKind.PHOTON, 1)), "g phonon_2-exciton_2"),
+    ],
+    ids=["tunnelling", "phonon"],
+)
+def test_hamiltonian_rejects_a_coupling_that_joins_sectors(monkeypatch, moved, name):
+    """A coupling's column map whose targets lie in another (N, sink) sector
+    raises, naming the coupling."""
+    config = ChainConfig(n_atoms=2, k=0.7, mu=0.4, g=0.3, dephasing=DephasingModel.UNITARY_PHONON)
+    basis = build_basis(config)
+    src, dst, into = (None if mode is None else basis.layout.index(*mode) for mode in moved)
+    transfer = model.transfer_op
+
+    def leaking(basis, a, b):
+        return transfer(basis, a, into if (a, b) == (src, dst) else b)
+
+    monkeypatch.setattr(model, "transfer_op", leaking)
+    with pytest.raises(ArithmeticError, match=f"^coupling {name} joins two"):
+        model.hamiltonian(config, basis)

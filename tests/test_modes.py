@@ -12,11 +12,13 @@ from cavitychain.modes import (
     ModeLayout,
     Operator,
     enumerate_basis,
-    hermiticity_defect,
     transfer_op,
 )
 from operator_oracles import (
+    dense,
+    hermiticity_defect,
     number_op,
+    pack,
     quanta_weights,
     total_quanta_op,
     validate_state,
@@ -221,24 +223,22 @@ def test_raise_lower_product_is_number_op():
     for mode in range(len(layout.modes)):
         lower = transfer_op(basis, mode, None).dense()
         prod = transfer_op(basis, None, mode).dense() @ lower
-        np.testing.assert_allclose(prod, number_op(basis, mode).elements, atol=1e-12)
+        np.testing.assert_allclose(prod, dense(number_op(basis, mode)), atol=1e-12)
 
 
 def test_number_op_diagonal_reads_occupations():
     layout = ModeLayout(2)
     basis = enumerate_basis(layout, 1)
     for mode in range(len(layout.modes)):
-        op = number_op(basis, mode)
-        assert hermiticity_defect(op.elements) <= 1e-12
-        np.testing.assert_array_equal(
-            np.diag(op.elements).real, basis.occupations[:, mode]
-        )
+        op = dense(number_op(basis, mode))
+        assert hermiticity_defect(op) <= 1e-12
+        np.testing.assert_array_equal(np.diag(op).real, basis.occupations[:, mode])
 
 
 def test_total_quanta_op_skips_phonons():
     layout = ModeLayout(1, phonons=True)
     basis = enumerate_basis(layout, 1, phonon_cap=1)
-    diag = np.diag(total_quanta_op(basis).elements).real
+    diag = np.diag(dense(total_quanta_op(basis))).real
     for i, state in enumerate(basis.states):
         # modes: photon, exciton, phonon, sink
         assert diag[i] == state[0] + state[1] + state[3]
@@ -256,16 +256,21 @@ def test_two_level_anticommutator_is_identity():
 def test_operator_algebra_flags():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, 1)
-    assert hermiticity_defect(number_op(basis, 0).elements) <= 1e-12
+    assert hermiticity_defect(dense(number_op(basis, 0))) <= 1e-12
     assert isinstance(transfer_op(basis, 0, 1), ColumnMap)
 
 
 def test_hermitian_tag_verified():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, 1)
-    bad = np.zeros((basis.dim, basis.dim), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
+    bad = np.zeros(basis.sectors.length, dtype=complex)
+    # off the diagonal of the one-excitation block, without its transpose
+    bad[basis.sectors.index(np.array([2]), np.array([3]))] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Operator(basis, bad)
+    bad = np.zeros(basis.sectors.length, dtype=complex)
+    bad[basis.sectors.diagonal[0]] = 1j  # a 1 x 1 block
+    with pytest.raises(ValueError, match="not Hermitian"):
         Operator(basis, bad)
 
 
@@ -274,14 +279,17 @@ def test_random_symmetrized_matrix_passes_hermitian_tag():
     basis = enumerate_basis(layout, 1)
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    Operator(basis, a + a.conj().T)
+    inside = basis.sectors.block[:, None] == basis.sectors.block[None, :]
+    Operator(basis, pack(basis.sectors, np.where(inside, a + a.conj().T, 0)))
 
 
 def test_operator_shape_checked():
     layout = ModeLayout(1)
     basis = enumerate_basis(layout, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="packed length"):
         Operator(basis, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="packed length"):
+        Operator(basis, np.zeros((basis.dim, basis.dim)))
 
 
 def test_ladder_mode_index_range():

@@ -67,8 +67,17 @@ from cavitychain.model import (
     assemble,
     build_basis,
 )
-from cavitychain.modes import SECTOR_LEAK_TOL, ModeKind, hermiticity_defect
-from operator_oracles import dense_hamiltonian, dense_jumps, dense_step, engine_step_map
+from cavitychain.modes import ModeKind, Sectors
+from operator_oracles import (
+    SECTOR_LEAK_TOL,
+    dense_hamiltonian,
+    dense_jumps,
+    dense_step,
+    engine_step_map,
+    hermiticity_defect,
+    numpy_sectors,
+    pack,
+)
 
 MAX_DIM = 32
 # with run times up to 3.0, every dt here keeps a run at <= 300 steps
@@ -225,11 +234,12 @@ def operator_chains(draw):
     ChainConfig(n_atoms=3, k=-1.0, mu=1.0, g=0.5, rate_in=1.5, rate_out=1.5, cavity_loss=0.2)
 )
 def test_column_maps_densify_to_the_dense_construction(config):
-    """H, scattered from the couplings' column maps, and every jump's map,
-    densified, equal the sum of dense matrices bit for bit."""
+    """H, written packed from the couplings' column maps, unpacked, and every
+    jump's map, densified, equal the sum of dense matrices bit for bit."""
     chain = assemble(config)
     basis = chain.basis
-    assert np.array_equal(bits(chain.hamiltonian.elements), bits(dense_hamiltonian(config, basis)))
+    h = basis.sectors.unpack(chain.hamiltonian.elements)
+    assert np.array_equal(bits(h), bits(dense_hamiltonian(config, basis)))
     expected = dense_jumps(config, basis)
     assert [term.label for term in chain.lindblad_terms] == list(expected)
     for term in chain.lindblad_terms:
@@ -269,7 +279,7 @@ def test_blocked_step_matches_dense_step(config, dt, n_steps):
     chain = assemble(config)
     sectors = chain.basis.sectors
     step = dense_step(chain.hamiltonian, chain.lindblad_terms, dt)
-    rho = chain.initial.elements
+    rho = sectors.unpack(chain.initial)
     for i, blocks in enumerate(stepped_states(chain, dt, n_steps)):
         if i:
             rho = step(rho)
@@ -292,7 +302,7 @@ def test_packed_unitary_is_the_exponential_of_the_hamiltonian(config, dt):
     the packed exp(-i*dt*H) of a route that shares no eigendecomposition."""
     h = assemble(config).hamiltonian
     sectors = h.basis.sectors
-    expected = sectors.blocks(sectors.pack(_expm_taylor(-1j * dt * h.elements)))
+    expected = sectors.blocks(pack(sectors, _expm_taylor(-1j * dt * sectors.unpack(h.elements))))
     groups = _unitary_blocks(h, dt)
     assert [g.shape for g in groups] == [g.shape for g in expected]
     for (size, _), got, want in zip(sectors.groups, groups, expected):
@@ -310,7 +320,7 @@ def test_packed_layout_groups_the_blocks_by_size(config, seed):
     dim = sectors.dim
     inside = sectors.block[:, None] == sectors.block[None, :]
     dense = np.where(inside, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), 0)
-    packed = sectors.pack(dense)
+    packed = pack(sectors, dense)
     views = sectors.blocks(packed)
     assert [size for size, _ in sectors.groups] == sorted(set(sectors.sizes))
     assert sum(view.size for view in views) == len(packed) == inside.sum()
@@ -324,10 +334,46 @@ def test_packed_layout_groups_the_blocks_by_size(config, seed):
     outside = np.argwhere(~inside)
     row, col = outside[rng.integers(len(outside))]
     dense[row, col] = SECTOR_LEAK_TOL
-    sectors.pack(dense)
+    pack(sectors, dense)
     dense[row, col] = 2 * SECTOR_LEAK_TOL
     with pytest.raises(ArithmeticError, match="leaks out of its"):
-        sectors.pack(dense)
+        pack(sectors, dense)
+
+
+# U of each group against U of the unpacked H's own dense eigh: the two
+# eigendecompositions differ by roundoff alone.
+UNITARY_VS_DENSE_MAX = 1e-12
+
+
+@settings(max_examples=40)
+@given(operator_chains(), time_steps)
+def test_group_unitary_is_the_dense_exponential(config, dt):
+    """Every group of U = exp(-i*H*dt), built block by block, equals the
+    packed exponential of the unpacked H by one dense eigh, phonons included."""
+    h = assemble(config).hamiltonian
+    sectors = h.basis.sectors
+    w, v = np.linalg.eigh(sectors.unpack(h.elements))
+    expected = sectors.blocks(pack(sectors, (v * np.exp(-1j * w * dt)) @ v.conj().T))
+    for (size, _), got, want in zip(sectors.groups, _unitary_blocks(h, dt), expected):
+        assert np.abs(got - want).max() <= UNITARY_VS_DENSE_MAX, size
+
+
+@settings(max_examples=40)
+@given(operator_chains())
+# the largest of the benchmark chains: blocks of sizes 1 to 20
+@example(ChainConfig(n_atoms=3, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5))
+def test_partition_from_the_enumeration_is_the_numpy_partition(config):
+    """Every field of ``Sectors``, counted from the enumeration's sector keys,
+    the coordinate tables built on first use, equals the one derived with
+    numpy from the occupation table."""
+    basis = build_basis(config)
+    sectors = Sectors(basis)
+    for name, want in numpy_sectors(basis).items():
+        got = getattr(sectors, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert got == want, name
 
 
 # Readouts are the per-state products a sample took one at a time, and the
