@@ -12,7 +12,6 @@ from .evolution import (
     superoperator_oracle,
 )
 from .experiments import (
-    OptimalRate,
     ReachTime,
     SinkAtTime,
     SweepAxis,
@@ -23,12 +22,10 @@ from .experiments import (
     dat_scan,
     default_g_grid,
     default_rate_grid,
-    optimal_rate,
     run_sweep,
     time_to_reach,
 )
 from .model import (
-    AssembledChain,
     ChainConfig,
     DephasingModel,
     DephasingTarget,
@@ -40,12 +37,9 @@ from .model import (
 )
 from .modes import (
     ColumnMap,
-    DensityMatrix,
     ModeKind,
     ModeLayout,
-    ModeSpec,
     Operator,
-    ProjectedBasis,
     enumerate_basis,
     transfer_op,
 )

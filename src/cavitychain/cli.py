@@ -261,9 +261,7 @@ def _write_manifest(args, setup: RunSetup, duration: float, result) -> None:
     }
     if isinstance(result, SweepResult):
         manifest["cell_routes"] = result.cell_routes
-        sectors = result.sectors
-    else:
-        sectors = result.final_state.basis.sectors
+    sectors = result.sectors
     manifest["basis_dim"] = sectors.dim
     manifest["sector_sizes"] = [
         [n, sink, size] for (n, sink), size in zip(sectors.keys, sectors.sizes)
@@ -352,31 +350,29 @@ def _sweep_inputs(args) -> tuple[RunSetup, tuple]:
     return setup, (SweepSpec(setup.chain, axis1, objective, axis2, args.dt),)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command; it lists the commands after the flags."""
-    parser = argparse.ArgumentParser(
-        prog="cavitychain",
-        description="Excitation transport in dissipative cavity-atom chains.",
-        epilog="commands (a flag the command does not read exits 2):\n"
-        + "".join(f"  {c:<12}{row[0]}\n" for c, row in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see below")
-    parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--out", required=True, help="output path prefix")
-    parser.add_argument("--dt", type=float, default=DEFAULT_DT, help=f"default {DEFAULT_DT:g}")
-    # read by some commands only: None where not given
-    parser.add_argument("--t-max", type=float, help=f"end or cap; default {DEFAULT_T_MAX:g}")
-    parser.add_argument("--target", type=float, help=f"sink to reach; default {DEFAULT_TARGET:g}")
-    parser.add_argument("--sample-every", type=int, help="evolve; default 1")
-    parser.add_argument("--workers", type=int, help="sweeps; no effect")
-    return parser
+# one parser for every command, built once: argparse's help formatting costs
+# more to build than a parse does; it lists the commands after the flags
+_PARSER = argparse.ArgumentParser(
+    prog="cavitychain",
+    description="Excitation transport in dissipative cavity-atom chains.",
+    epilog="commands (a flag the command does not read exits 2):\n"
+    + "".join(f"  {c:<12}{row[0]}\n" for c, row in _COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+_PARSER.add_argument("--version", action="version", version=__version__)
+_PARSER.add_argument("command", choices=_COMMANDS, metavar="command", help="see below")
+_PARSER.add_argument("--config", required=True, help="key=value config file")
+_PARSER.add_argument("--out", required=True, help="output path prefix")
+_PARSER.add_argument("--dt", type=float, default=DEFAULT_DT, help=f"default {DEFAULT_DT:g}")
+# read by some commands only: None where not given
+_PARSER.add_argument("--t-max", type=float, help=f"end or cap; default {DEFAULT_T_MAX:g}")
+_PARSER.add_argument("--target", type=float, help=f"sink to reach; default {DEFAULT_TARGET:g}")
+_PARSER.add_argument("--sample-every", type=int, help="evolve; default 1")
+_PARSER.add_argument("--workers", type=int, help="sweeps; no effect")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for flag, value, high in (
         ("--dt", args.dt, math.inf),
         ("--t-max", args.t_max, math.inf),
@@ -386,7 +382,7 @@ def main(argv=None) -> int:
     ):
         # an open interval also keeps out nan and inf; for an integer, > 0 is >= 1
         if value is not None and not 0.0 < value < high:
-            parser.error(f"{flag} must lie in (0, {high:g}), got {value}")
+            _PARSER.error(f"{flag} must lie in (0, {high:g}), got {value}")
     _, _, _, runner = _COMMANDS[args.command]
     try:
         if not os.path.isdir(os.path.dirname(args.out) or "."):  # before any cell runs

@@ -291,7 +291,9 @@ class TrajectoryRecord:
     sampled at the same instants, and min_eigenvalue_seen is the smallest
     eigenvalue over all samples.  Flags and minimum are exact, though a
     sample that ``SampleReader``'s screen clears has no eigenvalue of its
-    own.  final_state is the exact end-of-run density matrix.
+    own.  final_state is the end-of-run density matrix as the packed vector
+    of sectors, the (N, sink) blocks of the run's basis; ``sectors.unpack``
+    gives its dense d x d matrix.
     """
 
     times: np.ndarray
@@ -302,7 +304,8 @@ class TrajectoryRecord:
     positivity_flags: np.ndarray
     min_eigenvalue_seen: float
     hermiticity: np.ndarray
-    final_state: DensityMatrix
+    final_state: np.ndarray
+    sectors: Sectors
 
     def __post_init__(self) -> None:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
@@ -951,7 +954,8 @@ def evolve_assembled(
         positivity_flags=flags,
         min_eigenvalue_seen=reader.seen,
         hermiticity=hermiticity,
-        final_state=DensityMatrix(basis, basis.sectors.unpack(states[-1])),
+        final_state=states[-1].copy(),  # not a view that keeps the block alive
+        sectors=basis.sectors,
     )
 
 

@@ -1,4 +1,4 @@
-"""Transport experiments: time-to-target, optimal-rate searches, 2D scans.
+"""Transport experiments: time-to-target and 2D scans.
 
 The two reproduced effects are the quantum bottleneck (time to fill the sink
 is non-monotone in the output rate: past an optimum, faster runoff slows the
@@ -131,13 +131,6 @@ class SweepSpec:
 class ReachTime:
     """Result of one time-to-target run; capped means the cap value is carried."""
 
-    time: float
-    capped: bool
-
-
-@dataclass(frozen=True)
-class OptimalRate:
-    rate: float
     time: float
     capped: bool
 
@@ -361,30 +354,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         min_eigenvalue_seen=min(o.final_min_eig for o in outcomes),
         cell_routes={route: routes.count(route) for route in CELL_ROUTES},
         sectors=sectors,
-    )
-
-
-def optimal_rate(
-    base: ChainConfig,
-    which: str,
-    candidates,
-    objective: TimeToReach | None = None,
-    dt: float = DEFAULT_DT,
-) -> OptimalRate:
-    """Grid-search the rate minimizing time-to-target; ties go to the smaller rate."""
-    if which not in ("rate_in", "rate_out"):
-        raise ValueError(f"which must be rate_in or rate_out, got {which!r}")
-    objective = objective if objective is not None else TimeToReach()
-    spec = SweepSpec(
-        base=base, axis1=SweepAxis(which, tuple(candidates)), objective=objective, dt=dt
-    )
-    result = run_sweep(spec)
-    times = result.grid[:, 0]
-    best = int(np.argmin(times))  # first minimum = smallest rate on the sorted axis
-    return OptimalRate(
-        rate=spec.axis1.values[best],
-        time=float(times[best]),
-        capped=bool(result.cap_mask[best, 0]),
     )
 
 

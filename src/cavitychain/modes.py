@@ -286,8 +286,8 @@ class Operator:
 
 @dataclass
 class DensityMatrix:
-    """State of the chain over a basis.  Only the matrix shape is checked, not
-    Hermiticity, trace or positivity (Euler steps can dip below zero)."""
+    """A dense d x d state of the chain, as ``superoperator_oracle`` returns it.
+    Only the matrix shape is checked, not Hermiticity, trace or positivity."""
 
     basis: ProjectedBasis
     elements: np.ndarray

@@ -67,6 +67,11 @@ def dense(op: Operator) -> np.ndarray:
     return op.basis.sectors.unpack(op.elements)
 
 
+def final_matrix(record) -> np.ndarray:
+    """The dense d x d end-of-run state of a TrajectoryRecord."""
+    return record.sectors.unpack(record.final_state)
+
+
 def initial_matrix(chain) -> DensityMatrix:
     """The dense initial state of an assembled chain."""
     return DensityMatrix(chain.basis, chain.basis.sectors.unpack(chain.initial))

@@ -24,11 +24,12 @@ from cavitychain import (
     default_g_grid,
     default_rate_grid,
     evolve,
-    optimal_rate,
+    run_sweep,
     superoperator_oracle,
     time_to_reach,
 )
 from cavitychain.cli import main
+from operator_oracles import final_matrix
 
 
 @contextmanager
@@ -52,6 +53,16 @@ def sink_grid(base, outs, gs, t):
         dt=0.01,
     )
     return dat_scan(spec).grid
+
+
+def fastest_rate(base, which, rates):
+    """(rate, capped) of the cell of a one-axis sweep over ``which`` that
+    reaches the default target first; a tie goes to the smaller rate."""
+    result = run_sweep(
+        SweepSpec(base=base, axis1=SweepAxis(which, tuple(rates)), objective=TimeToReach())
+    )
+    best = int(np.argmin(result.grid[:, 0]))
+    return rates[best], bool(result.cap_mask[best, 0])
 
 
 def test_criterion_01_tunnelling_oracle():
@@ -81,7 +92,7 @@ def test_criterion_03_superoperator_equivalence():
         exact = superoperator_oracle(config, 10.0).elements
         errors = {}
         for dt in (0.02, 0.01):
-            final = evolve(config, t_end=10.0, dt=dt).final_state.elements
+            final = final_matrix(evolve(config, t_end=10.0, dt=dt))
             errors[dt] = np.max(np.abs(final - exact))
         elapsed = time.perf_counter() - started
         ratio = errors[0.02] / errors[0.01]
@@ -147,12 +158,12 @@ def test_criterion_06_asymmetric_optimum():
             sink_coupling=SinkCoupling.LAST_EXCITON,
         )
         grid = default_rate_grid()
-        opt_in = optimal_rate(base, "rate_in", grid)
-        opt_out = optimal_rate(replace(base, rate_in=1.9), "rate_out", grid)
-        assert not opt_in.capped and not opt_out.capped
-        assert abs(opt_in.rate - 1.9) <= 0.2 + 1e-9, f"optimal input {opt_in.rate}"
-        assert abs(opt_out.rate - 1.0) <= 0.2 + 1e-9, f"optimal output {opt_out.rate}"
-        note["text"] = f"opt in={opt_in.rate} (out=1.0), opt out={opt_out.rate} (in=1.9)"
+        opt_in, in_capped = fastest_rate(base, "rate_in", grid)
+        opt_out, out_capped = fastest_rate(replace(base, rate_in=1.9), "rate_out", grid)
+        assert not in_capped and not out_capped
+        assert abs(opt_in - 1.9) <= 0.2 + 1e-9, f"optimal input {opt_in}"
+        assert abs(opt_out - 1.0) <= 0.2 + 1e-9, f"optimal output {opt_out}"
+        note["text"] = f"opt in={opt_in} (out=1.0), opt out={opt_out} (in=1.9)"
 
 
 def test_criterion_07_dephasing_assisted_transport():

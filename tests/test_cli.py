@@ -27,7 +27,7 @@ from cavitychain.model import (
     InitialState,
     SinkCoupling,
 )
-from cavitychain.modes import enumerate_basis
+from cavitychain.modes import Sectors, enumerate_basis
 
 
 def test_parse_minimal_defaults():
@@ -714,3 +714,40 @@ def test_flag_outside_its_range_exits_2_and_names_it(
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "x.manifest.json").exists()
+
+
+def test_evolve_runs_without_unpacking_a_state(tmp_path, monkeypatch):
+    """The benchmark's n=3 trajectory writes its CSV and manifest from packed
+    states alone, and the manifest records the basis the run built."""
+
+    def refused(self, packed):
+        raise AssertionError("evolve unpacked a state")
+
+    monkeypatch.setattr(Sectors, "unpack", refused)
+    config = write_config(tmp_path, "n_atoms=3 k=1.0 mu=1.0 rate_in=1.5 rate_out=1.5\n")
+    out = str(tmp_path / "n3")
+    assert run_cli("evolve", "--config", config, "--out", out, "--t-max", "0.5") == 0
+    manifest = json.loads((tmp_path / "n3.manifest.json").read_text())
+    assert manifest["basis_dim"] == 128
+    assert manifest["sector_sizes"] == [
+        [0, 0, 1], [1, 0, 6], [1, 1, 1], [2, 0, 15], [2, 1, 6], [3, 0, 20], [3, 1, 15],
+        [4, 0, 15], [4, 1, 20], [5, 0, 6], [5, 1, 15], [6, 0, 1], [6, 1, 6], [7, 1, 1],
+    ]
+
+
+def test_runs_in_one_process_share_no_flags(tmp_path):
+    """main() reuses one parser, so no flag of a run is read by the next:
+    dat, which does not read --t-max, runs after an evolve given it, and an
+    evolve after one given --sample-every samples every step."""
+    one_site = write_config(tmp_path, "n_atoms=1 mu=0.8\n", "one_site.cfg")
+    dat = write_config(tmp_path, DAT_TEXT, "dat.cfg")
+    runs = [
+        ("evolve", one_site, "sparse", "--t-max", "0.5", "--sample-every", "5"),
+        ("dat", dat, "scan"),
+        ("evolve", one_site, "dense", "--t-max", "0.5"),
+    ]
+    for command, config, out, *flags in runs:
+        assert run_cli(command, "--config", config, "--out", str(tmp_path / out), *flags) == 0
+    assert len(read_rows(tmp_path / "sparse.csv")[1]) == 11
+    assert len(read_rows(tmp_path / "scan.csv")[1]) == 2
+    assert len(read_rows(tmp_path / "dense.csv")[1]) == 51

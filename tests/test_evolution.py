@@ -60,6 +60,7 @@ from cavitychain.modes import (
 )
 from operator_oracles import (
     dense,
+    final_matrix,
     hermitian_coordinates,
     hermitian_unit_states,
     hermiticity_defect,
@@ -213,9 +214,9 @@ def test_single_jump_hand_computed_step():
 def test_step_convergence_under_dt_halving():
     config = ChainConfig(n_atoms=2, k=0.8, mu=0.5, g=0.4, rate_out=1.2)
     t_end = 2.0
-    coarse = evolve(config, t_end, dt=0.02).final_state.elements
-    fine = evolve(config, t_end, dt=0.01).final_state.elements
-    finest = evolve(config, t_end, dt=0.005).final_state.elements
+    coarse = final_matrix(evolve(config, t_end, dt=0.02))
+    fine = final_matrix(evolve(config, t_end, dt=0.01))
+    finest = final_matrix(evolve(config, t_end, dt=0.005))
     err_coarse = np.abs(coarse - finest).max()
     err_fine = np.abs(fine - finest).max()
     assert err_coarse / err_fine >= 1.8
@@ -355,6 +356,21 @@ def test_pumped_five_site_setup_holds_no_dense_matrix():
     assert chain.basis.dim == 2048 and chain.basis.sectors.length == 369_512
     assert max(v.shape[-1] for _, v in pairs) == 252
     assert peak <= 40_000_000 < 16 * 2048**2
+
+
+def test_pumped_five_site_evolve_returns_its_state_packed():
+    """evolve on the same chain to t = 0.05 returns its last state packed
+    (M = 369 512), and once it returns holds under half of one dense d x d
+    complex matrix: the record, the basis and its sectors, about 15 MB."""
+    config = ChainConfig(n_atoms=5, k=1.0, mu=1.0, rate_in=1.5, rate_out=1.5)
+    tracemalloc.start()
+    try:
+        record = evolve(config, 0.05)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 2048**2 // 2
+    assert record.final_state.shape == (369_512,)
 
 
 # A lone cell of the benchmark's two sweeps: K grows on small maps, J
@@ -624,6 +640,7 @@ def test_trajectory_record_summaries():
         min_eigenvalue_seen=-2e-6,
         hermiticity=np.array([0.0, 1e-12]),
         final_state=None,
+        sectors=None,
     )
     assert record.max_trace_drift == pytest.approx(3e-9)
     assert record.max_hermiticity_defect == pytest.approx(1e-12)
@@ -638,6 +655,7 @@ def test_trajectory_record_summaries():
             min_eigenvalue_seen=0.0,
             hermiticity=np.zeros(2),
             final_state=None,
+            sectors=None,
         )
 
 
@@ -704,7 +722,7 @@ def test_evolve_record_does_not_depend_on_the_rows_of_a_block(monkeypatch, name,
     one, full = ([np.asarray(getattr(r, f)).tobytes() for f in fields[:-1]] for r in records)
     assert one == full
     assert len(records[0].times) == samples and records[0].times[-1] == 5.0
-    assert np.array_equal(records[0].final_state.elements, records[1].final_state.elements)
+    assert np.array_equal(final_matrix(records[0]), final_matrix(records[1]))
     if name == "criterion_10":
         assert records[0].positivity_flags.sum() > 0
 
@@ -816,7 +834,7 @@ def test_oracle_matches_unitary_path():
     # two independent code paths for a dissipation-free run
     config = ChainConfig(n_atoms=1, mu=0.4)
     t = 3.0
-    via_steps = evolve(config, t, dt=0.01).final_state.elements
+    via_steps = final_matrix(evolve(config, t, dt=0.01))
     via_oracle = superoperator_oracle(config, t).elements
     # both treat the unitary part exactly
     np.testing.assert_allclose(via_steps, via_oracle, atol=1e-9)
@@ -837,7 +855,7 @@ def test_oracle_first_order_agreement_with_stepper():
     for config in (drain_and_photon_dephasing, every_jump_kind):
         reference = superoperator_oracle(config, t).elements
         err = {
-            dt: np.abs(evolve(config, t, dt=dt).final_state.elements - reference).max()
+            dt: np.abs(final_matrix(evolve(config, t, dt=dt)) - reference).max()
             for dt in (0.02, 0.01)
         }
         assert 1.7 <= err[0.02] / err[0.01] <= 2.3

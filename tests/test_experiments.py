@@ -1,4 +1,4 @@
-"""Sweep harness: time-to-target, optimal rates, bottleneck and dephasing scans."""
+"""Sweep harness: time-to-target, bottleneck and dephasing scans."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ import pytest
 from cavitychain import experiments
 from cavitychain.evolution import TRACE_TOL, SampleReader, _quiet_overflow, evolve
 from cavitychain.experiments import (
-    OptimalRate,
     ReachTime,
     SinkAtTime,
     SweepAxis,
@@ -21,7 +20,6 @@ from cavitychain.experiments import (
     dat_scan,
     default_g_grid,
     default_rate_grid,
-    optimal_rate,
     run_sweep,
     time_to_reach,
 )
@@ -400,28 +398,6 @@ def test_numpy_error_state_never_leaks():
     assert np.geterr() == before
     outcomes.close()
     assert np.geterr() == before
-
-
-def test_optimal_rate_single_candidate():
-    result = optimal_rate(transport_config(), "rate_out", [1.5], TimeToReach(t_max=20.0))
-    assert result.rate == 1.5
-    assert not result.capped
-
-
-def test_optimal_rate_all_capped_marks_and_prefers_smaller():
-    # nothing moves without tunnelling: every candidate hits the cap
-    base = transport_config(k=0.0, mu=0.0)
-    result = optimal_rate(base, "rate_out", [0.5, 1.0], TimeToReach(t_max=2.0))
-    assert result == OptimalRate(0.5, 2.0, True)
-
-
-def test_optimal_rate_matches_transport_optimum():
-    result = optimal_rate(
-        transport_config(), "rate_out", [1.0, 1.5, 2.0], TimeToReach()
-    )
-    assert result.rate == 1.5
-    with pytest.raises(ValueError):
-        optimal_rate(transport_config(), "k", [0.5], TimeToReach())
 
 
 def test_run_sweep_single_cell_matches_direct_call():
