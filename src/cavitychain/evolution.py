@@ -319,10 +319,6 @@ class TrajectoryRecord:
     def max_trace_drift(self) -> float:
         return float(np.abs(self.trace - 1.0).max())
 
-    @property
-    def max_hermiticity_defect(self) -> float:
-        return float(self.hermiticity.max())
-
 
 def iter_steps(
     chain: AssembledChain, dt: float, n_steps: int, every: int = 1
@@ -626,11 +622,10 @@ class StepMaps:
     field's terms at unit rate.  Those are the ``unit_terms`` of ``widest``,
     a cell that sets positive every rate that any cell does (the last cell
     of a grid, whose axes increase).  S_H, the ``unitary_map`` of a cell's
-    Hamiltonian, is built at the first ``step_map``, kept for the cells
-    after it and rebuilt only when a cell's Hamiltonian inputs, its config
-    fields other than the rate fields, change; a cell with the inputs of
-    ``widest`` takes the Hamiltonian of ``chain``, and any other builds its
-    own (``model.hamiltonian``).  Each half passes its checks when it is
+    Hamiltonian (``model.hamiltonian``), is built at the first
+    ``step_map``, kept for the cells after it and rebuilt only when a
+    cell's Hamiltonian inputs, its config fields other than the rate
+    fields, change.  Each half passes its checks when it is
     built: those of ``_unitary_blocks`` (``diagonalize``'s among them), of
     ``_monomial_map`` and of ``_real_map``.
 
@@ -666,7 +661,7 @@ class StepMaps:
             field_terms = [term for term in terms if term.rate == field]
             row[:] = jump_map(sectors, field_terms, self.dt).reshape(-1)
         self._inputs = [name for name in FIELD_KINDS if name not in self.rates]
-        self._widest = self._hamiltonian_key(widest), chain
+        self._basis = basis
         self._key: tuple | None = None  # of the cell whose S_H is held
         self._unitary: np.ndarray | None = None
         b, k, j = self.shape = stack_shape(m, n_steps, n_cells)
@@ -674,16 +669,12 @@ class StepMaps:
         self.buffers = tuple(_aligned_empty(shape) for shape in shapes)
         self._stack: object | None = None  # the token of the stack the buffers serve
 
-    def _hamiltonian_key(self, config: ChainConfig) -> tuple:
-        return tuple(getattr(config, name) for name in self._inputs)
-
     def step_map(self, config: ChainConfig, out: np.ndarray) -> np.ndarray:
         """S of one cell, a real M x M matrix summed into out."""
-        key = self._hamiltonian_key(config)
+        key = tuple(getattr(config, name) for name in self._inputs)
         if key != self._key:
-            widest_key, chain = self._widest
-            h = chain.hamiltonian if key == widest_key else hamiltonian(config, chain.basis)
-            self._key, self._unitary = key, unitary_map(h, self.dt)
+            self._key = key
+            self._unitary = unitary_map(hamiltonian(config, self._basis), self.dt)
         squares = np.array([getattr(config, field) for field in self.rates]) ** 2
         np.matmul(squares, self.jumps, out=out.reshape(-1))
         out += self._unitary
@@ -837,10 +828,7 @@ def cell_stacks(
     sectors = last.basis.sectors
     route = cell_route(sectors.sizes, n_steps)
     if route == "stepped":
-        stacks = (
-            stepped_cell_steps(last if i == len(configs) - 1 else assemble(config), dt, n_steps)
-            for i, config in enumerate(configs)
-        )
+        stacks = (stepped_cell_steps(assemble(config), dt, n_steps) for config in configs)
     else:
         maps = StepMaps(last, configs[-1], dt, n_steps, len(configs))
         b = maps.shape[0]

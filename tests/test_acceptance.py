@@ -108,7 +108,7 @@ def test_criterion_04_conservation_suite():
         )
         record = evolve(config, t_end=100.0, dt=0.01, sample_every=10)
         assert record.max_trace_drift <= 1e-8
-        assert record.max_hermiticity_defect <= 1e-10
+        assert record.hermiticity.max() <= 1e-10
         assert record.min_eigenvalue_seen >= -1e-6
         # undriven chain: the sink+photon+exciton count must stay put
         undriven = ChainConfig(n_atoms=2, k=1.0, mu=0.8, g=0.3, rate_out=1.2)
@@ -118,7 +118,7 @@ def test_criterion_04_conservation_suite():
         assert drift <= 1e-8, f"excitation count drifted by {drift:.3e}"
         note["text"] = (
             f"trace {record.max_trace_drift:.1e}, herm "
-            f"{record.max_hermiticity_defect:.1e}, eig {record.min_eigenvalue_seen:.1e}, "
+            f"{record.hermiticity.max():.1e}, eig {record.min_eigenvalue_seen:.1e}, "
             f"count drift {drift:.1e}"
         )
 

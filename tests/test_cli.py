@@ -306,24 +306,65 @@ def test_manifest_records_basis_and_sectors(tmp_path, command, text, flags):
     assert manifest["sector_sizes"] == [[0, 0, 1], [1, 0, 4], [1, 1, 1]]
 
 
-@pytest.mark.parametrize(
-    "objective_time,routes",
-    [("1", {"chunked": 6, "stepped": 0}), ("0.01", {"chunked": 0, "stepped": 6})],
-    ids=["100 steps", "one step"],
+SIX_CELLS_TEXT = (
+    "n_atoms=2 k=0.8 mu=0.2 rate_out=0.5\n"
+    "axis1_param=rate_out axis1_values=0.4,0.8,1.2\n"
+    "axis2_param=g axis2_values=0.0,0.3\n"
+    "objective=sink_at_time objective_time={}\n"
 )
-def test_sweep_manifest_counts_cell_routes(tmp_path, objective_time, routes):
-    config = write_config(
-        tmp_path,
-        "n_atoms=2 k=0.8 mu=0.2 rate_out=0.5\n"
-        "axis1_param=rate_out axis1_values=0.4,0.8,1.2\n"
-        "axis2_param=g axis2_values=0.0,0.3\n"
-        f"objective=sink_at_time objective_time={objective_time}\n",
-    )
+# two cells of d = 128, where building S costs more than stepping (cell_route)
+PUMPED_THREE_TEXT = (
+    "n_atoms=3 k=1.0 mu=1.0 rate_in=1.5 axis1_param=rate_in axis1_values=1.5\n"
+    "axis2_param=rate_out axis2_values=1.4,1.5\n"
+)
+# 80 cells: stacks of 53, then a short stack of 27
+SHORT_STACK_TEXT = (
+    "n_atoms=2 k=0.8 mu=0.2 sink_coupling=exciton axis1_param=rate_out\n"
+    f"axis1_values={','.join(str(i / 10) for i in range(1, 41))}\n"
+    "axis2_param=g axis2_values=0.0,0.5\n"
+)
+DAT_CHAIN_TEXT = "n_atoms=2 k=0.8 mu=0.2 dephasing=lindblad sink_coupling=exciton\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,args,routes",
+    [
+        ("sweep", SIX_CELLS_TEXT.format("1"), (), {"chunked": 6, "stepped": 0}),
+        ("sweep", SIX_CELLS_TEXT.format("0.01"), (), {"chunked": 0, "stepped": 6}),
+        (
+            "bottleneck",
+            "n_atoms=2 k=1.0 mu=1.0 rate_in=1.5 axis1_param=rate_in axis1_values=1.5\n"
+            "axis2_param=rate_out axis2_values=1.4,1.5\n",
+            ("--t-max", "20"),
+            {"chunked": 2, "stepped": 0},
+        ),
+        ("bottleneck", PUMPED_THREE_TEXT, ("--t-max", "20"), {"chunked": 0, "stepped": 2}),
+        (
+            "dat",
+            DAT_CHAIN_TEXT + "objective_time=5 axis1_param=rate_out axis1_values=0.5\n"
+            "axis2_param=g axis2_values=0.0,0.3\n",
+            (),
+            {"chunked": 2, "stepped": 0},
+        ),
+        # dat's default 40 x 41 grid
+        ("dat", DAT_CHAIN_TEXT + "objective_time=50\n", (), {"chunked": 1640, "stepped": 0}),
+        (
+            "sweep", SHORT_STACK_TEXT, ("--target", "0.5", "--t-max", "100"),
+            {"chunked": 80, "stepped": 0},
+        ),
+    ],
+    ids=[
+        "100 steps", "one step", "pumped-pair", "pumped-three-sites", "dat-pair",
+        "dat-default-grid", "short-stack",
+    ],
+)
+def test_sweep_manifest_counts_cell_routes(tmp_path, command, text, args, routes):
+    config = write_config(tmp_path, text)
     out = tmp_path / "scan"
-    assert run_cli("sweep", "--config", config, "--out", str(out)) == 0
+    assert run_cli(command, "--config", config, "--out", str(out), *args) == 0
     manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
     _, rows = read_rows(tmp_path / "scan.csv")
-    assert sum(manifest["cell_routes"].values()) == len(rows) == 6
+    assert sum(manifest["cell_routes"].values()) == len(rows) == sum(routes.values())
     assert manifest["cell_routes"] == routes
 
 
@@ -361,21 +402,26 @@ def test_sweep_single_axis_csv(tmp_path):
     assert len(rows) == 2
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    config = write_config(
-        tmp_path,
-        "n_atoms=2 k=1.0 mu=1.0 rate_in=1.5\n"
-        "axis1_param=rate_in axis1_values=1.5\n"
-        "axis2_param=rate_out axis2_values=1.0,1.5\n",
-    )
+@pytest.mark.parametrize(
+    "command,text,args",
+    [
+        (
+            "bottleneck",
+            "n_atoms=2 k=1.0 mu=1.0 rate_in=1.5\n"
+            "axis1_param=rate_in axis1_values=1.5\n"
+            "axis2_param=rate_out axis2_values=1.0,1.5\n",
+            (),
+        ),
+        ("bottleneck", PUMPED_THREE_TEXT, ("--t-max", "20")),
+        ("sweep", SHORT_STACK_TEXT, ("--target", "0.5", "--t-max", "100")),
+    ],
+    ids=["pumped-pair", "pumped-three-sites", "short-stack"],
+)
+def test_rerun_is_byte_identical(tmp_path, command, text, args):
+    config = write_config(tmp_path, text)
     for name, workers in (("a", "1"), ("b", "3"), ("c", "1")):
-        assert (
-            run_cli(
-                "bottleneck", "--config", config, "--out", str(tmp_path / name),
-                "--workers", workers,
-            )
-            == 0
-        )
+        argv = (command, "--config", config, "--out", str(tmp_path / name), *args)
+        assert run_cli(*argv, "--workers", workers) == 0
     first = (tmp_path / "a.csv").read_bytes()
     assert (tmp_path / "b.csv").read_bytes() == first
     assert (tmp_path / "c.csv").read_bytes() == first
@@ -489,6 +535,13 @@ def test_exit_codes_on_bad_input(tmp_path):
             ("--t-max", "0.05"),
             "error: sink not within [-1e-06, trace + 1e-06] at step 1: 9.0\n",
         ),
+        (
+            "sweep",
+            "n_atoms=1 mu=0.8 axis1_param=rate_out axis1_values=0.5,30\n"
+            "objective=sink_at_time objective_time=0.05\n",
+            (),
+            "error: cell rate_out=30.0: sink not within [-1e-06, trace + 1e-06] at step 1: 9.0\n",
+        ),
     ],
 )
 def test_run_that_blows_up_exits_2_naming_the_step(
@@ -498,10 +551,8 @@ def test_run_that_blows_up_exits_2_naming_the_step(
     config = write_config(tmp_path, text)
     out = tmp_path / "blown"
     assert run_cli(command, "--config", config, "--out", str(out), *args) == 2
-    err = capsys.readouterr().err
     # the error line alone: no numpy warning comes before it
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert failure in err
+    assert capsys.readouterr().err == failure
     assert not (tmp_path / "blown.csv").exists()
 
 
@@ -716,23 +767,46 @@ def test_flag_outside_its_range_exits_2_and_names_it(
     assert not (tmp_path / "x.manifest.json").exists()
 
 
-def test_evolve_runs_without_unpacking_a_state(tmp_path, monkeypatch):
-    """The benchmark's n=3 trajectory writes its CSV and manifest from packed
-    states alone, and the manifest records the basis the run built."""
+@pytest.mark.parametrize(
+    "n_atoms,t_max,basis_dim,sector_sizes",
+    [
+        (3, "0.5", 128, [
+            [0, 0, 1], [1, 0, 6], [1, 1, 1], [2, 0, 15], [2, 1, 6], [3, 0, 20], [3, 1, 15],
+            [4, 0, 15], [4, 1, 20], [5, 0, 6], [5, 1, 15], [6, 0, 1], [6, 1, 6], [7, 1, 1],
+        ]),
+        (4, "0.05", 512, [
+            [0, 0, 1], [1, 0, 8], [1, 1, 1], [2, 0, 28], [2, 1, 8], [3, 0, 56], [3, 1, 28],
+            [4, 0, 70], [4, 1, 56], [5, 0, 56], [5, 1, 70], [6, 0, 28], [6, 1, 56],
+            [7, 0, 8], [7, 1, 28], [8, 0, 1], [8, 1, 8], [9, 1, 1],
+        ]),
+        (5, "0.05", 2048, [
+            [0, 0, 1], [1, 0, 10], [1, 1, 1], [2, 0, 45], [2, 1, 10], [3, 0, 120],
+            [3, 1, 45], [4, 0, 210], [4, 1, 120], [5, 0, 252], [5, 1, 210], [6, 0, 210],
+            [6, 1, 252], [7, 0, 120], [7, 1, 210], [8, 0, 45], [8, 1, 120], [9, 0, 10],
+            [9, 1, 45], [10, 0, 1], [10, 1, 10], [11, 1, 1],
+        ]),
+    ],
+    ids=["n3", "n4", "n5"],
+)
+def test_evolve_runs_without_unpacking_a_state(
+    tmp_path, monkeypatch, n_atoms, t_max, basis_dim, sector_sizes
+):
+    """Pumped trajectories, the benchmark's n=3 among them, write their CSV
+    and manifest from packed states alone, and the manifest records the
+    basis the run built: at n=4 with couplings and jumps as column maps, at
+    n=5 with a Hamiltonian diagonalized block by block."""
 
     def refused(self, packed):
         raise AssertionError("evolve unpacked a state")
 
     monkeypatch.setattr(Sectors, "unpack", refused)
-    config = write_config(tmp_path, "n_atoms=3 k=1.0 mu=1.0 rate_in=1.5 rate_out=1.5\n")
-    out = str(tmp_path / "n3")
-    assert run_cli("evolve", "--config", config, "--out", out, "--t-max", "0.5") == 0
-    manifest = json.loads((tmp_path / "n3.manifest.json").read_text())
-    assert manifest["basis_dim"] == 128
-    assert manifest["sector_sizes"] == [
-        [0, 0, 1], [1, 0, 6], [1, 1, 1], [2, 0, 15], [2, 1, 6], [3, 0, 20], [3, 1, 15],
-        [4, 0, 15], [4, 1, 20], [5, 0, 6], [5, 1, 15], [6, 0, 1], [6, 1, 6], [7, 1, 1],
-    ]
+    text = f"n_atoms={n_atoms} k=1.0 mu=1.0 rate_in=1.5 rate_out=1.5\n"
+    config = write_config(tmp_path, text)
+    out = str(tmp_path / "pumped")
+    assert run_cli("evolve", "--config", config, "--out", out, "--t-max", t_max) == 0
+    manifest = json.loads((tmp_path / "pumped.manifest.json").read_text())
+    assert manifest["basis_dim"] == basis_dim
+    assert manifest["sector_sizes"] == sector_sizes
 
 
 def test_runs_in_one_process_share_no_flags(tmp_path):

@@ -643,7 +643,7 @@ def test_trajectory_record_summaries():
         sectors=None,
     )
     assert record.max_trace_drift == pytest.approx(3e-9)
-    assert record.max_hermiticity_defect == pytest.approx(1e-12)
+    assert record.hermiticity.max() == pytest.approx(1e-12)
     with pytest.raises(ValueError):
         TrajectoryRecord(
             times=np.array([1.0, 0.0]),
@@ -898,7 +898,7 @@ def test_conservation_short_run_all_terms():
     )
     record = evolve(config, 20.0, dt=0.01, sample_every=50)
     assert record.max_trace_drift <= 1e-8
-    assert record.max_hermiticity_defect <= 1e-10
+    assert record.hermiticity.max() <= 1e-10
     assert record.min_eigenvalue_seen >= -1e-6
 
 

@@ -156,7 +156,7 @@ def test_evolve_preserves_trace(config, dt, t):
 
 @given(chains(), time_steps, run_times)
 def test_evolve_preserves_hermiticity(config, dt, t):
-    assert evolve(config, t, dt).max_hermiticity_defect <= HERMITICITY_DEFECT_MAX
+    assert evolve(config, t, dt).hermiticity.max() <= HERMITICITY_DEFECT_MAX
 
 
 # The blocked and dense routes differ only in roundoff, and the dense route's
@@ -437,7 +437,7 @@ def test_chunked_sample_diagnostics_match_exact_per_sample_ones(
     }
     for name, values in expected.items():
         assert np.abs(getattr(record, name) - values).max() <= SAMPLE_VALUE_MAX
-    assert abs(record.max_hermiticity_defect - max(defects)) <= SAMPLE_VALUE_MAX
+    assert abs(record.hermiticity.max() - max(defects)) <= SAMPLE_VALUE_MAX
 
 
 # The chunked route sums the same step map in another order: values agree

@@ -1,7 +1,7 @@
-"""Checks of the CI workflow's console-script step, run on the source tree.
+"""Checks of README's Library block, run on the source tree.
 
-The workflow runs them against the installed package and keeps its own
-copy; run here too, a drift in what they check fails Tier-1.
+The CI workflow's console-script step only runs the block against the
+installed package; the time it quotes is checked here alone.
 """
 
 import re
